@@ -5,7 +5,6 @@ machinery lives in the sibling modules.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -298,67 +297,75 @@ def generate_family(family, params=()):
 
 @dataclass
 class DistanceData:
-    """All-pairs hop distances; UNREACHABLE marks pairs with no path."""
+    """All-pairs hop distances; UNREACHABLE marks pairs with no path.
+
+    odd_girth is the length of a shortest odd cycle, math.inf if there is none.
+    """
 
     dist: np.ndarray
     diameter: int
     connected: bool
+    odd_girth: object
+
+
+def _expand(A, sources):
+    """Level-synchronous BFS from the rows of a boolean source matrix, all at once.
+
+    Yields (frontier, reach) for levels k = 0, 1, ...: frontier[s] marks the
+    vertices at distance k from source s and reach[s] their neighbours.  Each
+    level is one float64 BLAS product; the counts it sums are at most n, so
+    the > 0.5 test is exact.  Stops after the last non-empty level.
+    """
+    frontier = sources
+    seen = sources.copy()
+    while True:
+        reach = frontier.astype(np.float64) @ A > 0.5
+        yield frontier, reach
+        frontier = reach & ~seen
+        if not frontier.any():
+            return
+        seen |= frontier
 
 
 def distance_data(g):
-    """BFS from every vertex; exact distances, diameter, connectivity flag."""
+    """Exact distances, diameter, connectivity and odd girth from one expansion.
+
+    All n sources expand together.  An edge inside level k of some source
+    (reach & frontier) closes an odd walk of length 2k+1, so it holds an odd
+    cycle of at most that length; conversely a shortest odd cycle of length
+    2k+1 is isometric, so from any of its vertices the edge opposite lies
+    inside level k.  The odd girth is therefore 2k+1 for the first such
+    level, for disconnected graphs too.
+    """
     n = g.n
-    nbrs = [np.flatnonzero(g.adj[u]) for u in range(n)]
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in nbrs[u]:
-                if row[v] == UNREACHABLE:
-                    row[v] = du + 1
-                    queue.append(v)
-    finite = dist[dist != UNREACHABLE]
+    girth = math.inf
+    levels = _expand(g.adj.astype(np.float64), np.eye(n, dtype=bool))
+    for k, (frontier, reach) in enumerate(levels):
+        dist[frontier] = k
+        if girth == math.inf and (reach & frontier).any():
+            girth = 2 * k + 1
     return DistanceData(
         dist=dist,
-        diameter=int(finite.max()),
+        diameter=k,
         connected=bool((dist != UNREACHABLE).all()),
+        odd_girth=girth,
     )
 
 
-def odd_girth(g):
-    """Length of a shortest odd cycle; math.inf iff the graph is bipartite.
+def is_connected(g):
+    """Connectivity by expanding from vertex 0 alone: one matrix-vector product per level."""
+    source = np.zeros((1, g.n), dtype=bool)
+    source[0, 0] = True
+    reached = source.copy()
+    for frontier, _ in _expand(g.adj.astype(np.float64), source):
+        reached |= frontier
+    return bool(reached.all())
 
-    Parity-labeled BFS from each start vertex: states are (vertex, parity of
-    walk length), and the shortest odd closed walk at the start is the
-    distance to (start, odd).  The minimum over starts is attained by an odd
-    cycle, so it equals the odd girth.
-    """
-    n = g.n
-    nbrs = [np.flatnonzero(g.adj[u]) for u in range(n)]
-    best = math.inf
-    for s in range(n):
-        dist = np.full((n, 2), UNREACHABLE, dtype=np.int64)
-        dist[s, 0] = 0
-        queue = deque([(s, 0)])
-        while queue:
-            u, p = queue.popleft()
-            du = dist[u, p]
-            if du + 1 >= best:
-                continue
-            q = 1 - p
-            for v in nbrs[u]:
-                if dist[v, q] == UNREACHABLE:
-                    dist[v, q] = du + 1
-                    queue.append((v, q))
-        if dist[s, 1] != UNREACHABLE:
-            best = min(best, int(dist[s, 1]))
-        if best == 3:
-            break
-    return best
+
+def odd_girth(g):
+    """Length of a shortest odd cycle; math.inf iff the graph is bipartite."""
+    return distance_data(g).odd_girth
 
 
 # ---------------------------------------------------------------------------

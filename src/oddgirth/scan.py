@@ -91,6 +91,11 @@ def _screen_chunk(args):
     return _screen.screen_range(n, lo, hi)
 
 
+def _cap_jobs(jobs):
+    """Worker count: at least 1, at most the CPUs this process may run on."""
+    return max(1, min(int(jobs), len(os.sched_getaffinity(0))))
+
+
 def _chunks(total, pieces):
     step = -(-total // pieces)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -105,7 +110,7 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
     """
     if not 1 <= n_max <= 7:
         raise GraphError("scan supports 1 <= n <= 7, got %d" % n_max)
-    jobs = max(1, int(jobs))
+    jobs = _cap_jobs(jobs)
 
     masks_total = 0
     examined = 0
@@ -158,15 +163,14 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
 
 
 def _verify_line(args):
-    idx, line, tolerances = args
-    g = parse_graph6(line)
+    idx, g, line, tolerances = args
     report = verify_theorem(g, tolerances, input_label=line)
     return idx, g.n, report
 
 
 def scan_corpus(path, jobs=1, tolerances=None):
     """Verify every graph6 line in a file; parse failures are counted, not fatal."""
-    jobs = max(1, int(jobs))
+    jobs = _cap_jobs(jobs)
     with open(path, "rb") as fh:
         raw = fh.read()
     lines = [ln.strip() for ln in raw.splitlines()]
@@ -176,11 +180,11 @@ def scan_corpus(path, jobs=1, tolerances=None):
     parse_errors = []
     for lineno, text in lines:
         try:
-            parse_graph6(text)
+            g = parse_graph6(text)
         except GraphError as exc:
             parse_errors.append("line %d: %s" % (lineno, exc))
         else:
-            parsed.append((lineno, text, tolerances))
+            parsed.append((lineno, g, text, tolerances))
 
     if jobs > 1 and len(parsed) > 1:
         with get_context("fork").Pool(jobs) as pool:

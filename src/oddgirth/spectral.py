@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import distance_data
+from .graphs import is_connected
 
 
 class NumericalError(RuntimeError):
@@ -79,7 +79,7 @@ def spectrum(g, cluster_tol=None):
     ambiguous = bool(min_gap < 10.0 * cluster_tol)
 
     warns = []
-    if not distance_data(g).connected:
+    if not is_connected(g):
         warns.append("graph is disconnected; the pipeline assumes connectivity")
     if ambiguous:
         warns.append(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import predistance, spectral
-from .graphs import GraphError, distance_data, odd_girth
+from .graphs import GraphError, distance_data
 
 
 @dataclass
@@ -63,7 +63,10 @@ def distance_matrices(g, dd=None):
     if not dd.connected:
         raise GraphError("distance matrices require a connected graph")
     mats = [(dd.dist == i).astype(np.int64) for i in range(dd.diameter + 1)]
-    assert np.array_equal(sum(mats), np.ones((g.n, g.n), dtype=np.int64))
+    if not np.array_equal(sum(mats), np.ones((g.n, g.n), dtype=np.int64)):
+        raise RuntimeError(
+            "distance matrices A_0..A_%d do not sum to the all-ones matrix" % dd.diameter
+        )
     return mats
 
 
@@ -113,19 +116,26 @@ def intersection_array(g, dd=None):
     if not dd.connected:
         raise GraphError("intersection array requires a connected graph")
     dist = dd.dist
-    adj = g.adj
+    A = g.adj.astype(np.float64)
     D = dd.diameter
+
+    def level_product(j):
+        # (A_j A)[u, v] = |Gamma(v) cap Gamma_j(u)|; float64 BLAS, exact since counts <= n
+        return (dist == j).astype(np.float64) @ A
 
     b = np.zeros(D + 1, dtype=np.int64)
     c = np.zeros(D + 1, dtype=np.int64)
     a = np.zeros(D + 1, dtype=np.int64)
+    # rolling window of the level products for i-1, i, i+1: each computed once;
+    # there is no level -1, and none at D+1, where b_D = 0 holds trivially
+    below, here = None, level_product(0)
     for i in range(D + 1):
+        above = level_product(i + 1) if i < D else None
         at_i = dist == i
         ref = tuple(int(x) for x in np.argwhere(at_i)[0])
-        for kind, shift in (("c", -1), ("a", 0), ("b", 1)):
-            if i == 0 and kind == "c":
+        for kind, counts in (("c", below), ("a", here), ("b", above)):
+            if counts is None:
                 continue
-            counts = (dist == i + shift).astype(np.int64) @ adj
             expected = int(counts[ref])
             bad = at_i & (counts != expected)
             if bad.any():
@@ -144,6 +154,7 @@ def intersection_array(g, dd=None):
                 a[i] = expected
             elif i < D:
                 b[i] = expected
+        below, here = here, above
     return IntersectionArray(
         b=[int(x) for x in b[:D]],
         c=[int(x) for x in c[1:]],
@@ -416,7 +427,7 @@ def verify_theorem(g, tolerances=None, input_label=None):
     dd = distance_data(g)
     s = spectral.spectrum(g, tols.cluster)
     warnings = list(s.warnings)
-    og = odd_girth(g)
+    og = dd.odd_girth
     d = s.d
 
     met = bool(dd.connected and og != math.inf and og >= 2 * d + 1)

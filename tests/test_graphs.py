@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgirth as og
-from oddgirth.graphs import mask_connected
+from oddgirth.graphs import is_connected, mask_connected
 
 
 def floyd_warshall(g):
@@ -37,6 +37,21 @@ def random_graph(n, seed):
     rng = np.random.default_rng(seed)
     adj = np.triu((rng.random((n, n)) < 0.5).astype(np.int64), 1)
     return og.Graph(n, adj + adj.T)
+
+
+def disjoint_union(*graphs):
+    n = sum(g.n for g in graphs)
+    adj = np.zeros((n, n), dtype=np.int64)
+    lo = 0
+    for g in graphs:
+        adj[lo:lo + g.n, lo:lo + g.n] = g.adj
+        lo += g.n
+    return og.Graph(n, adj)
+
+
+def relabeled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return og.Graph(g.n, g.adj[np.ix_(perm, perm)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +286,17 @@ def test_distance_matches_floyd_warshall(family_suite):
             assert np.array_equal(og.distance_data(g).dist, floyd_warshall(g)), label
 
 
+def test_distance_data_large_relabeled():
+    # O_5 (n=126) and the folded 9-cube (n=256), both of odd girth 9, in a
+    # random vertex order so no level of the expansion follows the labels
+    for family, param in (("odd", 5), ("folded_cube", 9)):
+        g = relabeled(og.generate_family(family, [param]), param)
+        dd = og.distance_data(g)
+        assert np.array_equal(dd.dist, floyd_warshall(g)), family
+        assert dd.connected and dd.diameter == 4, family
+        assert dd.odd_girth == og.odd_girth(g) == 9, family
+
+
 def test_distance_invariants():
     for seed in range(5):
         g = random_graph(7, seed)
@@ -303,11 +329,19 @@ def test_odd_girth_matches_trace_oracle_exhaustive():
 def test_odd_girth_matches_trace_oracle_random():
     for seed in range(30):
         g = random_graph(9, seed)
-        got = og.odd_girth(g)
-        if og.distance_data(g).connected:
-            assert got == odd_girth_by_traces(g)
-        else:
-            assert got % 2 == 1 or got == math.inf
+        assert og.odd_girth(g) == odd_girth_by_traces(g), seed
+
+
+def test_odd_girth_disconnected():
+    cycles = {k: og.generate_family("cycle", [k]) for k in (4, 5, 6, 7, 9)}
+    k2 = og.generate_family("complete", [2])
+    for g, want in (
+        (disjoint_union(cycles[5], cycles[7]), 5),
+        (disjoint_union(k2, cycles[9]), 9),
+        (disjoint_union(cycles[4], cycles[6]), math.inf),
+    ):
+        assert not og.distance_data(g).connected
+        assert og.odd_girth(g) == want == odd_girth_by_traces(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,4 +406,4 @@ def test_mask_round_trip():
 def test_mask_connected_matches_distance_data():
     for mask in range(1 << 10):
         g = og.graph_from_mask(5, mask)
-        assert mask_connected(5, mask) == og.distance_data(g).connected
+        assert mask_connected(5, mask) == og.distance_data(g).connected == is_connected(g)

@@ -116,6 +116,33 @@ def test_scan_corpus(tmp_path, petersen, prism):
     assert pooled.examined == 2 and pooled.hypothesis_met == 1
 
 
+def test_jobs_capped_at_affinity(tmp_path, petersen):
+    cpus = len(os.sched_getaffinity(0))
+    # n <= 4 never forks, whatever the worker count
+    assert scan.scan_enumerated(3, jobs=10**6).jobs == cpus
+    # a single corpus line is verified in this process
+    path = tmp_path / "one.g6"
+    path.write_bytes(og.encode_graph6(petersen) + b"\n")
+    assert scan.scan_corpus(path, jobs=10**6).jobs == cpus
+
+
+def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, prism):
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (petersen, prism, petersen)))
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return og.parse_graph6(text)
+
+    monkeypatch.setattr(scan, "parse_graph6", counting_parse)
+    for jobs in (1, 2):
+        calls.clear()
+        summary = scan.scan_corpus(path, jobs=jobs)
+        assert len(calls) == 3, jobs
+        assert summary.examined == 3 and summary.certified == 2, jobs
+
+
 def test_pure_backend_env_override():
     env = dict(os.environ, ODDGIRTH_PURE="1")
     out = subprocess.run(

@@ -47,6 +47,17 @@ def test_distance_matrices_reject_disconnected():
         distance_matrices(g)
 
 
+def test_distance_matrices_self_check(c5):
+    # an inconsistent DistanceData: the distance-2 pairs of C_5 moved to 3,
+    # past the stated diameter, so A_0 + A_1 + A_2 misses them
+    dd = og.distance_data(c5)
+    bad = og.DistanceData(
+        dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5
+    )
+    with pytest.raises(RuntimeError, match="all-ones"):
+        distance_matrices(c5, bad)
+
+
 def test_intersection_array_c5(c5):
     arr = og.intersection_array(c5)
     assert isinstance(arr, og.IntersectionArray)
@@ -97,6 +108,43 @@ def test_intersection_array_path_witness():
     p4 = og.generate_family("path", [4])
     res = og.intersection_array(p4)
     assert isinstance(res, NotDistanceRegular)
+
+
+def intersection_array_by_loops(g):
+    """Reference: count every wall of every pair one neighbour at a time."""
+    dd = og.distance_data(g)
+    dist, n, D = dd.dist, g.n, dd.diameter
+    walls = {"c": [0] * (D + 1), "a": [0] * (D + 1), "b": [0] * (D + 1)}
+    for i in range(D + 1):
+        pairs = [(u, v) for u in range(n) for v in range(n) if dist[u, v] == i]
+        for kind, shift in (("c", -1), ("a", 0), ("b", 1)):
+            if i == 0 and kind == "c":
+                continue
+            counts = [sum(1 for w in range(n) if g.adj[v, w] and dist[u, w] == i + shift)
+                      for u, v in pairs]
+            for pair, found in zip(pairs, counts):
+                if found != counts[0]:
+                    return NotDistanceRegular(i, kind, pair, found, counts[0], pairs[0])
+            walls[kind][i] = counts[0]
+    return og.IntersectionArray(
+        b=walls["b"][:D], c=walls["c"][1:], a=walls["a"], D=D
+    )
+
+
+def test_intersection_array_matches_loops():
+    # every connected graph on 5 vertices, the regular ones on 6, and the
+    # Wagner graph, whose first wall to vary is c_2: arrays and witnesses
+    # (distance, wall kind, pair, counts) must agree exactly
+    graphs = list(og.enumerate_connected(5))
+    graphs += [g for g in og.enumerate_connected(6) if g.is_regular()]
+    graphs.append(og.graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)]
+                                      + [(i, i + 4) for i in range(4)]))
+    kinds = set()
+    for g in graphs:
+        got = og.intersection_array(g)
+        assert got == intersection_array_by_loops(g), og.graph_mask(g)
+        kinds.add(got.kind if isinstance(got, NotDistanceRegular) else "array")
+    assert kinds == {"array", "c", "a", "b"}
 
 
 def test_distance_polynomial_check(petersen, c5, prism, p3):
