@@ -1,7 +1,8 @@
 """Graphs as dense 0/1 adjacency matrices: parsing, families, distances, enumeration.
 
-Everything in this module is exact integer work; the floating-point spectral
-machinery lives in the sibling modules.
+The distance layer runs float64 matrix products whose entries are counts of
+at most n, so they are exact at every size this package handles; the
+eigenvalue machinery lives in the sibling modules.
 """
 
 import math
@@ -311,6 +312,8 @@ class DistanceData:
 def _expand(A, sources):
     """Level-synchronous BFS from the rows of a boolean source matrix, all at once.
 
+    A and sources may also be stacks of matrices, one graph per leading index.
+
     Yields (frontier, reach) for levels k = 0, 1, ...: frontier[s] marks the
     vertices at distance k from source s and reach[s] their neighbours.  Each
     level is one float64 BLAS product; the counts it sums are at most n, so
@@ -389,31 +392,53 @@ def graph_mask(g):
     return mask
 
 
-def mask_connected(n, mask, pairs=None):
-    """Connectivity of the graph encoded by an edge bitmask, via bitset flood fill."""
-    if pairs is None:
-        pairs = edge_pairs(n)
-    nbr = [0] * n
-    m = mask
-    for u, v in pairs:
-        if m & 1:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        m >>= 1
-    full = (1 << n) - 1
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        u = 0
-        while f:
-            if f & 1:
-                nxt |= nbr[u]
-            f >>= 1
-            u += 1
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+MASK_BATCH = 8192  # masks per batch; a (MASK_BATCH, 7, 7) float64 level is 3 MB
+
+
+@dataclass
+class MaskDistances:
+    """The distance layer for a batch of edge bitmasks on n vertices, one row per mask.
+
+    adj is the (B, n, n) float64 adjacency batch; diameter and odd_girth are
+    what distance_data reports for each mask's graph (odd_girth is a float
+    array, inf where there is no odd cycle).
+    """
+
+    masks: np.ndarray
+    adj: np.ndarray
+    connected: np.ndarray
+    diameter: np.ndarray
+    odd_girth: np.ndarray
+
+
+def adjacency_batch(n, masks):
+    """(B, n, n) float64 adjacency matrices of an int64 array of edge bitmasks."""
+    pairs = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
+    bits = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(np.float64)
+    A = np.zeros((len(masks), n, n))
+    A[:, pairs[:, 0], pairs[:, 1]] = bits
+    A[:, pairs[:, 1], pairs[:, 0]] = bits
+    return A
+
+
+def mask_distances(n, masks):
+    """Connectivity, diameter and odd girth of every mask, from one batched expansion."""
+    A = adjacency_batch(n, masks)
+    reached = np.zeros((len(masks), n), dtype=bool)
+    diameter = np.zeros(len(masks), dtype=np.int64)
+    girth = np.full(len(masks), math.inf)
+    sources = np.broadcast_to(np.eye(n, dtype=bool), A.shape)
+    for k, (frontier, reach) in enumerate(_expand(A, sources)):
+        reached |= frontier[:, 0]
+        diameter[frontier.any(axis=(1, 2))] = k
+        girth[np.isinf(girth) & (reach & frontier).any(axis=(1, 2))] = 2 * k + 1
+    return MaskDistances(masks, A, reached.all(axis=1), diameter, girth)
+
+
+def mask_batches(n, start, stop):
+    """mask_distances over the masks [start, stop), MASK_BATCH at a time."""
+    for lo in range(start, stop, MASK_BATCH):
+        yield mask_distances(n, np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64))
 
 
 def enumerate_connected(n):
@@ -424,7 +449,6 @@ def enumerate_connected(n):
     """
     if not 1 <= n <= 7:
         raise GraphError("enumeration supports 1 <= n <= 7, got %d" % n)
-    pairs = edge_pairs(n)
-    for mask in range(1 << len(pairs)):
-        if mask_connected(n, mask, pairs):
-            yield graph_from_mask(n, mask)
+    for batch in mask_batches(n, 0, 1 << (n * (n - 1) // 2)):
+        for mask in batch.masks[batch.connected]:
+            yield graph_from_mask(n, int(mask))

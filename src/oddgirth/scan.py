@@ -3,34 +3,31 @@
 The screen computes exactly the theorem hypothesis (connected, finite odd
 girth >= 2d+1 where d+1 is the clustered distinct-eigenvalue count) for every
 edge bitmask; the full certificate pipeline then runs on the handful of
-hypothesis-met graphs.  The compiled kernel is preferred, with a batched
-numpy fallback; set ODDGIRTH_PURE=1 to force the fallback.
+hypothesis-met graphs.  A connected graph of diameter D has at least D+1
+distinct eigenvalues, so d >= D and every hit has odd girth >= 2D+1; the
+screen tests that on the exact distance layer first and solves for the
+eigenvalues only of the graphs that pass it.
 """
 
-import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
-from . import _screen_py
-from .graphs import GraphError, encode_graph6, graph_from_mask, parse_graph6
+import numpy as np
+
+from .graphs import (
+    MASK_BATCH,
+    GraphError,
+    adjacency_batch,
+    encode_graph6,
+    graph_from_mask,
+    mask_batches,
+    mask_distances,
+    parse_graph6,
+)
 from .verify import verify_theorem
 
-if os.environ.get("ODDGIRTH_PURE", "") not in ("", "0"):
-    _screen = _screen_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _screen as _screen_ext
-
-        _screen = _screen_ext
-        BACKEND = "compiled"
-    except ImportError:
-        _screen = _screen_py
-        BACKEND = "python"
-
-screen_range = _screen.screen_range
-screen_regular_range = _screen.screen_regular_range
+BACKEND = "python"  # reported in scan summaries; there is one screen
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
@@ -86,9 +83,44 @@ class ScanSummary:
         }
 
 
+def screen_range(n, start, stop):
+    """Screen masks [start, stop) on n vertices.
+
+    Returns (examined, hits): examined counts connected graphs, hits is the
+    ordered list of (mask, d, odd_girth) for graphs meeting the theorem
+    hypothesis (finite odd girth >= 2d+1).
+    """
+    examined = 0
+    hits = []
+    for batch in mask_batches(n, start, stop):
+        examined += int(batch.connected.sum())
+        girth = batch.odd_girth
+        keep = batch.connected & np.isfinite(girth) & (girth >= 2 * batch.diameter + 1)
+        if not keep.any():
+            continue
+        w = np.linalg.eigvalsh(batch.adj[keep])  # ascending rows
+        tol = 1e-8 * n * np.maximum(1.0, np.abs(w).max(axis=1))
+        d = (np.diff(w, axis=1) > tol[:, None]).sum(axis=1)
+        met = girth[keep] >= 2 * d + 1
+        for m, dd, og in zip(batch.masks[keep][met], d[met], girth[keep][met]):
+            hits.append((int(m), int(dd), int(og)))
+    return examined, hits
+
+
+def screen_regular_range(n, start, stop):
+    """Masks in [start, stop) whose graphs are connected and regular."""
+    out = []
+    for lo in range(start, stop, MASK_BATCH):
+        masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
+        deg = adjacency_batch(n, masks).sum(axis=2)
+        regular = masks[(deg == deg[:, :1]).all(axis=1)]
+        out.extend(int(m) for m in regular[mask_distances(n, regular).connected])
+    return out
+
+
 def _screen_chunk(args):
     n, lo, hi = args
-    return _screen.screen_range(n, lo, hi)
+    return screen_range(n, lo, hi)
 
 
 def _cap_jobs(jobs):
@@ -126,7 +158,7 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
                 examined += ex
                 screened.extend((n, m, d, og) for m, d, og in hits)
         else:
-            ex, hits = _screen.screen_range(n, 0, total)
+            ex, hits = screen_range(n, 0, total)
             examined += ex
             screened.extend((n, m, d, og) for m, d, og in hits)
 

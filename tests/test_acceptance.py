@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import oddgirth as og
-from oddgirth import _screen_py, cli, scan
+from oddgirth import cli, scan
+from oddgirth.graphs import mask_batches
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -185,12 +186,8 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
     for n in range(1, 8):
         total = 1 << (n * (n - 1) // 2)
         found = 0
-        for lo in range(0, total, _screen_py._BATCH):
-            masks = np.arange(lo, min(lo + _screen_py._BATCH, total), dtype=np.int64)
-            conn, _, og_code = _screen_py._screen_batch(n, masks)
-            if og_code is None:
-                continue
-            for mask in masks[conn][og_code == 0]:
+        for batch in mask_batches(n, 0, total):
+            for mask in batch.masks[batch.connected & np.isinf(batch.odd_girth)]:
                 found += 1
                 cert = check_eigenvalue_symmetry(og.spectrum(og.graph_from_mask(n, int(mask))))
                 if cert.passed is not False:

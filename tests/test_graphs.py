@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgirth as og
-from oddgirth.graphs import is_connected, mask_connected
+from oddgirth.graphs import is_connected, mask_distances
 
 
 def floyd_warshall(g):
@@ -403,7 +403,11 @@ def test_mask_round_trip():
             assert og.graph_mask(og.graph_from_mask(n, mask)) == mask
 
 
-def test_mask_connected_matches_distance_data():
+def test_mask_distances_match_distance_data():
+    layer = mask_distances(5, np.arange(1 << 10))
     for mask in range(1 << 10):
         g = og.graph_from_mask(5, mask)
-        assert mask_connected(5, mask) == og.distance_data(g).connected == is_connected(g)
+        dd = og.distance_data(g)
+        assert layer.connected[mask] == dd.connected == is_connected(g), mask
+        assert layer.diameter[mask] == dd.diameter, mask
+        assert layer.odd_girth[mask] == dd.odd_girth, mask
