@@ -155,6 +155,12 @@ def cmd_scan(args):
         print("hypothesis met: %d" % summary.hypothesis_met)
         print("certified distance-regular: %d" % summary.certified)
         print("alarms: %d" % summary.alarms)
+        print("elapsed: %.2f s" % summary.elapsed_s)
+        if summary.funnel:
+            print("funnel (masks -> connected -> prefilter survivors -> hits):")
+            for n, counts in sorted(summary.funnel.items()):
+                stages = (str(counts[stage]) for stage in scan_mod.FUNNEL_STAGES)
+                print("  n=%d: %s" % (n, " -> ".join(stages)))
         if summary.parse_failures:
             print("parse failures: %d" % summary.parse_failures)
             for err in summary.parse_errors:

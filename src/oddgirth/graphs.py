@@ -1,8 +1,11 @@
 """Graphs as dense 0/1 adjacency matrices: parsing, families, distances, enumeration.
 
-The distance layer runs float64 matrix products whose entries are counts of
-at most n, so they are exact at every size this package handles; the
-eigenvalue machinery lives in the sibling modules.
+The distance layer is one breadth-first search, _expand, run level by level
+on a stack of graphs: a single graph for distance_data and is_connected, a
+batch of edge bitmasks for mask_distances.  Each level is a float32 matrix
+product whose entries are counts of at most n, exact for n < 2^24, and each
+graph leaves the batch once its search has ended.  The eigenvalue machinery
+lives in the sibling modules.
 """
 
 import math
@@ -310,42 +313,58 @@ class DistanceData:
 
 
 def _expand(A, sources):
-    """Level-synchronous BFS from the rows of a boolean source matrix, all at once.
+    """Level-synchronous BFS in a (B, n, n) stack of adjacency matrices, every graph at once.
 
-    A and sources may also be stacks of matrices, one graph per leading index.
+    The same source vertices (an index or a slice) expand in every graph.  Yields
+    (live, frontier, reach) for levels k = 0, 1, ...: live indexes the graphs
+    whose level k is not empty, frontier[j, i] marks the vertices at distance
+    k from sources[i] in graph live[j], and reach[j, i] their neighbours.
 
-    Yields (frontier, reach) for levels k = 0, 1, ...: frontier[s] marks the
-    vertices at distance k from source s and reach[s] their neighbours.  Each
-    level is one float64 BLAS product; the counts it sums are at most n, so
-    the > 0.5 test is exact.  Stops after the last non-empty level.
+    Level 0 is read off A, with no product.  Each later level is one batched
+    float32 product whose entries count paths of at most n < 2^24, so they
+    are exact and the > 0.5 test is too.  A graph leaves the batch after its
+    last non-empty level, so a batch does as many products per level as it
+    has searches still running; the expansion ends when none is left.
     """
-    frontier = sources
-    seen = sources.copy()
+    A = np.asarray(A, dtype=np.float32)
+    eye = np.eye(A.shape[-1], dtype=bool)[sources]
+    live = np.arange(len(A))
+    frontier = eye[None].repeat(len(A), axis=0)
+    reach = A[:, sources] > 0.5
+    seen = frontier.copy()
     while True:
-        reach = frontier.astype(np.float64) @ A > 0.5
-        yield frontier, reach
-        frontier = reach & ~seen
+        yield live, frontier, reach
+        frontier = reach > seen  # reach & ~seen
         if not frontier.any():
             return
-        seen |= frontier
+        seen |= reach
+        level = frontier.astype(np.float32)
+        if len(live) > 1:  # a lone graph with a non-empty level is still live
+            # per-graph level sizes: a matrix-vector product is several times
+            # faster than any() over the short rows of a (B, n * n) array
+            alive = level.reshape(len(live), eye.size) @ np.ones(eye.size, dtype=np.float32) > 0.5
+            if not alive.all():
+                keep = np.flatnonzero(alive)
+                live, frontier, seen, A = (x.take(keep, axis=0) for x in (live, frontier, seen, A))
+                level = frontier.astype(np.float32)
+        reach = level @ A > 0.5
 
 
 def distance_data(g):
     """Exact distances, diameter, connectivity and odd girth from one expansion.
 
-    All n sources expand together.  An edge inside level k of some source
-    (reach & frontier) closes an odd walk of length 2k+1, so it holds an odd
-    cycle of at most that length; conversely a shortest odd cycle of length
-    2k+1 is isometric, so from any of its vertices the edge opposite lies
-    inside level k.  The odd girth is therefore 2k+1 for the first such
-    level, for disconnected graphs too.
+    All n sources expand together, as a batch of one graph.  An edge inside
+    level k of some source (reach & frontier) closes an odd walk of length
+    2k+1, so it holds an odd cycle of at most that length; conversely a
+    shortest odd cycle of length 2k+1 is isometric, so from any of its
+    vertices the edge opposite lies inside level k.  The odd girth is
+    therefore 2k+1 for the first such level, for disconnected graphs too.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     girth = math.inf
-    levels = _expand(g.adj.astype(np.float64), np.eye(n, dtype=bool))
-    for k, (frontier, reach) in enumerate(levels):
-        dist[frontier] = k
+    for k, (_, frontier, reach) in enumerate(_expand(g.adj[None], slice(None))):
+        dist[frontier[0]] = k
         if girth == math.inf and (reach & frontier).any():
             girth = 2 * k + 1
     return DistanceData(
@@ -357,12 +376,10 @@ def distance_data(g):
 
 
 def is_connected(g):
-    """Connectivity by expanding from vertex 0 alone: one matrix-vector product per level."""
-    source = np.zeros((1, g.n), dtype=bool)
-    source[0, 0] = True
-    reached = source.copy()
-    for frontier, _ in _expand(g.adj.astype(np.float64), source):
-        reached |= frontier
+    """Connectivity by expanding from vertex 0 alone: one vector-matrix product per level."""
+    reached = np.zeros(g.n, dtype=bool)
+    for _, frontier, _ in _expand(g.adj[None], slice(0, 1)):
+        reached |= frontier[0, 0]
     return bool(reached.all())
 
 
@@ -392,7 +409,10 @@ def graph_mask(g):
     return mask
 
 
-MASK_BATCH = 8192  # masks per batch; a (MASK_BATCH, 7, 7) float64 level is 3 MB
+# masks per batch: a (MASK_BATCH, 7, 7) float32 level is 0.4 MB, so the arrays of a
+# level stay in a core's L2 cache; with 8192 masks the n=7 screen ran about 15%
+# slower on a 2-core Xeon VM with 2 MB of L2 per core
+MASK_BATCH = 2048
 
 
 @dataclass
@@ -412,26 +432,37 @@ class MaskDistances:
 
 
 def adjacency_batch(n, masks):
-    """(B, n, n) float64 adjacency matrices of an int64 array of edge bitmasks."""
-    pairs = np.array(edge_pairs(n), dtype=np.int64).reshape(-1, 2)
-    bits = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(np.float64)
-    A = np.zeros((len(masks), n, n))
-    A[:, pairs[:, 0], pairs[:, 1]] = bits
-    A[:, pairs[:, 1], pairs[:, 0]] = bits
-    return A
+    """(B, n, n) float64 adjacency matrices of an int64 array of non-negative edge bitmasks.
+
+    One gather: the masks' 64 bits are unpacked, least significant first, and
+    entry (u, v), u < v, reads bit v(v-1)/2 + u, the index of the pair in
+    edge_pairs(n) (n <= 11, so the pairs fit in 63 bits).  The diagonal reads
+    bit 63, which is 0 in a non-negative mask.
+    """
+    lo, hi = np.sort(np.indices((n, n)), axis=0)
+    bit = np.where(lo == hi, 63, hi * (hi - 1) // 2 + lo)
+    raw = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    return bits[:, bit].astype(np.float64)
 
 
 def mask_distances(n, masks):
-    """Connectivity, diameter and odd girth of every mask, from one batched expansion."""
+    """Connectivity, diameter and odd girth of every mask, from one batched expansion.
+
+    Each mask's row is written at the levels its search is live: its diameter
+    is the last one, and its odd girth 2k+1 at the first level k with an edge
+    inside the level, as in distance_data.
+    """
     A = adjacency_batch(n, masks)
     reached = np.zeros((len(masks), n), dtype=bool)
     diameter = np.zeros(len(masks), dtype=np.int64)
     girth = np.full(len(masks), math.inf)
-    sources = np.broadcast_to(np.eye(n, dtype=bool), A.shape)
-    for k, (frontier, reach) in enumerate(_expand(A, sources)):
-        reached |= frontier[:, 0]
-        diameter[frontier.any(axis=(1, 2))] = k
-        girth[np.isinf(girth) & (reach & frontier).any(axis=(1, 2))] = 2 * k + 1
+    ones = np.ones(n * n, dtype=np.float32)
+    for k, (live, frontier, reach) in enumerate(_expand(A, slice(None))):
+        reached[live] |= frontier[:, 0]
+        diameter[live] = k
+        closed = live[(reach & frontier).reshape(len(live), n * n) @ ones > 0.5]
+        girth[closed] = np.minimum(girth[closed], 2 * k + 1)
     return MaskDistances(masks, A, reached.all(axis=1), diameter, girth)
 
 

@@ -10,6 +10,7 @@ eigenvalues only of the graphs that pass it.
 """
 
 import os
+import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -30,6 +31,10 @@ from .verify import verify_theorem
 BACKEND = "python"  # reported in scan summaries; there is one screen
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
+
+# per-n screen counts, each a subset of the one before; every survivor of the
+# exact prefilter costs one eigensolve
+FUNNEL_STAGES = ("masks", "connected", "survivors", "hits")
 
 
 @dataclass
@@ -67,6 +72,8 @@ class ScanSummary:
     hits: list = field(default_factory=list)
     parse_failures: int = 0
     parse_errors: list = field(default_factory=list)
+    elapsed_s: float = 0.0
+    funnel: dict = field(default_factory=dict)  # n -> {stage: count}, enumerated scans only
 
     def to_dict(self):
         return {
@@ -79,23 +86,27 @@ class ScanSummary:
             "certified": self.certified,
             "alarms": self.alarms,
             "parse_failures": self.parse_failures,
+            "elapsed_s": self.elapsed_s,
+            "funnel": [dict(n=n, **counts) for n, counts in sorted(self.funnel.items())],
             "hits": [h.to_dict() for h in self.hits],
         }
 
 
-def screen_range(n, start, stop):
+def screen_range(n, start, stop, funnel=None):
     """Screen masks [start, stop) on n vertices.
 
     Returns (examined, hits): examined counts connected graphs, hits is the
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
-    hypothesis (finite odd girth >= 2d+1).
+    hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
+    by FUNNEL_STAGES, the range's counts are added to it.
     """
-    examined = 0
+    examined = survivors = 0
     hits = []
     for batch in mask_batches(n, start, stop):
         examined += int(batch.connected.sum())
         girth = batch.odd_girth
         keep = batch.connected & np.isfinite(girth) & (girth >= 2 * batch.diameter + 1)
+        survivors += int(keep.sum())
         if not keep.any():
             continue
         w = np.linalg.eigvalsh(batch.adj[keep])  # ascending rows
@@ -104,6 +115,9 @@ def screen_range(n, start, stop):
         met = girth[keep] >= 2 * d + 1
         for m, dd, og in zip(batch.masks[keep][met], d[met], girth[keep][met]):
             hits.append((int(m), int(dd), int(og)))
+    if funnel is not None:
+        for stage, count in zip(FUNNEL_STAGES, (stop - start, examined, survivors, len(hits))):
+            funnel[stage] += count
     return examined, hits
 
 
@@ -120,7 +134,9 @@ def screen_regular_range(n, start, stop):
 
 def _screen_chunk(args):
     n, lo, hi = args
-    return screen_range(n, lo, hi)
+    funnel = dict.fromkeys(FUNNEL_STAGES, 0)
+    _, hits = screen_range(n, lo, hi, funnel)
+    return funnel, hits
 
 
 def _cap_jobs(jobs):
@@ -143,23 +159,23 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
     if not 1 <= n_max <= 7:
         raise GraphError("scan supports 1 <= n <= 7, got %d" % n_max)
     jobs = _cap_jobs(jobs)
+    started = time.perf_counter()
 
-    masks_total = 0
-    examined = 0
+    funnel = {}
     screened = []  # (n, mask, d, og), ordered by (n, mask)
     for n in range(1, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
-        masks_total += total
+        counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
         if jobs > 1 and total >= _PARALLEL_FLOOR:
             work = [(n, lo, hi) for lo, hi in _chunks(total, jobs * 8)]
             with get_context("fork").Pool(jobs) as pool:
                 results = pool.map(_screen_chunk, work)
-            for ex, hits in results:
-                examined += ex
+            for part, hits in results:
+                for stage in FUNNEL_STAGES:
+                    counts[stage] += part[stage]
                 screened.extend((n, m, d, og) for m, d, og in hits)
         else:
-            ex, hits = screen_range(n, 0, total)
-            examined += ex
+            _, hits = screen_range(n, 0, total, counts)
             screened.extend((n, m, d, og) for m, d, og in hits)
 
     hits = []
@@ -185,12 +201,14 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
         source="n<=%d" % n_max,
         backend=BACKEND,
         jobs=jobs,
-        masks_total=masks_total,
-        examined=examined,
+        masks_total=sum(c["masks"] for c in funnel.values()),
+        examined=sum(c["connected"] for c in funnel.values()),
         hypothesis_met=len(hits),
         certified=certified,
         alarms=alarms,
         hits=hits,
+        elapsed_s=time.perf_counter() - started,
+        funnel=funnel,
     )
 
 
@@ -203,6 +221,7 @@ def _verify_line(args):
 def scan_corpus(path, jobs=1, tolerances=None):
     """Verify every graph6 line in a file; parse failures are counted, not fatal."""
     jobs = _cap_jobs(jobs)
+    started = time.perf_counter()
     with open(path, "rb") as fh:
         raw = fh.read()
     lines = [ln.strip() for ln in raw.splitlines()]
@@ -248,4 +267,5 @@ def scan_corpus(path, jobs=1, tolerances=None):
         hits=hits,
         parse_failures=len(parse_errors),
         parse_errors=parse_errors,
+        elapsed_s=time.perf_counter() - started,
     )

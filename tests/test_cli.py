@@ -54,8 +54,17 @@ REPORT_SCHEMA = {
 SCAN_SCHEMA = {
     "type": "object",
     "required": ["source", "backend", "jobs", "masks_total", "examined",
-                 "hypothesis_met", "certified", "alarms", "parse_failures", "hits"],
+                 "hypothesis_met", "certified", "alarms", "parse_failures", "elapsed_s",
+                 "funnel", "hits"],
     "properties": {
+        "elapsed_s": {"type": "number", "minimum": 0},
+        "funnel": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["n", "masks", "connected", "survivors", "hits"],
+            },
+        },
         "hits": {
             "type": "array",
             "items": {
@@ -166,6 +175,8 @@ def test_scan_n3_json(capsys):
     assert doc["hypothesis_met"] == 1 and doc["alarms"] == 0
     assert doc["hits"][0]["graph6"] == "Bw"  # K_3
     assert doc["hits"][0]["generalized_odd_graph"] is True
+    assert [row["masks"] for row in doc["funnel"]] == [1, 2, 8]
+    assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "survivors": 1, "hits": 1}
 
 
 def test_scan_text_output(capsys):
@@ -174,6 +185,8 @@ def test_scan_text_output(capsys):
     assert "examined: 44" in out
     assert "hypothesis met: 2" in out
     assert "alarms: 0" in out
+    assert "elapsed: " in out
+    assert "  n=4: 64 -> 38 -> 1 -> 1" in out
 
 
 def test_scan_corpus_cli(tmp_path, petersen, capsys):

@@ -277,6 +277,21 @@ def test_distance_data_disconnected():
     assert dd.diameter == 0
 
 
+def test_distance_data_level_zero_edge_cases():
+    # level 0 is read off the adjacency with no product; these graphs end there or at level 1
+    cases = (
+        (og.graph_from_edges(1, []), True, 0),
+        (og.graph_from_edges(5, []), False, 0),
+        (og.generate_family("complete", [2]), True, 1),
+    )
+    for g, connected, diameter in cases:
+        dd = og.distance_data(g)
+        assert np.array_equal(dd.dist, floyd_warshall(g)), g.n
+        assert dd.connected == is_connected(g) == connected, g.n
+        assert dd.diameter == diameter, g.n
+        assert dd.odd_girth == og.odd_girth(g) == math.inf, g.n
+
+
 def test_distance_matches_floyd_warshall(family_suite):
     for seed in range(10):
         g = random_graph(8, seed)
@@ -411,3 +426,42 @@ def test_mask_distances_match_distance_data():
         assert layer.connected[mask] == dd.connected == is_connected(g), mask
         assert layer.diameter[mask] == dd.diameter, mask
         assert layer.odd_girth[mask] == dd.odd_girth, mask
+
+
+def test_mask_distances_compaction_matches_distance_data():
+    # 6-vertex batches mix diameters 0..5 with disconnected graphs, so rows
+    # leave the expansion at different levels
+    layer = mask_distances(6, np.arange(1 << 15))
+    assert sorted(set(layer.diameter.tolist())) == [0, 1, 2, 3, 4, 5]
+    for mask in range(1 << 15):
+        dd = og.distance_data(og.graph_from_mask(6, mask))
+        assert layer.connected[mask] == dd.connected, mask
+        assert layer.diameter[mask] == dd.diameter, mask
+        assert layer.odd_girth[mask] == dd.odd_girth, mask
+
+
+def test_mask_distances_seven_vertex_batch():
+    c5_k2 = disjoint_union(og.generate_family("cycle", [5]), og.generate_family("complete", [2]))
+    cases = [
+        (og.graph_from_edges(7, []), False, 0, math.inf),
+        (og.generate_family("complete", [7]), True, 1, 3),
+        (og.generate_family("cycle", [7]), True, 3, 7),
+        (og.generate_family("path", [7]), True, 6, math.inf),
+        (c5_k2, False, 2, 5),
+    ]
+    masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
+    layer = mask_distances(7, masks)
+    assert np.array_equal(layer.adj, np.array([g.adj for g, *_ in cases]))
+    for row, (g, connected, diameter, girth) in enumerate(cases):
+        dd = og.distance_data(g)
+        assert layer.connected[row] == dd.connected == connected, row
+        assert layer.diameter[row] == dd.diameter == diameter, row
+        assert layer.odd_girth[row] == dd.odd_girth == girth, row
+
+
+def test_mask_distances_empty_batch():
+    for n in (1, 5, 7):
+        layer = mask_distances(n, np.empty(0, dtype=np.int64))
+        assert layer.adj.shape == (0, n, n)
+        for values in (layer.masks, layer.connected, layer.diameter, layer.odd_girth):
+            assert values.shape == (0,)

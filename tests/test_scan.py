@@ -45,6 +45,32 @@ def test_screen_regular_range_counts():
             assert g.is_regular()
 
 
+def test_screen_regular_range_without_regular_masks():
+    # masks 1 and 2 on 7 vertices are single edges: the batch handed to the
+    # distance layer is empty
+    assert scan.screen_regular_range(7, 1, 3) == []
+
+
+def test_scan_funnel_totals(monkeypatch):
+    serial = scan.scan_enumerated(6)
+    assert sorted(serial.funnel) == [1, 2, 3, 4, 5, 6]
+    totals = {stage: sum(c[stage] for c in serial.funnel.values()) for stage in scan.FUNNEL_STAGES}
+    assert totals["masks"] == serial.masks_total == 33867
+    assert totals["connected"] == serial.examined == 27476
+    assert totals["hits"] == serial.hypothesis_met == 16
+    assert totals["survivors"] == 196  # eigensolves: 0, 0, 1, 1, 13, 181
+    for counts in serial.funnel.values():
+        assert counts["masks"] >= counts["connected"] >= counts["survivors"] >= counts["hits"]
+    assert serial.elapsed_s > 0
+    doc = serial.to_dict()
+    assert doc["funnel"][-1] == {"n": 6, "masks": 32768, "connected": 26704,
+                                 "survivors": 181, "hits": 1}
+    # the forked path sums the funnel over its chunks
+    monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
+    forked = scan.scan_enumerated(6, jobs=2)
+    assert forked.funnel == serial.funnel
+
+
 def test_scan_enumerated_five():
     summary = scan.scan_enumerated(5)
     assert summary.masks_total == 1 + 2 + 8 + 64 + 1024
