@@ -4,10 +4,17 @@ The distance layer is one breadth-first search, _expand, run level by level
 on a stack of graphs: a single graph for distance_data and is_connected, a
 batch of edge bitmasks for mask_distances.  Each level is a float32 matrix
 product whose entries are counts of at most n, exact for n < 2^24, and each
-graph leaves the batch once its search has ended.  The eigenvalue machinery
-lives in the sibling modules.
+graph leaves the batch once its search has ended.
+
+Two properties of an edge bitmask need no adjacency matrix at all, only a
+bitwise AND with a fixed table of patterns per n.  A graph is disconnected
+iff some vertex set S with 0 in S != V has no edge leaving it, that is
+mask & cut(S) == 0, for one of the 2^(n-1) - 1 cuts (mask_connected).  It
+has a triangle iff mask & T == T for one of the C(n, 3) triangle masks T
+(mask_triangle_free).  The eigenvalue machinery lives in the sibling modules.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -409,10 +416,55 @@ def graph_mask(g):
     return mask
 
 
-# masks per batch: a (MASK_BATCH, 7, 7) float32 level is 0.4 MB, so the arrays of a
-# level stay in a core's L2 cache; with 8192 masks the n=7 screen ran about 15%
-# slower on a 2-core Xeon VM with 2 MB of L2 per core
-MASK_BATCH = 2048
+# masks per batch: the cut and triangle tests make one numpy call per pattern
+# (98 at n=7) whatever the batch size, so large batches spread that cost; only
+# about 4.4% of an n=7 batch (some 1,450 masks) reaches the distance layer, so
+# its float32 levels still fit a core's L2 cache.  The n=7 screen_range took
+# 0.58 s with 8192 masks, 0.44 s with 16384, 0.42 s with 32768 and 0.53 s with
+# 131072 (medians of 7 alternating runs, 2-core Xeon VM, 2 MB of L2 per core)
+MASK_BATCH = 32768
+
+
+@functools.lru_cache(maxsize=None)
+def _patterns(n):
+    """(cuts, triangles): read-only int64 arrays of edge bitmasks on n vertices, 1 <= n <= 11.
+
+    cuts holds, for each vertex set S with 0 in S != V, the edges with one end
+    in S: 2^(n-1) - 1 masks.  triangles holds the C(n, 3) triangles.  Above
+    n = 11 the n(n-1)/2 pairs no longer fit in the 63 bits of a mask.
+    """
+    if not 1 <= n <= 11:
+        raise GraphError("edge bitmasks support 1 <= n <= 11, got %d" % n)
+    bit = {pair: 1 << b for b, pair in enumerate(edge_pairs(n))}
+    cuts = []
+    for inside in range((1 << (n - 1)) - 1):  # the vertices 1..n-1 in S, never all
+        side = [True] + [bool((inside >> (v - 1)) & 1) for v in range(1, n)]
+        cuts.append(sum(b for (u, v), b in bit.items() if side[u] != side[v]))
+    triangles = [bit[a, b] | bit[a, c] | bit[b, c] for a, b, c in combinations(range(n), 3)]
+    tables = (np.array(cuts, dtype=np.int64), np.array(triangles, dtype=np.int64))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def mask_connected(n, masks):
+    """Connectivity of each edge bitmask in an int64 array: no cut is empty."""
+    masks = np.asarray(masks, dtype=np.int64)
+    connected = np.ones(len(masks), dtype=bool)
+    anded = np.empty_like(masks)
+    for cut in _patterns(n)[0]:
+        connected &= np.bitwise_and(masks, cut, out=anded) != 0
+    return connected
+
+
+def mask_triangle_free(n, masks):
+    """Whether each edge bitmask in an int64 array holds no triangle."""
+    masks = np.asarray(masks, dtype=np.int64)
+    free = np.ones(len(masks), dtype=bool)
+    anded = np.empty_like(masks)
+    for triangle in _patterns(n)[1]:
+        free &= np.bitwise_and(masks, triangle, out=anded) != triangle
+    return free
 
 
 @dataclass
@@ -447,29 +499,21 @@ def adjacency_batch(n, masks):
 
 
 def mask_distances(n, masks):
-    """Connectivity, diameter and odd girth of every mask, from one batched expansion.
+    """Connectivity, diameter and odd girth of every mask: its cuts, then one batched expansion.
 
     Each mask's row is written at the levels its search is live: its diameter
     is the last one, and its odd girth 2k+1 at the first level k with an edge
     inside the level, as in distance_data.
     """
     A = adjacency_batch(n, masks)
-    reached = np.zeros((len(masks), n), dtype=bool)
     diameter = np.zeros(len(masks), dtype=np.int64)
     girth = np.full(len(masks), math.inf)
     ones = np.ones(n * n, dtype=np.float32)
     for k, (live, frontier, reach) in enumerate(_expand(A, slice(None))):
-        reached[live] |= frontier[:, 0]
         diameter[live] = k
         closed = live[(reach & frontier).reshape(len(live), n * n) @ ones > 0.5]
         girth[closed] = np.minimum(girth[closed], 2 * k + 1)
-    return MaskDistances(masks, A, reached.all(axis=1), diameter, girth)
-
-
-def mask_batches(n, start, stop):
-    """mask_distances over the masks [start, stop), MASK_BATCH at a time."""
-    for lo in range(start, stop, MASK_BATCH):
-        yield mask_distances(n, np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64))
+    return MaskDistances(masks, A, mask_connected(n, masks), diameter, girth)
 
 
 def enumerate_connected(n):
@@ -480,6 +524,8 @@ def enumerate_connected(n):
     """
     if not 1 <= n <= 7:
         raise GraphError("enumeration supports 1 <= n <= 7, got %d" % n)
-    for batch in mask_batches(n, 0, 1 << (n * (n - 1) // 2)):
-        for mask in batch.masks[batch.connected]:
+    total = 1 << (n * (n - 1) // 2)
+    for lo in range(0, total, MASK_BATCH):
+        masks = np.arange(lo, min(lo + MASK_BATCH, total), dtype=np.int64)
+        for mask in masks[mask_connected(n, masks)]:
             yield graph_from_mask(n, int(mask))

@@ -4,9 +4,15 @@ The screen computes exactly the theorem hypothesis (connected, finite odd
 girth >= 2d+1 where d+1 is the clustered distinct-eigenvalue count) for every
 edge bitmask; the full certificate pipeline then runs on the handful of
 hypothesis-met graphs.  A connected graph of diameter D has at least D+1
-distinct eigenvalues, so d >= D and every hit has odd girth >= 2D+1; the
-screen tests that on the exact distance layer first and solves for the
-eigenvalues only of the graphs that pass it.
+distinct eigenvalues, so d >= D and every hit has odd girth >= 2D+1.  A graph
+with a triangle has odd girth 3, so it can be a hit only if D = 1, which
+makes it the complete graph K_n.
+
+The screen runs in three exact steps, each on fewer masks.  Connectivity
+(no empty cut) and triangles are bitwise tests on the masks themselves; only
+the connected masks that are triangle-free or complete go to the distance
+layer, which tests odd girth >= 2D+1; only those that pass have their
+eigenvalues solved for.
 """
 
 import os
@@ -22,8 +28,9 @@ from .graphs import (
     adjacency_batch,
     encode_graph6,
     graph_from_mask,
-    mask_batches,
+    mask_connected,
     mask_distances,
+    mask_triangle_free,
     parse_graph6,
 )
 from .verify import verify_theorem
@@ -32,9 +39,10 @@ BACKEND = "python"  # reported in scan summaries; there is one screen
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
-# per-n screen counts, each a subset of the one before; every survivor of the
-# exact prefilter costs one eigensolve
-FUNNEL_STAGES = ("masks", "connected", "survivors", "hits")
+# per-n screen counts, each a subset of the one before: the expanded masks go
+# through the distance layer, and every survivor of its exact prefilter costs
+# one eigensolve
+FUNNEL_STAGES = ("masks", "connected", "expanded", "survivors", "hits")
 
 
 @dataclass
@@ -100,12 +108,18 @@ def screen_range(n, start, stop, funnel=None):
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
     by FUNNEL_STAGES, the range's counts are added to it.
     """
-    examined = survivors = 0
+    examined = expanded = survivors = 0
     hits = []
-    for batch in mask_batches(n, start, stop):
-        examined += int(batch.connected.sum())
+    complete = (1 << (n * (n - 1) // 2)) - 1
+    for lo in range(start, stop, MASK_BATCH):
+        masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
+        masks = masks[mask_connected(n, masks)]
+        examined += len(masks)
+        masks = masks[mask_triangle_free(n, masks) | (masks == complete)]
+        expanded += len(masks)
+        batch = mask_distances(n, masks)
         girth = batch.odd_girth
-        keep = batch.connected & np.isfinite(girth) & (girth >= 2 * batch.diameter + 1)
+        keep = np.isfinite(girth) & (girth >= 2 * batch.diameter + 1)
         survivors += int(keep.sum())
         if not keep.any():
             continue
@@ -113,10 +127,11 @@ def screen_range(n, start, stop, funnel=None):
         tol = 1e-8 * n * np.maximum(1.0, np.abs(w).max(axis=1))
         d = (np.diff(w, axis=1) > tol[:, None]).sum(axis=1)
         met = girth[keep] >= 2 * d + 1
-        for m, dd, og in zip(batch.masks[keep][met], d[met], girth[keep][met]):
+        for m, dd, og in zip(masks[keep][met], d[met], girth[keep][met]):
             hits.append((int(m), int(dd), int(og)))
     if funnel is not None:
-        for stage, count in zip(FUNNEL_STAGES, (stop - start, examined, survivors, len(hits))):
+        counts = (stop - start, examined, expanded, survivors, len(hits))
+        for stage, count in zip(FUNNEL_STAGES, counts):
             funnel[stage] += count
     return examined, hits
 
@@ -128,7 +143,7 @@ def screen_regular_range(n, start, stop):
         masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
         deg = adjacency_batch(n, masks).sum(axis=2)
         regular = masks[(deg == deg[:, :1]).all(axis=1)]
-        out.extend(int(m) for m in regular[mask_distances(n, regular).connected])
+        out.extend(int(m) for m in regular[mask_connected(n, regular)])
     return out
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import oddgirth as og
 from oddgirth import cli, scan
-from oddgirth.graphs import mask_batches
+from oddgirth.graphs import MASK_BATCH, mask_connected, mask_distances, mask_triangle_free
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -186,8 +186,10 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
     for n in range(1, 8):
         total = 1 << (n * (n - 1) // 2)
         found = 0
-        for batch in mask_batches(n, 0, total):
-            for mask in batch.masks[batch.connected & np.isinf(batch.odd_girth)]:
+        for lo in range(0, total, MASK_BATCH):
+            masks = np.arange(lo, min(lo + MASK_BATCH, total), dtype=np.int64)
+            masks = masks[mask_connected(n, masks) & mask_triangle_free(n, masks)]
+            for mask in masks[np.isinf(mask_distances(n, masks).odd_girth)]:
                 found += 1
                 cert = check_eigenvalue_symmetry(og.spectrum(og.graph_from_mask(n, int(mask))))
                 if cert.passed is not False:

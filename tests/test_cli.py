@@ -62,7 +62,7 @@ SCAN_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["n", "masks", "connected", "survivors", "hits"],
+                "required": ["n", "masks", "connected", "expanded", "survivors", "hits"],
             },
         },
         "hits": {
@@ -176,7 +176,8 @@ def test_scan_n3_json(capsys):
     assert doc["hits"][0]["graph6"] == "Bw"  # K_3
     assert doc["hits"][0]["generalized_odd_graph"] is True
     assert [row["masks"] for row in doc["funnel"]] == [1, 2, 8]
-    assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "survivors": 1, "hits": 1}
+    assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "expanded": 4,
+                                 "survivors": 1, "hits": 1}
 
 
 def test_scan_text_output(capsys):
@@ -186,7 +187,7 @@ def test_scan_text_output(capsys):
     assert "hypothesis met: 2" in out
     assert "alarms: 0" in out
     assert "elapsed: " in out
-    assert "  n=4: 64 -> 38 -> 1 -> 1" in out
+    assert "  n=4: 64 -> 38 -> 20 -> 1 -> 1" in out
 
 
 def test_scan_corpus_cli(tmp_path, petersen, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgirth as og
-from oddgirth.graphs import is_connected, mask_distances
+from oddgirth.graphs import _patterns, is_connected, mask_connected, mask_distances, mask_triangle_free
 
 
 def floyd_warshall(g):
@@ -442,17 +442,21 @@ def test_mask_distances_compaction_matches_distance_data():
 
 def test_mask_distances_seven_vertex_batch():
     c5_k2 = disjoint_union(og.generate_family("cycle", [5]), og.generate_family("complete", [2]))
-    cases = [
-        (og.graph_from_edges(7, []), False, 0, math.inf),
-        (og.generate_family("complete", [7]), True, 1, 3),
-        (og.generate_family("cycle", [7]), True, 3, 7),
-        (og.generate_family("path", [7]), True, 6, math.inf),
-        (c5_k2, False, 2, 5),
+    k34 = og.graph_from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
+    cases = [  # graph, connected, diameter, odd girth, triangle-free
+        (og.graph_from_edges(7, []), False, 0, math.inf, True),
+        (og.generate_family("complete", [7]), True, 1, 3, False),
+        (og.generate_family("cycle", [7]), True, 3, 7, True),
+        (og.generate_family("path", [7]), True, 6, math.inf, True),
+        (c5_k2, False, 2, 5, True),
+        (k34, True, 2, math.inf, True),
     ]
     masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
     layer = mask_distances(7, masks)
     assert np.array_equal(layer.adj, np.array([g.adj for g, *_ in cases]))
-    for row, (g, connected, diameter, girth) in enumerate(cases):
+    assert mask_connected(7, masks).tolist() == [c[1] for c in cases]
+    assert mask_triangle_free(7, masks).tolist() == [c[4] for c in cases]
+    for row, (g, connected, diameter, girth, _) in enumerate(cases):
         dd = og.distance_data(g)
         assert layer.connected[row] == dd.connected == connected, row
         assert layer.diameter[row] == dd.diameter == diameter, row
@@ -460,8 +464,51 @@ def test_mask_distances_seven_vertex_batch():
 
 
 def test_mask_distances_empty_batch():
-    for n in (1, 5, 7):
-        layer = mask_distances(n, np.empty(0, dtype=np.int64))
+    for n in (1, 2, 5, 7):
+        empty = np.empty(0, dtype=np.int64)
+        layer = mask_distances(n, empty)
         assert layer.adj.shape == (0, n, n)
         for values in (layer.masks, layer.connected, layer.diameter, layer.odd_girth):
             assert values.shape == (0,)
+        for values in (mask_connected(n, empty), mask_triangle_free(n, empty)):
+            assert values.shape == (0,) and values.dtype == bool
+
+
+def test_mask_patterns_exhaustive():
+    # every mask on n <= 6 vertices: connectivity against both expansions, and
+    # triangles against trace(A^3), which is six times the triangle count
+    for n in range(1, 7):
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+        connected = mask_connected(n, masks)
+        free = mask_triangle_free(n, masks)
+        for mask in range(len(masks)):
+            g = og.graph_from_mask(n, mask)
+            assert connected[mask] == is_connected(g) == og.distance_data(g).connected, (n, mask)
+            assert free[mask] == (np.trace(g.adj @ g.adj @ g.adj) == 0), (n, mask)
+
+
+def test_mask_pattern_tables():
+    for n in range(1, 12):
+        cuts, triangles = _patterns(n)
+        assert len(cuts) == 2 ** (n - 1) - 1, n
+        assert len(triangles) == math.comb(n, 3), n
+        assert len(set(cuts.tolist())) == len(cuts) and 0 not in cuts.tolist(), n
+        assert all(bin(t).count("1") == 3 for t in triangles.tolist()), n
+        assert not cuts.flags.writeable and not triangles.flags.writeable
+    # n = 1 has no cut and n <= 2 no triangle: every mask passes
+    assert mask_connected(1, [0]).tolist() == [True]
+    assert mask_triangle_free(1, [0]).tolist() == [True]
+    assert mask_connected(2, [0, 1]).tolist() == [False, True]
+    assert mask_triangle_free(2, [0, 1]).tolist() == [True, True]
+    # n = 11 uses 55 of the 63 bits: K_11 and the empty graph
+    full = (1 << 55) - 1
+    assert mask_connected(11, [full, 0]).tolist() == [True, False]
+    assert mask_triangle_free(11, [full, 0]).tolist() == [False, True]
+
+
+def test_mask_patterns_reject_wide_masks():
+    # n = 12 needs 66 bits, more than an int64 mask holds
+    for n in (0, 12):
+        for fn in (mask_connected, mask_triangle_free):
+            with pytest.raises(og.GraphError):
+                fn(n, np.zeros(1, dtype=np.int64))

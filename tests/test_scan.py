@@ -58,13 +58,15 @@ def test_scan_funnel_totals(monkeypatch):
     assert totals["masks"] == serial.masks_total == 33867
     assert totals["connected"] == serial.examined == 27476
     assert totals["hits"] == serial.hypothesis_met == 16
+    assert totals["expanded"] == 3806  # connected and triangle-free, or complete
     assert totals["survivors"] == 196  # eigensolves: 0, 0, 1, 1, 13, 181
     for counts in serial.funnel.values():
-        assert counts["masks"] >= counts["connected"] >= counts["survivors"] >= counts["hits"]
+        values = [counts[stage] for stage in scan.FUNNEL_STAGES]
+        assert values == sorted(values, reverse=True)
     assert serial.elapsed_s > 0
     doc = serial.to_dict()
     assert doc["funnel"][-1] == {"n": 6, "masks": 32768, "connected": 26704,
-                                 "survivors": 181, "hits": 1}
+                                 "expanded": 3572, "survivors": 181, "hits": 1}
     # the forked path sums the funnel over its chunks
     monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
     forked = scan.scan_enumerated(6, jobs=2)
