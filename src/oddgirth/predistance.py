@@ -1,9 +1,10 @@
 """Orthogonal polynomials for the spectrum-weighted inner product.
 
 The inner product is <f, g> = (1/n) * sum_i m_i f(lambda_i) g(lambda_i).
-Gram-Schmidt on the monomial basis, normalized so that ||p_i||^2 = p_i(lambda_0),
-yields the predistance polynomials; for distance-regular graphs these are the
-distance polynomials.  Polynomials are coefficient vectors, index = degree.
+The Stieltjes procedure on the d+1 distinct eigenvalues, normalized so that
+||p_i||^2 = p_i(lambda_0), yields the predistance polynomials; for
+distance-regular graphs these are the distance polynomials, p_i(A) = A_i.
+Polynomials are coefficient vectors, index = degree.
 """
 
 import math
@@ -34,11 +35,6 @@ def poly_eval_matrix(coeffs, A):
     for c in coeffs[::-1]:
         result = result @ A + c * eye
     return result
-
-
-def _shift(coeffs):
-    # multiply by x
-    return np.concatenate(([0.0], coeffs))
 
 
 def spectral_inner_product(f, g, s):
@@ -72,77 +68,57 @@ class PredistanceSystem:
         return len(self.polys) - 1
 
 
-def _recurrence(polys, s):
-    d = len(polys) - 1
-    norms2 = np.array([spectral_inner_product(p, p, s) for p in polys])
-    alpha = np.zeros(d + 1)
-    beta = np.zeros(d + 1)
-    gamma = np.zeros(d + 1)
-    for i in range(d + 1):
-        xp = _shift(polys[i])
-        alpha[i] = spectral_inner_product(xp, polys[i], s) / norms2[i]
-        if i >= 1:
-            beta[i - 1] = spectral_inner_product(xp, polys[i - 1], s) / norms2[i - 1]
-        if i < d:
-            gamma[i + 1] = spectral_inner_product(xp, polys[i + 1], s) / norms2[i + 1]
-
-    # residuals as functions on the spectrum (for i = d this is exactly the
-    # comparison modulo the minimal polynomial)
-    resid = np.zeros(d + 1)
-    vals = s.values
-    pv = [poly_eval(p, vals) for p in polys]
-    for i in range(d + 1):
-        rhs = alpha[i] * pv[i]
-        if i >= 1:
-            rhs = rhs + beta[i - 1] * pv[i - 1]
-        if i < d:
-            rhs = rhs + gamma[i + 1] * pv[i + 1]
-        diff = vals * pv[i] - rhs
-        resid[i] = math.sqrt(max(float(np.sum(s.mults * diff * diff) / s.n), 0.0))
-    return alpha, beta, gamma, resid
+def _value_table(polys, s):
+    """Table of p_i(lambda_j), row i for each stored polynomial, by Horner."""
+    coeffs = np.zeros((len(polys), len(polys)))
+    for i, p in enumerate(polys):
+        coeffs[: len(p), i] = p
+    return np.polynomial.polynomial.polyval(s.values, coeffs)
 
 
 def predistance_polynomials(s):
-    """Build the predistance system for a clustered spectrum.
+    """Build the predistance system for a clustered spectrum by the Stieltjes procedure.
 
-    Modified Gram-Schmidt (with one re-orthogonalization pass) over the
-    monomials 1, x, ..., x^d, then rescale each q so that <p, p> = p(lambda_0);
-    the sign comes out positive automatically since p(lambda_0) ends up equal
-    to q(lambda_0)^2 / ||q||^2.
+    The monic pi_{i+1} = (x - a_i) pi_i - b_i pi_{i-1}, a_i = <x pi_i, pi_i> / ||pi_i||^2,
+    b_i = ||pi_i||^2 / ||pi_{i-1}||^2, runs on values at the eigenvalues and on
+    coefficient vectors.  p_i = s_i pi_i with s_i = pi_i(lambda_0) / ||pi_i||^2, so
+    alpha_i = a_i, beta_{i-1} = b_i s_i / s_{i-1} and gamma_{i+1} = s_i / s_{i+1}.
     """
-    d = s.d
-    lam0 = float(s.values[0])
-    polys = []
-    norms2 = []
+    d, x, w = s.d, s.values, s.mults / s.n
+    vals = np.ones((d + 1, d + 1))  # vals[i, j] = pi_i(lambda_j); row 0 is pi_0 = 1
+    coeffs = np.eye(d + 1)  # coeffs[i, k]: coefficient of x^k in pi_i
+    a, b, norms2 = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
     for i in range(d + 1):
-        q = np.zeros(i + 1)
-        q[i] = 1.0
-        mono_norm2 = spectral_inner_product(q, q, s)
-        for _ in range(2):
-            for j in range(i):
-                proj = spectral_inner_product(q, polys[j], s) / norms2[j]
-                q[: j + 1] -= proj * polys[j]
-        norm2 = spectral_inner_product(q, q, s)
-        if norm2 <= 1e-20 * mono_norm2:
+        norms2[i] = w @ vals[i] ** 2
+        if norms2[i] <= 1e-20 * (w @ x ** (2 * i)):
             raise PredistanceError(
                 "conditioning failure: degree-%d residual norm collapsed" % i
             )
-        q0 = poly_eval(q, lam0)
-        if abs(q0) <= 1e-12 * math.sqrt(norm2):
+        if abs(vals[i, 0]) <= 1e-12 * math.sqrt(norms2[i]):
             raise PredistanceError(
                 "normalization failure: degree-%d polynomial vanishes at lambda_0" % i
             )
-        p = (q0 / norm2) * q
-        polys.append(p)
-        norms2.append(spectral_inner_product(p, p, s))
+        a[i] = (w * x) @ vals[i] ** 2 / norms2[i]
+        b[i] = norms2[i] / norms2[i - 1] if i else 0.0
+        if i < d:  # b_0 = 0, so row i - 1 drops out at i = 0; rolling shifts by x
+            vals[i + 1] = (x - a[i]) * vals[i] - b[i] * vals[i - 1]
+            coeffs[i + 1] = np.roll(coeffs[i], 1) - a[i] * coeffs[i] - b[i] * coeffs[i - 1]
 
-    alpha, beta, gamma, resid = _recurrence(polys, s)
+    scale = vals[:, 0] / norms2
+    polys = [scale[i] * coeffs[i, : i + 1] for i in range(d + 1)]
+    beta = np.append(b[1:] * scale[1:] / scale[:-1], 0.0)
+    gamma = np.append(0.0, scale[:-1] / scale[1:])
+
+    # the stored coefficients against the stored recurrence at the eigenvalues
+    # (for i = d this is exactly the comparison modulo the minimal polynomial)
+    P = _value_table(polys, s)
+    J = np.diag(a) + np.diag(beta[:d], -1) + np.diag(gamma[1:], 1)
     return PredistanceSystem(
         polys=polys,
-        alpha=alpha,
+        alpha=a,
         beta=beta,
         gamma=gamma,
-        recurrence_residuals=resid,
+        recurrence_residuals=np.sqrt((P * x - J @ P) ** 2 @ w),
         spectrum=s,
     )
 
@@ -150,10 +126,18 @@ def predistance_polynomials(s):
 def recurrence_coefficients(system):
     """Recompute (alpha, beta, gamma) from the stored polynomials.
 
-    Independent of the values cached on the system, so it doubles as a
-    verification path; indexing as documented on PredistanceSystem.
+    Read off the Jacobi matrix <x p_i, p_j> = P diag(w x) P^T of the stored
+    polynomials' values P at the eigenvalues (w = m/n), independent of the
+    values cached on the system; indexing as documented on PredistanceSystem.
     """
-    alpha, beta, gamma, _ = _recurrence(system.polys, system.spectrum)
+    s = system.spectrum
+    P = _value_table(system.polys, s)
+    w = s.mults / s.n
+    jacobi = (P * (w * s.values)) @ P.T
+    norms2 = P**2 @ w
+    alpha = np.diag(jacobi) / norms2
+    beta = np.append(np.diag(jacobi, -1) / norms2[:-1], 0.0)
+    gamma = np.append(0.0, np.diag(jacobi, 1) / norms2[1:])
     return alpha, beta, gamma
 
 
@@ -163,6 +147,25 @@ def hoffman_polynomial(system):
     for p in system.polys:
         H[: len(p)] += p
     return H
+
+
+def matrix_values(system, A):
+    """Yield p_0(A), p_1(A), ..., p_d(A) from the three-term recurrence.
+
+    p_{i+1}(A) = ((A - alpha_i I) p_i(A) - beta_{i-1} p_{i-1}(A)) / gamma_{i+1}:
+    d - 1 matrix products, and at most three n x n iterates held at a time.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    prev, cur = None, system.polys[0][0] * np.eye(len(A))  # p_0 = 1, up to rounding
+    yield cur
+    for i in range(system.d):
+        nxt = A @ cur if i else cur[0, 0] * A  # p_0(A) is a multiple of I
+        nxt -= system.alpha[i] * cur
+        if i:
+            nxt -= system.beta[i - 1] * prev
+        nxt /= system.gamma[i + 1]
+        yield nxt
+        prev, cur = cur, nxt
 
 
 @dataclass
@@ -202,11 +205,9 @@ def check_parity(system, g_odd_girth, tol=None):
 
     interior = float(np.abs(system.alpha[:d]).max()) if d >= 1 else 0.0
     top = float(abs(system.alpha[d]))
-    offparity = 0.0
-    for i, p in enumerate(system.polys):
-        for j, c in enumerate(p):
-            if (j - i) % 2 == 1:
-                offparity = max(offparity, abs(float(c)))
+    # the coefficients of x^j with j - i odd
+    offparity = max(float(np.abs(p[(i + 1) % 2 :: 2]).max(initial=0.0))
+                    for i, p in enumerate(system.polys))
     return ParityReport(
         applicable=True,
         interior_alpha_zero=interior <= tol,

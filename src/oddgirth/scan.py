@@ -25,7 +25,6 @@ import numpy as np
 from .graphs import (
     MASK_BATCH,
     GraphError,
-    adjacency_batch,
     encode_graph6,
     graph_from_mask,
     mask_connected,
@@ -33,6 +32,7 @@ from .graphs import (
     mask_triangle_free,
     parse_graph6,
 )
+from .spectral import cluster_breaks
 from .verify import verify_theorem
 
 BACKEND = "python"  # reported in scan summaries; there is one screen
@@ -123,9 +123,8 @@ def screen_range(n, start, stop, funnel=None):
         survivors += int(keep.sum())
         if not keep.any():
             continue
-        w = np.linalg.eigvalsh(batch.adj[keep])  # ascending rows
-        tol = 1e-8 * n * np.maximum(1.0, np.abs(w).max(axis=1))
-        d = (np.diff(w, axis=1) > tol[:, None]).sum(axis=1)
+        _, breaks = cluster_breaks(np.linalg.eigvalsh(batch.adj[keep]))
+        d = breaks.sum(axis=1)
         met = girth[keep] >= 2 * d + 1
         for m, dd, og in zip(masks[keep][met], d[met], girth[keep][met]):
             hits.append((int(m), int(dd), int(og)))
@@ -134,17 +133,6 @@ def screen_range(n, start, stop, funnel=None):
         for stage, count in zip(FUNNEL_STAGES, counts):
             funnel[stage] += count
     return examined, hits
-
-
-def screen_regular_range(n, start, stop):
-    """Masks in [start, stop) whose graphs are connected and regular."""
-    out = []
-    for lo in range(start, stop, MASK_BATCH):
-        masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
-        deg = adjacency_batch(n, masks).sum(axis=2)
-        regular = masks[(deg == deg[:, :1]).all(axis=1)]
-        out.extend(int(m) for m in regular[mask_connected(n, regular)])
-    return out
 
 
 def _screen_chunk(args):

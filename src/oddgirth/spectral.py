@@ -1,8 +1,8 @@
 """Eigenstructure of the adjacency matrix.
 
-Clustered spectrum, principal idempotents by Lagrange interpolation,
-local multiplicities (idempotent diagonals), closed-walk counts, and the
-walk-regularity test.
+Clustered spectrum, principal idempotents E_i = U_i U_i^T from one symmetric
+eigendecomposition, local multiplicities (idempotent diagonals), closed-walk
+counts, and the walk-regularity test.
 """
 
 import math
@@ -17,9 +17,17 @@ class NumericalError(RuntimeError):
     """Eigensolver failure or other numerical breakdown."""
 
 
-def default_cluster_tol(n, lam_max):
-    """Default eigenvalue clustering tolerance: 1e-8 * n * max(1, lam_max)."""
-    return 1e-8 * n * max(1.0, float(lam_max))
+def cluster_breaks(raw, tol=None):
+    """(tol, breaks) for rows of n ascending eigenvalues: a gap above tol starts a cluster.
+
+    breaks[..., j] is whether raw[..., j + 1] starts a new distinct value; tol
+    defaults, per row, to 1e-8 * n * max(1, |lambda|max).
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if tol is None:
+        tol = 1e-8 * raw.shape[-1] * np.maximum(1.0, np.abs(raw).max(axis=-1, initial=0.0))
+    tol = np.asarray(tol, dtype=np.float64)
+    return tol, np.diff(raw, axis=-1) > tol[..., None]
 
 
 @dataclass
@@ -47,32 +55,24 @@ class Spectrum:
 def spectrum(g, cluster_tol=None):
     """Eigenvalues of the adjacency matrix, greedily clustered into distinct values.
 
-    Raw eigenvalues sorted ascending are merged whenever a consecutive gap is
-    at most cluster_tol; each cluster reports its mean as the distinct value
-    and its size as the multiplicity.  Results are returned in descending
-    order, matching the usual lambda_0 > ... > lambda_d indexing.
+    Raw eigenvalues sorted ascending are split by cluster_breaks: a gap above
+    cluster_tol starts a new cluster; each cluster reports its mean as the
+    distinct value and its size as the multiplicity.  Results are returned in
+    descending order, matching the usual lambda_0 > ... > lambda_d indexing.
     """
     A = g.adj.astype(np.float64)
     try:
         raw = np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigensolver failed: %s" % exc)
-    lam_max = float(np.abs(raw).max()) if g.n else 0.0
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(g.n, lam_max)
+    tol, breaks = cluster_breaks(raw, cluster_tol)
+    cluster_tol = float(tol)
     if cluster_tol <= 0:
         raise ValueError("cluster_tol must be positive")
 
-    # cluster boundaries sit at gaps exceeding the tolerance
-    values, mults = [], []
-    start = 0
-    for i in range(1, g.n + 1):
-        if i == g.n or raw[i] - raw[i - 1] > cluster_tol:
-            values.append(float(raw[start:i].mean()))
-            mults.append(i - start)
-            start = i
-    values = np.array(values[::-1])
-    mults = np.array(mults[::-1], dtype=np.int64)
+    clusters = np.split(raw, np.flatnonzero(breaks) + 1)[::-1]
+    values = np.array([c.mean() for c in clusters])
+    mults = np.array([len(c) for c in clusters], dtype=np.int64)
 
     gaps = -np.diff(values)
     min_gap = float(gaps.min()) if len(gaps) else math.inf
@@ -90,7 +90,7 @@ def spectrum(g, cluster_tol=None):
         values=values,
         mults=mults,
         n=g.n,
-        cluster_tol=float(cluster_tol),
+        cluster_tol=cluster_tol,
         min_gap=min_gap,
         ambiguous=ambiguous,
         warnings=warns,
@@ -98,10 +98,11 @@ def spectrum(g, cluster_tol=None):
 
 
 def idempotents(g, s):
-    """Principal idempotents E_0..E_d via Lagrange interpolation in A.
+    """Principal idempotents E_i = U_i U_i^T, eigh's columns split by the multiplicities.
 
-    E_i = prod_{j != i} (A - lambda_j I) / (lambda_i - lambda_j); this avoids
-    eigenvector sign/rotation ambiguity inside multiplicity > 1 eigenspaces.
+    Any orthonormal basis U_i of an eigenspace gives the same E_i, so eigh's
+    choice inside a multiplicity > 1 eigenspace does not matter.  Each raw
+    eigenvalue must lie within s.cluster_tol of its cluster's value.
     """
     vals = s.values
     if len(vals) >= 2:
@@ -110,16 +111,20 @@ def idempotents(g, s):
             raise ValueError(
                 "degenerate spectrum: distinct eigenvalues separated by %.3e" % sep
             )
-    A = g.adj.astype(np.float64)
-    eye = np.eye(g.n)
-    mats = []
-    for i, lam in enumerate(vals):
-        E = eye
-        for j, mu in enumerate(vals):
-            if j != i:
-                E = E @ (A - mu * eye) / (lam - mu)
-        mats.append((E + E.T) / 2.0)
-    return mats
+    try:
+        raw, U = np.linalg.eigh(g.adj.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigensolver failed: %s" % exc)
+    # eigh sorts ascending; the clusters run descending
+    raw, U = raw[::-1], U[:, ::-1]
+    off = np.abs(raw - np.repeat(vals, s.mults))
+    worst = int(np.argmax(off))
+    if off[worst] > s.cluster_tol:
+        raise NumericalError(
+            "eigenvalue %.12g lies %.3e from its cluster value, beyond tolerance %.3e"
+            % (raw[worst], off[worst], s.cluster_tol)
+        )
+    return [Ui @ Ui.T for Ui in np.split(U, np.cumsum(s.mults)[:-1], axis=1)]
 
 
 def idempotent_residuals(g, s, mats):

@@ -20,7 +20,8 @@ from .graphs import GraphError, distance_data
 class Tolerances:
     """Numerical thresholds for the verification pipeline.
 
-    cluster=None resolves to the spectrum default (1e-8 * n * max(1, lam_max));
+    cluster=None resolves to spectral.cluster_breaks' 1e-8 * n * max(1, |lambda|max),
+    which also bounds each raw eigenvalue's distance from its cluster value;
     parity=None resolves to 1e-7 * the largest polynomial coefficient.
     """
 
@@ -179,7 +180,8 @@ def check_distance_polynomial(g, system, tol=1e-6, dm=None):
         dm = distance_matrices(g)
     d = system.d
     target = dm[d] if d < len(dm) else np.zeros((g.n, g.n))
-    PA = predistance.poly_eval_matrix(system.polys[d], g.adj)
+    for PA in predistance.matrix_values(system, g.adj):
+        pass  # p_d(A) is the last one
     residual = float(np.abs(PA - target).max())
     return Certificate(
         name="distance_polynomial", passed=residual <= tol, residual=residual, tol=tol
@@ -244,7 +246,8 @@ class VandermondeCertificate:
     x_0 = 1 gives proportionality constants; every vertex's local
     multiplicities must equal proportionality / sum(proportionality).
     det_value is prod(lambda_i) * prod_{i>j}(lambda_i^2 - lambda_j^2) over
-    i, j >= 1, the system's determinant.
+    i, j >= 1, the system's determinant.  condition is that of the system
+    actually solved, in the rows T_{2l-1}(lambda / lambda_0).
     """
 
     det_value: float
@@ -268,9 +271,11 @@ def vandermonde_certificate(s, lm, tol=1e-6, cond_threshold=1e12):
         prop = np.array([1.0])
         condition = 1.0
     else:
-        powers = 2 * np.arange(1, d + 1) - 1
-        M = tail[None, :] ** powers[:, None]
-        rhs = -vals[0] ** powers.astype(np.float64)
+        # the odd Chebyshev polynomials T_1, T_3, ..., T_{2d-1} span the odd
+        # powers up to 2d-1, so the solution is the same, but well conditioned
+        T = np.polynomial.chebyshev.chebvander(vals / vals[0], 2 * d - 1)[:, 1::2]
+        M = T[1:].T
+        rhs = -T[0]
         try:
             x = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError:
@@ -331,8 +336,7 @@ def check_hoffman(g, system, tol=1e-6):
     """H(A) = J for connected regular graphs; not applicable if g is irregular."""
     if not g.is_regular():
         return Certificate(name="hoffman", tol=tol)
-    H = predistance.hoffman_polynomial(system)
-    HA = predistance.poly_eval_matrix(H, g.adj)
+    HA = sum(predistance.matrix_values(system, g.adj))
     residual = float(np.abs(HA - np.ones((g.n, g.n))).max())
     return Certificate(name="hoffman", passed=residual <= tol, residual=residual, tol=tol)
 

@@ -9,9 +9,11 @@ numerical pipeline.
 
 import math
 
+import numpy as np
 import pytest
 
 import oddgirth as og
+from oddgirth.graphs import MASK_BATCH, edge_pairs, mask_connected
 
 # one line per acceptance criterion, echoed after the run by the summary hook
 ACCEPTANCE_LINES = []
@@ -66,6 +68,22 @@ for k in (5, 7, 9, 11):
     KNOWN_ARRAYS["cycle_%d" % k] = {"b": [2] + [1] * (D - 1), "c": [1] * D}
 for k in range(2, 11):
     KNOWN_ARRAYS["complete_%d" % k] = {"b": [k - 1], "c": [1]}
+
+
+def screen_regular_range(n, start, stop):
+    """Masks in [start, stop) whose graphs on n vertices are connected and regular.
+
+    The degree of v is the popcount of the mask against v's star, the bits of
+    the pairs that contain v.
+    """
+    stars = [sum(1 << b for b, pair in enumerate(edge_pairs(n)) if v in pair) for v in range(n)]
+    out = []
+    for lo in range(start, stop, MASK_BATCH):
+        masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
+        deg = np.stack([np.bitwise_count(masks & star) for star in stars], axis=1)
+        regular = masks[(deg == deg[:, :1]).all(axis=1)]
+        out.extend(int(m) for m in regular[mask_connected(n, regular)])
+    return out
 
 
 @pytest.fixture(scope="session")

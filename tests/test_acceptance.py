@@ -23,7 +23,7 @@ from oddgirth.verify import (
     NotDistanceRegular,
 )
 
-from conftest import ACCEPTANCE_LINES, KNOWN_ARRAYS
+from conftest import ACCEPTANCE_LINES, KNOWN_ARRAYS, screen_regular_range
 
 
 def _record(num, ok, text):
@@ -154,7 +154,7 @@ def test_criterion_4_distance_polynomial_biconditional():
     checked = 0
     for n in range(1, 8):
         total = 1 << (n * (n - 1) // 2)
-        for mask in scan.screen_regular_range(n, 0, total):
+        for mask in screen_regular_range(n, 0, total):
             g = og.graph_from_mask(n, mask)
             system = og.predistance_polynomials(og.spectrum(g))
             cert = check_distance_polynomial(g, system)

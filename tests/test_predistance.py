@@ -1,15 +1,19 @@
 """predistance: orthogonal polynomial system, recurrence, Hoffman, parity."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oddgirth as og
 from oddgirth.predistance import (
     PredistanceError,
+    matrix_values,
     poly_eval,
     poly_eval_matrix,
     spectral_inner_product,
 )
+from oddgirth.spectral import Spectrum
 
 
 def _system(g):
@@ -134,6 +138,78 @@ def test_recurrence_coefficients_match_stored(petersen):
     assert np.abs(alpha - sys.alpha).max() < 1e-12
     assert np.abs(beta - sys.beta).max() < 1e-12
     assert np.abs(gamma - sys.gamma).max() < 1e-12
+
+
+def test_recurrence_coefficients_match_stored_suite(family_suite):
+    # the Jacobi matrix of the stored polynomials reproduces the recurrence
+    # the Stieltjes procedure produced
+    for label, g in family_suite:
+        sys = _system(g)
+        for got, want in zip(og.recurrence_coefficients(sys), (sys.alpha, sys.beta, sys.gamma)):
+            assert np.abs(got - want).max() < 1e-9, label
+
+
+def _closed_form(values, mults):
+    """A Spectrum from known eigenvalues and multiplicities, no adjacency matrix."""
+    order = np.argsort(values)[::-1]
+    values = np.array(values, dtype=float)[order]
+    mults = np.array(mults, dtype=np.int64)[order]
+    return Spectrum(
+        values=values,
+        mults=mults,
+        n=int(mults.sum()),
+        cluster_tol=1e-8,
+        min_gap=float(-np.diff(values).max()),
+        ambiguous=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "values, mults, b, c",
+    [
+        # O_7 on 1716 vertices: eigenvalues (-1)^i (7 - i), multiplicities
+        # C(13, i) - C(13, i - 1)
+        (
+            [(-1) ** i * (7 - i) for i in range(7)],
+            [math.comb(13, i) - (math.comb(13, i - 1) if i else 0) for i in range(7)],
+            [7, 6, 6, 5, 5, 4],
+            [1, 1, 2, 2, 3, 3],
+        ),
+        # the folded 13-cube on 4096 vertices: eigenvalues 13 - 4j,
+        # multiplicities C(13, 2j)
+        (
+            [13 - 4 * j for j in range(7)],
+            [math.comb(13, 2 * j) for j in range(7)],
+            [13, 12, 11, 10, 9, 8],
+            [1, 2, 3, 4, 5, 6],
+        ),
+    ],
+    ids=["odd_7", "folded_cube_13"],
+)
+def test_recurrence_at_d6_from_closed_form_spectra(values, mults, b, c):
+    sys = og.predistance_polynomials(_closed_form(values, mults))
+    assert sys.d == 6
+    k = b[0]
+    a = [k - bi - ci for bi, ci in zip(b + [0], [0] + c)]
+    assert np.abs(sys.beta[:6] - b).max() < 1e-9
+    assert np.abs(sys.gamma[1:] - c).max() < 1e-9
+    assert np.abs(sys.alpha - a).max() < 1e-9
+    assert sys.recurrence_residuals.max() <= 1e-8
+
+
+def test_matrix_values_match_horner_and_distance_matrices(family_suite):
+    # the recurrence's p_i(A) against Horner on each stored polynomial, and
+    # p_i(A) = A_i at every level: every suite graph is distance-regular
+    for label, g in family_suite:
+        sys = _system(g)
+        A = g.adj.astype(float)
+        dd = og.distance_data(g)
+        assert dd.diameter == sys.d, label
+        values = list(matrix_values(sys, A))
+        assert len(values) == sys.d + 1, label
+        for i, (PA, p) in enumerate(zip(values, sys.polys)):
+            assert np.abs(PA - poly_eval_matrix(p, A)).max() < 1e-6, (label, i)
+            assert np.abs(PA - (dd.dist == i)).max() < 1e-6, (label, i)
 
 
 def test_hoffman_polynomial_examples(petersen, c5):

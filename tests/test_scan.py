@@ -8,6 +8,8 @@ import pytest
 import oddgirth as og
 from oddgirth import scan
 
+from conftest import screen_regular_range
+
 
 def test_screen_counts_small():
     examined, hits = scan.screen_range(3, 0, 8)
@@ -38,7 +40,7 @@ def test_screen_regular_range_counts():
     want = {1: 1, 2: 1, 3: 1, 4: 4, 5: 13, 6: 146}
     for n, count in want.items():
         total = 1 << (n * (n - 1) // 2)
-        masks = scan.screen_regular_range(n, 0, total)
+        masks = screen_regular_range(n, 0, total)
         assert len(masks) == count
         for mask in masks[:5]:
             g = og.graph_from_mask(n, mask)
@@ -47,8 +49,8 @@ def test_screen_regular_range_counts():
 
 def test_screen_regular_range_without_regular_masks():
     # masks 1 and 2 on 7 vertices are single edges: the batch handed to the
-    # distance layer is empty
-    assert scan.screen_regular_range(7, 1, 3) == []
+    # connectivity test is empty
+    assert screen_regular_range(7, 1, 3) == []
 
 
 def test_scan_funnel_totals(monkeypatch):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import oddgirth as og
+from oddgirth.spectral import cluster_breaks
+
 from conftest import KNOWN_SPECTRA
 
 
@@ -112,6 +114,27 @@ def test_idempotents_reject_degenerate_spectrum(c5):
     s.values = np.array([2.0, 2.0 + 1e-12, -1.0])
     with pytest.raises(ValueError, match="degenerate"):
         og.idempotents(c5, s)
+
+
+def test_idempotents_reject_eigenvalue_off_cluster(c5):
+    # a cluster value moved by 1e-3 is still well separated, but the raw
+    # eigenvalues no longer lie within the clustering tolerance of it
+    s = og.spectrum(c5)
+    s.values = s.values + np.array([0.0, 1e-3, 0.0])
+    with pytest.raises(og.NumericalError, match="cluster"):
+        og.idempotents(c5, s)
+
+
+def test_cluster_breaks_batched_matches_spectrum():
+    # one call on a stack of ascending eigenvalue rows gives every graph the
+    # distinct-value count and tolerance spectrum() finds for it alone
+    graphs = list(og.enumerate_connected(5))
+    raw = np.linalg.eigvalsh(np.stack([g.adj.astype(float) for g in graphs]))
+    tol, breaks = cluster_breaks(raw)
+    for g, t, row in zip(graphs, tol, breaks):
+        s = og.spectrum(g)
+        assert row.sum() == s.d
+        assert t == s.cluster_tol
 
 
 def test_local_multiplicities_k2():

@@ -264,6 +264,26 @@ def test_verify_theorem_c7():
     assert rep.hypotheses["odd_girth"] == 7 and rep.hypotheses["eigenvalue_count"] == 4
 
 
+@pytest.mark.parametrize("k", [31, 41, 61])
+def test_verify_theorem_long_odd_cycles(k):
+    # d = (k - 1) / 2 up to 30: the moment system and the polynomials must
+    # stay well conditioned enough that no certificate raises a false alarm
+    rep = og.verify_theorem(og.generate_family("cycle", [k]))
+    assert rep.hypothesis_met and not rep.alarm
+    assert all(c.passed for c in rep.certificates.values()), {
+        name: c.residual for name, c in rep.certificates.items() if not c.passed
+    }
+    assert rep.conclusion.distance_regular and rep.conclusion.generalized_odd_graph
+    assert not rep.certificates["vandermonde"].witness.ill_conditioned
+
+
+def test_verify_theorem_cycle_101_hits_conditioning_guard():
+    # at d = 50 the monic degree-i polynomial's norm falls below 1e-20 of
+    # <x^i, x^i>: the system is refused rather than certified or alarmed
+    with pytest.raises(og.PredistanceError, match="conditioning"):
+        og.verify_theorem(og.generate_family("cycle", [101]))
+
+
 def test_alarm_flag_construction(petersen):
     rep = og.verify_theorem(petersen)
     bad = Certificate(name="walk_regular", passed=False, residual=1.0, tol=1e-6)
