@@ -39,6 +39,7 @@ from .spectral import (
     NumericalError,
     Spectrum,
     closed_walk_count,
+    cluster_spectrum,
     idempotent_residuals,
     idempotents,
     is_walk_regular,
@@ -55,6 +56,7 @@ from .verify import (
     check_distance_polynomial,
     check_eigenvalue_symmetry,
     check_hoffman,
+    check_polynomial_identities,
     check_walk_regular,
     distance_matrices,
     excess_comparison,

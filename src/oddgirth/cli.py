@@ -1,8 +1,9 @@
 """Command line: analyze one graph, generate family members, scan for counterexamples.
 
 Exit codes: 0 = certified or hypotheses not applicable, 1 = input/numerical
-error (including bad arguments), 2 = counterexample alarm (hypotheses met but
-a certificate failed).
+error (including bad arguments, and a corpus graph that failed to verify),
+2 = counterexample alarm (hypotheses met but a certificate failed), which
+takes precedence over 1 in a corpus scan.
 """
 
 import argparse
@@ -165,6 +166,10 @@ def cmd_scan(args):
             print("parse failures: %d" % summary.parse_failures)
             for err in summary.parse_errors:
                 print("  %s" % err)
+        if summary.verify_failures:
+            print("verify failures: %d" % summary.verify_failures)
+            for err in summary.verify_errors:
+                print("  %s" % err)
         if summary.hits:
             print("hypothesis-met graphs:")
             for hit in summary.hits:
@@ -182,7 +187,9 @@ def cmd_scan(args):
                     % (hit.graph6, hit.n, hit.report.spectrum.d,
                        hit.report.odd_girth_value, verdict)
                 )
-    return 2 if summary.alarms else 0
+    if summary.alarms:
+        return 2
+    return 1 if summary.verify_failures else 0
 
 
 def main(argv=None):

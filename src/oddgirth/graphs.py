@@ -1,10 +1,11 @@
 """Graphs as dense 0/1 adjacency matrices: parsing, families, distances, enumeration.
 
 The distance layer is one breadth-first search, _expand, run level by level
-on a stack of graphs: a single graph for distance_data and is_connected, a
+from every vertex of a stack of graphs: a single graph for distance_data, a
 batch of edge bitmasks for mask_distances.  Each level is a float32 matrix
-product whose entries are counts of at most n, exact for n < 2^24, and each
-graph leaves the batch once its search has ended.
+product whose entries are counts of at most n, exact for n < 2^24;
+distance_data keeps them as the level counts the intersection numbers are
+read from.  Each graph leaves the batch once its search has ended.
 
 Two properties of an edge bitmask need no adjacency matrix at all, only a
 bitwise AND with a fixed table of patterns per n.  A graph is disconnected
@@ -311,36 +312,44 @@ class DistanceData:
     """All-pairs hop distances; UNREACHABLE marks pairs with no path.
 
     odd_girth is the length of a shortest odd cycle, math.inf if there is none.
+    level_counts[k] is the float32 n x n matrix M_k = A_k A of the expansion's
+    level k, k = 0..diameter: M_k[u, v] = |Gamma(v) cap Gamma_k(u)|, the number
+    of neighbours of v at distance k from u.  The counts are at most n < 2^24,
+    so they are exact; the intersection numbers are read off them.
     """
 
     dist: np.ndarray
     diameter: int
     connected: bool
     odd_girth: object
+    level_counts: list
 
 
-def _expand(A, sources):
-    """Level-synchronous BFS in a (B, n, n) stack of adjacency matrices, every graph at once.
+def _expand(A):
+    """Level-synchronous BFS from every vertex of a (B, n, n) stack of adjacency matrices.
 
-    The same source vertices (an index or a slice) expand in every graph.  Yields
-    (live, frontier, reach) for levels k = 0, 1, ...: live indexes the graphs
-    whose level k is not empty, frontier[j, i] marks the vertices at distance
-    k from sources[i] in graph live[j], and reach[j, i] their neighbours.
+    Yields (live, frontier, reach, counts) for levels k = 0, 1, ...: live
+    indexes the graphs whose level k is not empty, frontier[j, u] marks the
+    vertices at distance k from u in graph live[j], counts[j] = F_k A, so
+    counts[j, u, v] is the number of neighbours of v at distance k from u, and
+    reach[j] = counts[j] > 0.5 marks the neighbours of the level.
 
-    Level 0 is read off A, with no product.  Each later level is one batched
-    float32 product whose entries count paths of at most n < 2^24, so they
-    are exact and the > 0.5 test is too.  A graph leaves the batch after its
-    last non-empty level, so a batch does as many products per level as it
-    has searches still running; the expansion ends when none is left.
+    Level 0 is the identity, so its counts are A itself, with no product.  Each
+    later level is one batched float32 product whose entries count paths of at
+    most n < 2^24, so they are exact and the > 0.5 test is too.  A graph leaves
+    the batch after its last non-empty level, so a batch does as many products
+    per level as it has searches still running; the expansion ends when none
+    is left.
     """
     A = np.asarray(A, dtype=np.float32)
-    eye = np.eye(A.shape[-1], dtype=bool)[sources]
+    n = A.shape[-1]
     live = np.arange(len(A))
-    frontier = eye[None].repeat(len(A), axis=0)
-    reach = A[:, sources] > 0.5
+    frontier = np.eye(n, dtype=bool)[None].repeat(len(A), axis=0)
     seen = frontier.copy()
+    counts = A
     while True:
-        yield live, frontier, reach
+        reach = counts > 0.5
+        yield live, frontier, reach, counts
         frontier = reach > seen  # reach & ~seen
         if not frontier.any():
             return
@@ -349,29 +358,32 @@ def _expand(A, sources):
         if len(live) > 1:  # a lone graph with a non-empty level is still live
             # per-graph level sizes: a matrix-vector product is several times
             # faster than any() over the short rows of a (B, n * n) array
-            alive = level.reshape(len(live), eye.size) @ np.ones(eye.size, dtype=np.float32) > 0.5
+            alive = level.reshape(len(live), n * n) @ np.ones(n * n, dtype=np.float32) > 0.5
             if not alive.all():
                 keep = np.flatnonzero(alive)
                 live, frontier, seen, A = (x.take(keep, axis=0) for x in (live, frontier, seen, A))
                 level = frontier.astype(np.float32)
-        reach = level @ A > 0.5
+        counts = level @ A
 
 
 def distance_data(g):
-    """Exact distances, diameter, connectivity and odd girth from one expansion.
+    """Exact distances, diameter, connectivity, odd girth and level counts from one expansion.
 
-    All n sources expand together, as a batch of one graph.  An edge inside
-    level k of some source (reach & frontier) closes an odd walk of length
-    2k+1, so it holds an odd cycle of at most that length; conversely a
-    shortest odd cycle of length 2k+1 is isometric, so from any of its
-    vertices the edge opposite lies inside level k.  The odd girth is
-    therefore 2k+1 for the first such level, for disconnected graphs too.
+    All n sources expand together, as a batch of one graph, and each level's
+    product F_k A is kept as level_counts[k].  An edge inside level k of some
+    source (reach & frontier) closes an odd walk of length 2k+1, so it holds
+    an odd cycle of at most that length; conversely a shortest odd cycle of
+    length 2k+1 is isometric, so from any of its vertices the edge opposite
+    lies inside level k.  The odd girth is therefore 2k+1 for the first such
+    level, for disconnected graphs too.
     """
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     girth = math.inf
-    for k, (_, frontier, reach) in enumerate(_expand(g.adj[None], slice(None))):
+    levels = []
+    for k, (_, frontier, reach, counts) in enumerate(_expand(g.adj[None])):
         dist[frontier[0]] = k
+        levels.append(counts[0])
         if girth == math.inf and (reach & frontier).any():
             girth = 2 * k + 1
     return DistanceData(
@@ -379,15 +391,8 @@ def distance_data(g):
         diameter=k,
         connected=bool((dist != UNREACHABLE).all()),
         odd_girth=girth,
+        level_counts=levels,
     )
-
-
-def is_connected(g):
-    """Connectivity by expanding from vertex 0 alone: one vector-matrix product per level."""
-    reached = np.zeros(g.n, dtype=bool)
-    for _, frontier, _ in _expand(g.adj[None], slice(0, 1)):
-        reached |= frontier[0, 0]
-    return bool(reached.all())
 
 
 def odd_girth(g):
@@ -399,12 +404,10 @@ def odd_girth(g):
 # exhaustive enumeration by edge bitmask
 
 def graph_from_mask(n, mask):
-    """Graph from an edge bitmask; bit b is the edge edge_pairs(n)[b]."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    for b, (u, v) in enumerate(edge_pairs(n)):
-        if (mask >> b) & 1:
-            adj[u, v] = adj[v, u] = 1
-    return Graph(n, adj)
+    """Graph from an edge bitmask on 1 <= n <= 11 vertices; bit b is the edge edge_pairs(n)[b]."""
+    if not 1 <= n <= 11:
+        raise GraphError("edge bitmasks support 1 <= n <= 11, got %d" % n)
+    return Graph(n, adjacency_batch(n, np.array([mask], dtype=np.int64))[0])
 
 
 def graph_mask(g):
@@ -509,7 +512,7 @@ def mask_distances(n, masks):
     diameter = np.zeros(len(masks), dtype=np.int64)
     girth = np.full(len(masks), math.inf)
     ones = np.ones(n * n, dtype=np.float32)
-    for k, (live, frontier, reach) in enumerate(_expand(A, slice(None))):
+    for k, (live, frontier, reach, _) in enumerate(_expand(A)):
         diameter[live] = k
         closed = live[(reach & frontier).reshape(len(live), n * n) @ ones > 0.5]
         girth[closed] = np.minimum(girth[closed], 2 * k + 1)

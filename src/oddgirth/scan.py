@@ -32,7 +32,8 @@ from .graphs import (
     mask_triangle_free,
     parse_graph6,
 )
-from .spectral import cluster_breaks
+from .predistance import PredistanceError
+from .spectral import NumericalError, cluster_breaks
 from .verify import verify_theorem
 
 BACKEND = "python"  # reported in scan summaries; there is one screen
@@ -80,6 +81,8 @@ class ScanSummary:
     hits: list = field(default_factory=list)
     parse_failures: int = 0
     parse_errors: list = field(default_factory=list)
+    verify_failures: int = 0
+    verify_errors: list = field(default_factory=list)  # "line N: ...", corpus scans only
     elapsed_s: float = 0.0
     funnel: dict = field(default_factory=dict)  # n -> {stage: count}, enumerated scans only
 
@@ -94,6 +97,8 @@ class ScanSummary:
             "certified": self.certified,
             "alarms": self.alarms,
             "parse_failures": self.parse_failures,
+            "verify_failures": self.verify_failures,
+            "verify_errors": list(self.verify_errors),
             "elapsed_s": self.elapsed_s,
             "funnel": [dict(n=n, **counts) for n, counts in sorted(self.funnel.items())],
             "hits": [h.to_dict() for h in self.hits],
@@ -216,13 +221,22 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
 
 
 def _verify_line(args):
-    idx, g, line, tolerances = args
-    report = verify_theorem(g, tolerances, input_label=line)
-    return idx, g.n, report
+    """(line number, n, report, error): a numerical breakdown fails this graph alone."""
+    lineno, g, line, tolerances = args
+    try:
+        report = verify_theorem(g, tolerances, input_label=line)
+    except (PredistanceError, NumericalError) as exc:
+        return lineno, g.n, None, "line %d: %s" % (lineno, exc)
+    return lineno, g.n, report, None
 
 
 def scan_corpus(path, jobs=1, tolerances=None):
-    """Verify every graph6 line in a file; parse failures are counted, not fatal."""
+    """Verify every graph6 line in a file.
+
+    Parse failures and graphs whose verification broke down numerically
+    (PredistanceError, NumericalError) are counted and reported by line
+    number, not fatal: the other lines are still verified.
+    """
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()
     with open(path, "rb") as fh:
@@ -248,8 +262,12 @@ def scan_corpus(path, jobs=1, tolerances=None):
     results.sort(key=lambda r: r[0])
 
     hits = []
+    verify_errors = []
     alarms = certified = 0
-    for lineno, n, report in results:
+    for lineno, n, report, error in results:
+        if error is not None:
+            verify_errors.append(error)
+            continue
         if not report.hypothesis_met:
             continue
         if report.alarm:
@@ -270,5 +288,7 @@ def scan_corpus(path, jobs=1, tolerances=None):
         hits=hits,
         parse_failures=len(parse_errors),
         parse_errors=parse_errors,
+        verify_failures=len(verify_errors),
+        verify_errors=verify_errors,
         elapsed_s=time.perf_counter() - started,
     )

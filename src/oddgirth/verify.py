@@ -57,18 +57,22 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # distance matrices and the definitional intersection-array check
 
+def _check_partition(dd):
+    """The distance-i indicators A_0..A_D partition J: every entry of dd.dist lies in 0..D."""
+    if dd.dist.min() < 0 or dd.dist.max() > dd.diameter:
+        raise RuntimeError(
+            "distance matrices A_0..A_%d do not sum to the all-ones matrix" % dd.diameter
+        )
+
+
 def distance_matrices(g, dd=None):
     """Distance-i indicators A_0..A_D for a connected graph; sum is all-ones."""
     if dd is None:
         dd = distance_data(g)
     if not dd.connected:
         raise GraphError("distance matrices require a connected graph")
-    mats = [(dd.dist == i).astype(np.int64) for i in range(dd.diameter + 1)]
-    if not np.array_equal(sum(mats), np.ones((g.n, g.n), dtype=np.int64)):
-        raise RuntimeError(
-            "distance matrices A_0..A_%d do not sum to the all-ones matrix" % dd.diameter
-        )
-    return mats
+    _check_partition(dd)
+    return [(dd.dist == i).astype(np.int64) for i in range(dd.diameter + 1)]
 
 
 @dataclass
@@ -110,37 +114,34 @@ def intersection_array(g, dd=None):
 
     For every ordered pair (u, v) at distance i the counts |Gamma(v) cap
     Gamma_{i-1}(u)|, |Gamma(v) cap Gamma_i(u)|, |Gamma(v) cap Gamma_{i+1}(u)|
-    must depend on i alone.
+    must depend on i alone.  They are the entries (u, v) of the level counts
+    M_{i-1}, M_i, M_{i+1} (M_j = A_j A) that the distance expansion already
+    computed, so no matrix product runs here.  The witness is the first
+    violating pair in row-major order, kinds tested in the order c, a, b.
     """
     if dd is None:
         dd = distance_data(g)
     if not dd.connected:
         raise GraphError("intersection array requires a connected graph")
-    dist = dd.dist
-    A = g.adj.astype(np.float64)
-    D = dd.diameter
-
-    def level_product(j):
-        # (A_j A)[u, v] = |Gamma(v) cap Gamma_j(u)|; float64 BLAS, exact since counts <= n
-        return (dist == j).astype(np.float64) @ A
+    dist, M, D = dd.dist, dd.level_counts, dd.diameter
+    n = g.n
 
     b = np.zeros(D + 1, dtype=np.int64)
     c = np.zeros(D + 1, dtype=np.int64)
     a = np.zeros(D + 1, dtype=np.int64)
-    # rolling window of the level products for i-1, i, i+1: each computed once;
-    # there is no level -1, and none at D+1, where b_D = 0 holds trivially
-    below, here = None, level_product(0)
     for i in range(D + 1):
-        above = level_product(i + 1) if i < D else None
+        # there is no level -1, and none at D+1, where b_D = 0 holds trivially
+        below = M[i - 1] if i else None
+        above = M[i + 1] if i < D else None
         at_i = dist == i
-        ref = tuple(int(x) for x in np.argwhere(at_i)[0])
-        for kind, counts in (("c", below), ("a", here), ("b", above)):
+        ref = divmod(int(at_i.argmax()), n)  # the first pair at distance i
+        for kind, counts in (("c", below), ("a", M[i]), ("b", above)):
             if counts is None:
                 continue
             expected = int(counts[ref])
             bad = at_i & (counts != expected)
             if bad.any():
-                pair = tuple(int(x) for x in np.argwhere(bad)[0])
+                pair = divmod(int(bad.argmax()), n)
                 return NotDistanceRegular(
                     i=i,
                     kind=kind,
@@ -155,7 +156,6 @@ def intersection_array(g, dd=None):
                 a[i] = expected
             elif i < D:
                 b[i] = expected
-        below, here = here, above
     return IntersectionArray(
         b=[int(x) for x in b[:D]],
         c=[int(x) for x in c[1:]],
@@ -167,25 +167,47 @@ def intersection_array(g, dd=None):
 # ---------------------------------------------------------------------------
 # individual certificates
 
-def check_distance_polynomial(g, system, tol=1e-6, dm=None):
-    """Does p_d(A) equal the distance-d matrix?  Not applicable if g is irregular.
+def check_polynomial_identities(g, system, tol=1e-6, dd=None):
+    """(hoffman, distance_polynomial) certificates from one pass over p_0(A)..p_d(A).
 
-    A_d is the zero matrix when the diameter falls short of d, which is how a
-    graph with too many eigenvalues for its diameter fails loudly: p_d has
-    positive norm, so p_d(A) cannot vanish.
+    The pass runs predistance.matrix_values once (d - 1 matrix products).  It
+    sums H(A) = p_0(A) + ... + p_d(A), which must be the all-ones matrix J,
+    and compares each p_i(A) with the distance-i indicator dist == i; the
+    distance_polynomial residual is the largest over the levels, and its
+    witness the first level i whose residual exceeds tol (None if none
+    does).  A_i is the zero matrix beyond the diameter, which is how a graph
+    with too many eigenvalues for its diameter fails loudly: p_d has
+    positive norm, so p_d(A) cannot vanish.  Both are not applicable if g is
+    irregular.
     """
     if not g.is_regular():
-        return Certificate(name="distance_polynomial", tol=tol)
-    if dm is None:
-        dm = distance_matrices(g)
-    d = system.d
-    target = dm[d] if d < len(dm) else np.zeros((g.n, g.n))
-    for PA in predistance.matrix_values(system, g.adj):
-        pass  # p_d(A) is the last one
-    residual = float(np.abs(PA - target).max())
-    return Certificate(
-        name="distance_polynomial", passed=residual <= tol, residual=residual, tol=tol
+        return (Certificate(name="hoffman", tol=tol),
+                Certificate(name="distance_polynomial", tol=tol))
+    if dd is None:
+        dd = distance_data(g)
+    H = -np.ones((g.n, g.n))  # H(A) - J
+    worst, first_bad = 0.0, None
+    for i, PA in enumerate(predistance.matrix_values(system, g.adj)):
+        H += PA
+        diff = PA - (dd.dist == i)
+        residual = float(np.abs(diff, out=diff).max())
+        worst = max(worst, residual)
+        if first_bad is None and residual > tol:
+            first_bad = i
+    hoffman = float(np.abs(H, out=H).max())
+    return (
+        Certificate(name="hoffman", passed=hoffman <= tol, residual=hoffman, tol=tol),
+        Certificate(name="distance_polynomial", passed=worst <= tol, residual=worst,
+                    tol=tol, witness=first_bad),
     )
+
+
+def check_distance_polynomial(g, system, tol=1e-6, dd=None):
+    """Does p_i(A) equal the distance-i matrix at every level i <= d?
+
+    Not applicable if g is irregular; see check_polynomial_identities.
+    """
+    return check_polynomial_identities(g, system, tol, dd)[1]
 
 
 def excess_comparison(g, system, dd=None):
@@ -333,12 +355,8 @@ def check_walk_regular(g, lm, tol=1e-6):
 
 
 def check_hoffman(g, system, tol=1e-6):
-    """H(A) = J for connected regular graphs; not applicable if g is irregular."""
-    if not g.is_regular():
-        return Certificate(name="hoffman", tol=tol)
-    HA = sum(predistance.matrix_values(system, g.adj))
-    residual = float(np.abs(HA - np.ones((g.n, g.n))).max())
-    return Certificate(name="hoffman", passed=residual <= tol, residual=residual, tol=tol)
+    """H(A) = J for connected regular graphs; see check_polynomial_identities."""
+    return check_polynomial_identities(g, system, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +447,7 @@ def verify_theorem(g, tolerances=None, input_label=None):
     """
     tols = tolerances if tolerances is not None else Tolerances()
     dd = distance_data(g)
-    s = spectral.spectrum(g, tols.cluster)
+    s = spectral.spectrum(g, tols.cluster, dd)
     warnings = list(s.warnings)
     og = dd.odd_girth
     d = s.d
@@ -447,8 +465,15 @@ def verify_theorem(g, tolerances=None, input_label=None):
     if met:
         certificates["eigenvalue_symmetry"] = check_eigenvalue_symmetry(s, tols.certificate)
 
-        mats = spectral.idempotents(g, s)
-        lm = spectral.local_multiplicities(mats)
+        # a connected graph of diameter D has at least D+1 distinct eigenvalues;
+        # with d >= D a met graph meets the prefilter under which spectrum
+        # solved for the eigenvectors too
+        if d < dd.diameter:
+            raise spectral.NumericalError(
+                "%d clustered eigenvalues for diameter %d: the cluster tolerance %.3e "
+                "merged distinct eigenvalues" % (d + 1, dd.diameter, s.cluster_tol)
+            )
+        lm = s.local_mults
         certificates["vandermonde"] = vandermonde_certificate(
             s, lm, tols.certificate, tols.det_condition
         )
@@ -466,7 +491,10 @@ def verify_theorem(g, tolerances=None, input_label=None):
                 "recurrence reconstruction residual %.3e exceeds %.3e"
                 % (max_rec, tols.recurrence)
             )
-        certificates["hoffman"] = check_hoffman(g, system, tols.certificate)
+        _check_partition(dd)
+        certificates["hoffman"], distance_polynomial = check_polynomial_identities(
+            g, system, tols.certificate, dd
+        )
 
         parity_report = predistance.check_parity(system, og, tols.parity)
         certificates["parity"] = Certificate(
@@ -479,10 +507,7 @@ def verify_theorem(g, tolerances=None, input_label=None):
             witness=parity_report,
         )
 
-        dm = distance_matrices(g, dd)
-        certificates["distance_polynomial"] = check_distance_polynomial(
-            g, system, tols.certificate, dm
-        )
+        certificates["distance_polynomial"] = distance_polynomial
 
         ia = intersection_array(g, dd)
         if isinstance(ia, IntersectionArray):

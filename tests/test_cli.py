@@ -54,9 +54,11 @@ REPORT_SCHEMA = {
 SCAN_SCHEMA = {
     "type": "object",
     "required": ["source", "backend", "jobs", "masks_total", "examined",
-                 "hypothesis_met", "certified", "alarms", "parse_failures", "elapsed_s",
-                 "funnel", "hits"],
+                 "hypothesis_met", "certified", "alarms", "parse_failures",
+                 "verify_failures", "verify_errors", "elapsed_s", "funnel", "hits"],
     "properties": {
+        "verify_failures": {"type": "integer", "minimum": 0},
+        "verify_errors": {"type": "array", "items": {"type": "string"}},
         "elapsed_s": {"type": "number", "minimum": 0},
         "funnel": {
             "type": "array",
@@ -200,6 +202,37 @@ def test_scan_corpus_cli(tmp_path, petersen, capsys):
     assert doc["examined"] == 1 and doc["parse_failures"] == 1
 
     assert cli.main(["scan", "--corpus", str(tmp_path / "nope.g6")]) == 1
+    capsys.readouterr()
+
+
+def test_scan_corpus_verify_failure_exit_codes(tmp_path, petersen, capsys, monkeypatch):
+    # a graph that fails to verify makes the exit code 1; an alarm on another
+    # line makes it 2
+    lines = [og.encode_graph6(g).decode() for g in (petersen, og.generate_family("cycle", [101]))]
+    path = _write(tmp_path, "c.g6", "\n".join(lines) + "\n")
+    assert cli.main(["scan", "--corpus", path]) == 1
+    out = capsys.readouterr().out
+    assert "certified distance-regular: 1" in out
+    assert "verify failures: 1" in out and "  line 2: conditioning failure" in out
+    assert cli.main(["scan", "--corpus", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, SCAN_SCHEMA)
+    assert doc["verify_failures"] == 1 and doc["verify_errors"][0].startswith("line 2:")
+
+    from oddgirth import scan
+    from oddgirth.verify import Certificate
+
+    real = scan.verify_theorem
+
+    def sabotaged(g, tolerances=None, input_label=None):
+        report = real(g, tolerances, input_label=input_label)
+        report.certificates["walk_regular"] = Certificate(
+            name="walk_regular", passed=False, residual=1.0, tol=1e-6
+        )
+        return report
+
+    monkeypatch.setattr(scan, "verify_theorem", sabotaged)
+    assert cli.main(["scan", "--corpus", path]) == 2
     capsys.readouterr()
 
 

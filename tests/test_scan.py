@@ -3,10 +3,12 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 import oddgirth as og
 from oddgirth import scan
+from oddgirth.spectral import cluster_breaks
 
 from conftest import screen_regular_range
 
@@ -20,14 +22,17 @@ def test_screen_counts_small():
 def test_screen_matches_pipeline_exhaustively():
     # for every connected graph on <= 6 vertices the screen's hypothesis
     # verdict, eigenvalue count and odd girth must match the full pipeline;
-    # at n = 6 the screen solves for eigenvalues of only 181 of 26,704
+    # at n = 6 the screen solves for eigenvalues of only 181 of 26,704.  The
+    # pipeline's eigenvalue counts are solved for all graphs of an n at once
+    # and split by cluster_breaks, the rule spectrum() applies to each graph
     for n in range(1, 7):
         total = 1 << (n * (n - 1) // 2)
         _, hits = scan.screen_range(n, 0, total)
         by_mask = {m: (d, g) for m, d, g in hits}
-        for g in og.enumerate_connected(n):
+        graphs = list(og.enumerate_connected(n))
+        _, breaks = cluster_breaks(np.linalg.eigvalsh(np.stack([g.adj for g in graphs])))
+        for g, d in zip(graphs, breaks.sum(axis=1)):
             mask = og.graph_mask(g)
-            d = og.spectrum(g).d
             girth = og.odd_girth(g)
             met = math.isfinite(girth) and girth >= 2 * d + 1
             assert (mask in by_mask) == met, (n, mask)
@@ -127,6 +132,23 @@ def test_scan_corpus(tmp_path, petersen, prism):
 
     pooled = scan.scan_corpus(path, jobs=2)
     assert pooled.examined == 2 and pooled.hypothesis_met == 1
+
+
+def test_scan_corpus_counts_verify_failures(tmp_path, petersen):
+    # C_101 stops at the predistance conditioning guard; the run goes on and
+    # Petersen, on the line before, is still certified
+    path = tmp_path / "corpus.g6"
+    c101 = og.generate_family("cycle", [101])
+    path.write_bytes(og.encode_graph6(petersen) + b"\n" + og.encode_graph6(c101) + b"\n")
+    for jobs in (1, 2):
+        summary = scan.scan_corpus(path, jobs=jobs)
+        assert summary.examined == 2 and summary.hypothesis_met == 1, jobs
+        assert summary.certified == 1 and summary.alarms == 0, jobs
+        assert summary.hits[0].graph6 == og.encode_graph6(petersen).decode(), jobs
+        assert summary.verify_failures == 1, jobs
+        assert summary.verify_errors[0].startswith("line 2: conditioning failure"), jobs
+        doc = summary.to_dict()
+        assert doc["verify_failures"] == 1 and doc["verify_errors"] == summary.verify_errors
 
 
 def test_jobs_capped_at_affinity(tmp_path, petersen):

@@ -127,14 +127,47 @@ def test_idempotents_reject_eigenvalue_off_cluster(c5):
 
 def test_cluster_breaks_batched_matches_spectrum():
     # one call on a stack of ascending eigenvalue rows gives every graph the
-    # distinct-value count and tolerance spectrum() finds for it alone
+    # distinct-value count and tolerance the clustering finds for its row
+    # alone, and the count spectrum() finds (which solves by eigh where the
+    # prefilter holds, so its eigenvalues may differ in the last bits)
     graphs = list(og.enumerate_connected(5))
     raw = np.linalg.eigvalsh(np.stack([g.adj.astype(float) for g in graphs]))
     tol, breaks = cluster_breaks(raw)
-    for g, t, row in zip(graphs, tol, breaks):
-        s = og.spectrum(g)
-        assert row.sum() == s.d
+    for g, t, row, values in zip(graphs, tol, breaks, raw):
+        s = og.cluster_spectrum(values)
+        assert row.sum() == s.d == og.spectrum(g).d
         assert t == s.cluster_tol
+
+
+def test_met_path_local_multiplicities_match_idempotents(family_suite):
+    # the row sums of U_i^2 from spectrum's one eigh against the idempotent
+    # diagonals; K_2 is bipartite, so it gets eigvalsh and no eigenvectors
+    for label, g in family_suite:
+        s = og.spectrum(g)
+        if label == "complete_2":
+            assert s.local_mults is None
+            continue
+        want = og.local_multiplicities(og.idempotents(g, s))
+        assert s.local_mults.shape == want.shape, label
+        assert np.abs(s.local_mults - want).max() < 1e-12, label
+
+
+def test_met_path_spectrum_matches_eigvalsh(family_suite):
+    # the met path clusters eigh's eigenvalues; eigvalsh's clustering, the
+    # rejection path's, must give the same d and multiplicities, and values
+    # within the clustering tolerance
+    graphs = [g for _, g in family_suite]
+    graphs += [og.generate_family("cycle", [k]) for k in (31, 41, 61)]
+    for g in graphs:
+        report = og.verify_theorem(g)
+        if not report.hypothesis_met:
+            assert g.n == 2  # K_2, bipartite
+            continue
+        s = report.spectrum
+        assert s.local_mults is not None, g.n
+        ref = og.cluster_spectrum(np.linalg.eigvalsh(g.adj.astype(float)))
+        assert s.d == ref.d and list(s.mults) == list(ref.mults), g.n
+        assert np.abs(s.values - ref.values).max() <= s.cluster_tol, g.n
 
 
 def test_local_multiplicities_k2():

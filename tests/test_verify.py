@@ -1,11 +1,13 @@
 """verify: distance matrices, intersection arrays, certificates, full reports."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
 import oddgirth as og
+from oddgirth import verify
 from oddgirth.verify import (
     Certificate,
     Conclusion,
@@ -47,15 +49,20 @@ def test_distance_matrices_reject_disconnected():
         distance_matrices(g)
 
 
-def test_distance_matrices_self_check(c5):
+def test_distance_matrices_self_check(c5, monkeypatch):
     # an inconsistent DistanceData: the distance-2 pairs of C_5 moved to 3,
     # past the stated diameter, so A_0 + A_1 + A_2 misses them
     dd = og.distance_data(c5)
     bad = og.DistanceData(
-        dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5
+        dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5,
+        level_counts=dd.level_counts,
     )
     with pytest.raises(RuntimeError, match="all-ones"):
         distance_matrices(c5, bad)
+    # verify_theorem runs the same partition check on its one DistanceData
+    monkeypatch.setattr(verify, "distance_data", lambda g: bad)
+    with pytest.raises(RuntimeError, match="all-ones"):
+        og.verify_theorem(c5)
 
 
 def test_intersection_array_c5(c5):
@@ -147,6 +154,124 @@ def test_intersection_array_matches_loops():
     assert kinds == {"array", "c", "a", "b"}
 
 
+def intersection_array_by_products(g):
+    """Reference: each level product (dist == j) @ A in float64 BLAS, in a rolling window."""
+    dd = og.distance_data(g)
+    dist, A, D = dd.dist, g.adj.astype(np.float64), dd.diameter
+
+    def level_product(j):
+        return (dist == j).astype(np.float64) @ A
+
+    b, c, a = (np.zeros(D + 1, dtype=np.int64) for _ in range(3))
+    below, here = None, level_product(0)
+    for i in range(D + 1):
+        above = level_product(i + 1) if i < D else None
+        at_i = dist == i
+        ref = tuple(int(x) for x in np.argwhere(at_i)[0])
+        for kind, counts in (("c", below), ("a", here), ("b", above)):
+            if counts is None:
+                continue
+            expected = int(counts[ref])
+            bad = at_i & (counts != expected)
+            if bad.any():
+                pair = tuple(int(x) for x in np.argwhere(bad)[0])
+                return NotDistanceRegular(i, kind, pair, int(counts[pair]), expected, ref)
+            {"c": c, "a": a, "b": b}[kind][i] = expected
+        below, here = here, above
+    return og.IntersectionArray(
+        b=[int(x) for x in b[:D]], c=[int(x) for x in c[1:]], a=[int(x) for x in a], D=D
+    )
+
+
+def _relabeled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return og.Graph(g.n, g.adj[np.ix_(perm, perm)])
+
+
+def test_intersection_array_matches_products_on_large_graphs():
+    # the level counts of the distance expansion against the float64 level
+    # products: arrays and witnesses must agree exactly on relabeled O_5, the
+    # folded 9-cube and a 6-regular circulant that is not distance-regular
+    circulant = og.graph_from_edges(
+        200, [(u, (u + j) % 200) for u in range(200) for j in (1, 5, 17)]
+    )
+    cases = [
+        (_relabeled(og.generate_family("odd", [5]), 1), og.IntersectionArray),
+        (_relabeled(og.generate_family("folded_cube", [9]), 2), og.IntersectionArray),
+        (_relabeled(circulant, 3), NotDistanceRegular),
+    ]
+    for g, kind in cases:
+        got = og.intersection_array(g)
+        assert isinstance(got, kind), g.n
+        assert got == intersection_array_by_products(g), g.n
+
+
+def test_level_counts_are_level_products(petersen, prism):
+    for g in (petersen, prism, _relabeled(og.generate_family("odd", [4]), 4)):
+        dd = og.distance_data(g)
+        assert len(dd.level_counts) == dd.diameter + 1
+        for j, counts in enumerate(dd.level_counts):
+            assert np.array_equal(counts, (dd.dist == j).astype(np.int64) @ g.adj), j
+
+
+def test_distance_polynomial_names_first_broken_level():
+    # beta_{j} enters the recurrence at the step that makes p_{j+2}(A), so
+    # perturbing it breaks that level first
+    for g in (og.generate_family("odd", [4]), og.generate_family("cycle", [9])):
+        system = og.predistance_polynomials(og.spectrum(g))
+        cert = check_distance_polynomial(g, system)
+        assert cert.passed and cert.witness is None
+        for j in range(system.d - 1):
+            bad = copy.copy(system)
+            bad.beta = system.beta.copy()
+            bad.beta[j] += 0.5
+            cert = check_distance_polynomial(g, bad)
+            assert cert.passed is False and cert.witness == j + 2, (g.n, j)
+
+
+def test_verify_computes_each_quantity_once(monkeypatch, prism):
+    # a met graph: one eigh and no eigvalsh, no idempotent matrices, and one
+    # pass of the recurrence; a rejected graph: one eigvalsh and no eigh
+    calls = {"eigh": 0, "eigvalsh": 0, "matrix_values": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(og.predistance, "matrix_values",
+                        counting("matrix_values", og.predistance.matrix_values))
+
+    def forbidden(*args):
+        raise AssertionError("verify_theorem formed the idempotent matrices")
+
+    monkeypatch.setattr(og.spectral, "idempotents", forbidden)
+    for g in (_relabeled(og.generate_family("odd", [4]), 5), og.generate_family("cycle", [9])):
+        for key in calls:
+            calls[key] = 0
+        rep = og.verify_theorem(g)
+        assert rep.hypothesis_met and not rep.alarm
+        assert calls == {"eigh": 1, "eigvalsh": 0, "matrix_values": 1}
+    for g in (og.generate_family("cycle", [6]), og.generate_family("path", [5]), prism):
+        for key in calls:
+            calls[key] = 0
+        rep = og.verify_theorem(g)
+        assert not rep.hypothesis_met
+        assert calls == {"eigh": 0, "eigvalsh": 1, "matrix_values": 0}
+
+
+def test_verify_refuses_merged_eigenvalues(petersen, prism):
+    # a cluster tolerance wide enough to merge every eigenvalue leaves fewer
+    # than diameter + 1 of them: a numerical breakdown, not an alarm, whether
+    # the prefilter held (Petersen, eigh) or not (the prism, eigvalsh)
+    for g in (petersen, prism):
+        with pytest.raises(og.NumericalError, match="merged"):
+            og.verify_theorem(g, og.Tolerances(cluster=10.0))
+
+
 def test_distance_polynomial_check(petersen, c5, prism, p3):
     for g in (petersen, c5):
         s, lm, sys = _pipeline(g)
@@ -154,7 +279,7 @@ def test_distance_polynomial_check(petersen, c5, prism, p3):
         assert cert.passed and cert.residual <= 1e-6
     s, lm, sys = _pipeline(prism)
     cert = check_distance_polynomial(prism, sys)
-    assert cert.passed is False and cert.residual > 1e-3
+    assert cert.passed is False and cert.residual > 1e-3 and cert.witness is not None
     s, lm, sys = _pipeline(p3)
     assert check_distance_polynomial(p3, sys).passed is None
 
