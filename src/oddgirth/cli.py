@@ -150,7 +150,7 @@ def cmd_scan(args):
     if args.json:
         print(json.dumps(summary.to_dict(), indent=2))
     else:
-        print("scan: %s (backend %s, jobs %d)" % (summary.source, summary.backend, summary.jobs))
+        print("scan: %s (jobs %d)" % (summary.source, summary.jobs))
         print("masks considered: %d" % summary.masks_total)
         print("examined: %d" % summary.examined)
         print("hypothesis met: %d" % summary.hypothesis_met)

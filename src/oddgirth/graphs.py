@@ -476,12 +476,10 @@ class MaskDistances:
 
     adj is the (B, n, n) float64 adjacency batch; diameter and odd_girth are
     what distance_data reports for each mask's graph (odd_girth is a float
-    array, inf where there is no odd cycle).
+    array, inf where there is no odd cycle).  Connectivity comes from mask_connected.
     """
 
-    masks: np.ndarray
     adj: np.ndarray
-    connected: np.ndarray
     diameter: np.ndarray
     odd_girth: np.ndarray
 
@@ -502,7 +500,7 @@ def adjacency_batch(n, masks):
 
 
 def mask_distances(n, masks):
-    """Connectivity, diameter and odd girth of every mask: its cuts, then one batched expansion.
+    """Diameter and odd girth of every mask: one batched expansion.
 
     Each mask's row is written at the levels its search is live: its diameter
     is the last one, and its odd girth 2k+1 at the first level k with an edge
@@ -516,7 +514,7 @@ def mask_distances(n, masks):
         diameter[live] = k
         closed = live[(reach & frontier).reshape(len(live), n * n) @ ones > 0.5]
         girth[closed] = np.minimum(girth[closed], 2 * k + 1)
-    return MaskDistances(masks, A, mask_connected(n, masks), diameter, girth)
+    return MaskDistances(A, diameter, girth)
 
 
 def enumerate_connected(n):

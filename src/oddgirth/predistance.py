@@ -195,13 +195,15 @@ class ParityReport:
         )
 
 
-def check_parity(system, g_odd_girth, tol=None):
-    """Parity checks for a system whose graph has finite odd girth >= 2d+1."""
+def check_parity(system, g_odd_girth):
+    """Parity checks for a system whose graph has finite odd girth >= 2d+1.
+
+    The tolerance is 1e-7 times the largest polynomial coefficient.
+    """
     d = system.d
     if not (g_odd_girth != math.inf and g_odd_girth >= 2 * d + 1):
         return ParityReport(applicable=False)
-    if tol is None:
-        tol = 1e-7 * max(float(np.abs(p).max()) for p in system.polys)
+    tol = 1e-7 * max(float(np.abs(p).max()) for p in system.polys)
 
     interior = float(np.abs(system.alpha[:d]).max()) if d >= 1 else 0.0
     top = float(abs(system.alpha[d]))

@@ -36,7 +36,8 @@ from .predistance import PredistanceError
 from .spectral import NumericalError, cluster_breaks
 from .verify import verify_theorem
 
-BACKEND = "python"  # reported in scan summaries; there is one screen
+# one screen; perfbench/run.py records this constant in its environment line
+BACKEND = "python"
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
@@ -70,26 +71,41 @@ class ScanHit:
 
 @dataclass
 class ScanSummary:
+    """What a scan examined and found; every count is read off its list."""
+
     source: str
-    backend: str
     jobs: int
     masks_total: int
     examined: int
-    hypothesis_met: int
-    certified: int
-    alarms: int
-    hits: list = field(default_factory=list)
-    parse_failures: int = 0
-    parse_errors: list = field(default_factory=list)
-    verify_failures: int = 0
+    hits: list
+    parse_errors: list = field(default_factory=list)  # "line N: ...", corpus scans only
     verify_errors: list = field(default_factory=list)  # "line N: ...", corpus scans only
     elapsed_s: float = 0.0
     funnel: dict = field(default_factory=dict)  # n -> {stage: count}, enumerated scans only
 
+    @property
+    def hypothesis_met(self):
+        return len(self.hits)
+
+    @property
+    def certified(self):
+        return sum(not h.report.alarm and h.report.conclusion.distance_regular for h in self.hits)
+
+    @property
+    def alarms(self):
+        return sum(h.report.alarm for h in self.hits)
+
+    @property
+    def parse_failures(self):
+        return len(self.parse_errors)
+
+    @property
+    def verify_failures(self):
+        return len(self.verify_errors)
+
     def to_dict(self):
         return {
             "source": self.source,
-            "backend": self.backend,
             "jobs": self.jobs,
             "masks_total": self.masks_total,
             "examined": self.examined,
@@ -98,6 +114,7 @@ class ScanSummary:
             "alarms": self.alarms,
             "parse_failures": self.parse_failures,
             "verify_failures": self.verify_failures,
+            "parse_errors": list(self.parse_errors),
             "verify_errors": list(self.verify_errors),
             "elapsed_s": self.elapsed_s,
             "funnel": [dict(n=n, **counts) for n, counts in sorted(self.funnel.items())],
@@ -157,7 +174,15 @@ def _chunks(total, pieces):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def scan_enumerated(n_max, jobs=1, tolerances=None):
+def _map(fn, items, jobs):
+    """[fn(item) for item in items], in a fork pool of jobs workers when there is work to share."""
+    if jobs > 1 and len(items) > 1:
+        with get_context("fork").Pool(jobs) as pool:
+            return pool.map(fn, items)
+    return [fn(item) for item in items]
+
+
+def scan_enumerated(n_max, jobs=1):
     """Scan all labeled connected graphs on 1..n_max vertices (n_max <= 7).
 
     Every hypothesis-met graph found by the screen is re-verified with the
@@ -173,25 +198,19 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
     screened = []  # (n, mask, d, og), ordered by (n, mask)
     for n in range(1, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
+        pieces = jobs * 8 if jobs > 1 and total >= _PARALLEL_FLOOR else 1
         counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
-        if jobs > 1 and total >= _PARALLEL_FLOOR:
-            work = [(n, lo, hi) for lo, hi in _chunks(total, jobs * 8)]
-            with get_context("fork").Pool(jobs) as pool:
-                results = pool.map(_screen_chunk, work)
-            for part, hits in results:
-                for stage in FUNNEL_STAGES:
-                    counts[stage] += part[stage]
-                screened.extend((n, m, d, og) for m, d, og in hits)
-        else:
-            _, hits = screen_range(n, 0, total, counts)
+        work = [(n, lo, hi) for lo, hi in _chunks(total, pieces)]
+        for part, hits in _map(_screen_chunk, work, jobs):
+            for stage in FUNNEL_STAGES:
+                counts[stage] += part[stage]
             screened.extend((n, m, d, og) for m, d, og in hits)
 
     hits = []
-    alarms = certified = 0
     for n, mask, d, og in screened:
         g = graph_from_mask(n, mask)
         g6 = encode_graph6(g).decode("ascii")
-        report = verify_theorem(g, tolerances, input_label=g6)
+        report = verify_theorem(g, input_label=g6)
         if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
             raise RuntimeError(
                 "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
@@ -199,21 +218,13 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
                 % (n, mask, d, og, report.hypothesis_met, report.spectrum.d,
                    report.odd_girth_value)
             )
-        if report.alarm:
-            alarms += 1
-        elif report.conclusion.distance_regular:
-            certified += 1
         hits.append(ScanHit(n=n, mask=mask, graph6=g6, report=report))
 
     return ScanSummary(
         source="n<=%d" % n_max,
-        backend=BACKEND,
         jobs=jobs,
         masks_total=sum(c["masks"] for c in funnel.values()),
         examined=sum(c["connected"] for c in funnel.values()),
-        hypothesis_met=len(hits),
-        certified=certified,
-        alarms=alarms,
         hits=hits,
         elapsed_s=time.perf_counter() - started,
         funnel=funnel,
@@ -221,16 +232,16 @@ def scan_enumerated(n_max, jobs=1, tolerances=None):
 
 
 def _verify_line(args):
-    """(line number, n, report, error): a numerical breakdown fails this graph alone."""
-    lineno, g, line, tolerances = args
+    """(report, error): a numerical breakdown fails this graph alone."""
+    lineno, g, line = args
     try:
-        report = verify_theorem(g, tolerances, input_label=line)
+        report = verify_theorem(g, input_label=line)
     except (PredistanceError, NumericalError) as exc:
-        return lineno, g.n, None, "line %d: %s" % (lineno, exc)
-    return lineno, g.n, report, None
+        return None, "line %d: %s" % (lineno, exc)
+    return report, None
 
 
-def scan_corpus(path, jobs=1, tolerances=None):
+def scan_corpus(path, jobs=1):
     """Verify every graph6 line in a file.
 
     Parse failures and graphs whose verification broke down numerically
@@ -252,43 +263,23 @@ def scan_corpus(path, jobs=1, tolerances=None):
         except GraphError as exc:
             parse_errors.append("line %d: %s" % (lineno, exc))
         else:
-            parsed.append((lineno, g, text, tolerances))
-
-    if jobs > 1 and len(parsed) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_verify_line, parsed)
-    else:
-        results = [_verify_line(item) for item in parsed]
-    results.sort(key=lambda r: r[0])
+            parsed.append((lineno, g, text))
 
     hits = []
     verify_errors = []
-    alarms = certified = 0
-    for lineno, n, report, error in results:
+    for report, error in _map(_verify_line, parsed, jobs):
         if error is not None:
             verify_errors.append(error)
-            continue
-        if not report.hypothesis_met:
-            continue
-        if report.alarm:
-            alarms += 1
-        elif report.conclusion.distance_regular:
-            certified += 1
-        hits.append(ScanHit(n=n, mask=None, graph6=report.input, report=report))
+        elif report.hypothesis_met:
+            hits.append(ScanHit(n=report.n, mask=None, graph6=report.input, report=report))
 
     return ScanSummary(
         source=str(path),
-        backend="pipeline",
         jobs=jobs,
         masks_total=len(lines),
         examined=len(parsed),
-        hypothesis_met=len(hits),
-        certified=certified,
-        alarms=alarms,
         hits=hits,
-        parse_failures=len(parse_errors),
         parse_errors=parse_errors,
-        verify_failures=len(verify_errors),
         verify_errors=verify_errors,
         elapsed_s=time.perf_counter() - started,
     )

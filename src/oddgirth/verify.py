@@ -16,20 +16,22 @@ from . import predistance, spectral
 from .graphs import GraphError, distance_data
 
 
+# warn above these: the predistance recurrence's reconstruction residual, and
+# the condition number of the Vandermonde system solved
+RECURRENCE_TOL = 1e-8
+DET_CONDITION = 1e12
+
+
 @dataclass
 class Tolerances:
     """Numerical thresholds for the verification pipeline.
 
     cluster=None resolves to spectral.cluster_breaks' 1e-8 * n * max(1, |lambda|max),
-    which also bounds each raw eigenvalue's distance from its cluster value;
-    parity=None resolves to 1e-7 * the largest polynomial coefficient.
+    which also bounds each raw eigenvalue's distance from its cluster value.
     """
 
     cluster: float = None
     certificate: float = 1e-6
-    recurrence: float = 1e-8
-    parity: float = None
-    det_condition: float = 1e12
 
 
 @dataclass
@@ -279,7 +281,7 @@ class VandermondeCertificate:
     ill_conditioned: bool
 
 
-def vandermonde_certificate(s, lm, tol=1e-6, cond_threshold=1e12):
+def vandermonde_certificate(s, lm, tol=1e-6):
     """Solve the odd-power system and compare against all local multiplicities."""
     vals = s.values
     d = s.d
@@ -324,7 +326,7 @@ def vandermonde_certificate(s, lm, tol=1e-6, cond_threshold=1e12):
         proportionality=prop,
         residual=residual,
         condition=condition,
-        ill_conditioned=condition > cond_threshold,
+        ill_conditioned=condition > DET_CONDITION,
     )
     return Certificate(
         name="vandermonde",
@@ -429,9 +431,9 @@ class TheoremReport:
             "tolerances": {
                 "cluster": float(self.spectrum.cluster_tol),
                 "certificate": float(self.tolerances.certificate),
-                "recurrence": float(self.tolerances.recurrence),
+                "recurrence": RECURRENCE_TOL,
                 "parity": float(parity.tol) if parity is not None and parity.tol else None,
-                "det_condition": float(self.tolerances.det_condition),
+                "det_condition": DET_CONDITION,
             },
         }
 
@@ -474,9 +476,7 @@ def verify_theorem(g, tolerances=None, input_label=None):
                 "merged distinct eigenvalues" % (d + 1, dd.diameter, s.cluster_tol)
             )
         lm = s.local_mults
-        certificates["vandermonde"] = vandermonde_certificate(
-            s, lm, tols.certificate, tols.det_condition
-        )
+        certificates["vandermonde"] = vandermonde_certificate(s, lm, tols.certificate)
         if certificates["vandermonde"].witness.ill_conditioned:
             warnings.append(
                 "vandermonde system ill-conditioned (cond %.3e)"
@@ -486,17 +486,17 @@ def verify_theorem(g, tolerances=None, input_label=None):
 
         system = predistance.predistance_polynomials(s)
         max_rec = float(system.recurrence_residuals.max())
-        if max_rec > tols.recurrence:
+        if max_rec > RECURRENCE_TOL:
             warnings.append(
                 "recurrence reconstruction residual %.3e exceeds %.3e"
-                % (max_rec, tols.recurrence)
+                % (max_rec, RECURRENCE_TOL)
             )
         _check_partition(dd)
         certificates["hoffman"], distance_polynomial = check_polynomial_identities(
             g, system, tols.certificate, dd
         )
 
-        parity_report = predistance.check_parity(system, og, tols.parity)
+        parity_report = predistance.check_parity(system, og)
         certificates["parity"] = Certificate(
             name="parity",
             passed=parity_report.passed,

@@ -87,6 +87,26 @@ def screen_regular_range(n, start, stop):
 
 
 @pytest.fixture(scope="session")
+def mask_oracle():
+    """For n <= 6, lists indexed by mask of what one Graph per mask reports.
+
+    Keys: connected, diameter and odd_girth from distance_data, and
+    triangle_free from trace(A^3), which is six times the triangle count.
+    """
+    oracle = {}
+    for n in range(1, 7):
+        rows = []
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = og.graph_from_mask(n, mask)
+            dd = og.distance_data(g)
+            free = bool(np.trace(g.adj @ g.adj @ g.adj) == 0)
+            rows.append((dd.connected, dd.diameter, dd.odd_girth, free))
+        keys = ("connected", "diameter", "odd_girth", "triangle_free")
+        oracle[n] = dict(zip(keys, map(list, zip(*rows))))
+    return oracle
+
+
+@pytest.fixture(scope="session")
 def family_suite():
     return [
         (suite_label(fam, params), og.generate_family(fam, params))

@@ -80,9 +80,9 @@ def test_criterion_1_exhaustive_sweep(sweep):
     _record(
         1,
         not bad,
-        "full sweep n<=7 (%s backend): %d examined, %d hypothesis-met "
+        "full sweep n<=7: %d examined, %d hypothesis-met "
         "(K_3..K_7 + all labeled C_5, C_7), 0 alarms, %.1fs"
-        % (sweep.backend, sweep.examined, len(sweep.hits), sweep.elapsed)
+        % (sweep.examined, len(sweep.hits), sweep.elapsed)
         + ("; " + "; ".join(bad) if bad else ""),
     )
 

@@ -53,11 +53,13 @@ REPORT_SCHEMA = {
 
 SCAN_SCHEMA = {
     "type": "object",
-    "required": ["source", "backend", "jobs", "masks_total", "examined",
+    "required": ["source", "jobs", "masks_total", "examined",
                  "hypothesis_met", "certified", "alarms", "parse_failures",
-                 "verify_failures", "verify_errors", "elapsed_s", "funnel", "hits"],
+                 "verify_failures", "parse_errors", "verify_errors", "elapsed_s",
+                 "funnel", "hits"],
     "properties": {
         "verify_failures": {"type": "integer", "minimum": 0},
+        "parse_errors": {"type": "array", "items": {"type": "string"}},
         "verify_errors": {"type": "array", "items": {"type": "string"}},
         "elapsed_s": {"type": "number", "minimum": 0},
         "funnel": {
@@ -200,6 +202,7 @@ def test_scan_corpus_cli(tmp_path, petersen, capsys):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, SCAN_SCHEMA)
     assert doc["examined"] == 1 and doc["parse_failures"] == 1
+    assert doc["parse_errors"][0].startswith("line 2:")
 
     assert cli.main(["scan", "--corpus", str(tmp_path / "nope.g6")]) == 1
     capsys.readouterr()

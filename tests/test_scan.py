@@ -151,6 +151,23 @@ def test_scan_corpus_counts_verify_failures(tmp_path, petersen):
         assert doc["verify_failures"] == 1 and doc["verify_errors"] == summary.verify_errors
 
 
+def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5):
+    # hits and errors keep file order whether the lines are verified in this
+    # process or in a pool
+    graphs = (c5, prism, None, og.generate_family("cycle", [101]), petersen,
+              og.generate_family("complete", [4]))
+    lines = [og.encode_graph6(g).decode() if g else "not graph6" for g in graphs]
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    docs = [scan.scan_corpus(path, jobs=jobs).to_dict() for jobs in (1, 2)]
+    for doc in docs:
+        del doc["jobs"], doc["elapsed_s"]
+    assert docs[0] == docs[1]
+    assert [h["graph6"] for h in docs[0]["hits"]] == [lines[0], lines[4], lines[5]]
+    assert docs[0]["parse_errors"][0].startswith("line 3:")
+    assert docs[0]["verify_errors"][0].startswith("line 4: conditioning failure")
+
+
 def test_jobs_capped_at_affinity(tmp_path, petersen):
     cpus = len(os.sched_getaffinity(0))
     # n <= 4 never forks, whatever the worker count
