@@ -2,10 +2,16 @@
 
 The distance layer is one breadth-first search, _expand, run level by level
 from every vertex of a stack of graphs: a single graph for distance_data, a
-batch of edge bitmasks for mask_distances.  Each level is a float32 matrix
-product whose entries are counts of at most n, exact for n < 2^24;
-distance_data keeps them as the level counts the intersection numbers are
-read from.  Each graph leaves the batch once its search has ended.
+batch of edge bitmasks for mask_distances.  Each level is one product with
+the adjacency matrix A whose entries are counts of at most the largest
+degree; distance_data keeps them as the level counts the intersection
+numbers are read from.  Each graph leaves the batch once its search has
+ended.  A has only k nonzeros per row, so on a large sparse graph
+(neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices and more than
+NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is a sum of k row
+gathers (neighbour_sum), O(k n^2), in uint8 for the expansion and float64
+for predistance.matrix_values; smaller or denser graphs, and every batch,
+keep the float32 product, O(n^3) but in BLAS.
 
 Two properties of an edge bitmask need no adjacency matrix at all, only a
 bitwise AND with a fixed table of patterns per n.  A graph is disconnected
@@ -49,7 +55,7 @@ class Graph:
             raise GraphError("adjacency must be symmetric")
         if np.any(np.diag(self.adj) != 0):
             raise GraphError("self-loops are not allowed")
-        if not np.isin(self.adj, (0, 1)).all():
+        if not ((self.adj == 0) | (self.adj == 1)).all():
             raise GraphError("adjacency entries must be 0 or 1")
 
     def __eq__(self, other):
@@ -305,6 +311,75 @@ def generate_family(family, params=()):
 
 
 # ---------------------------------------------------------------------------
+# products with a sparse adjacency matrix
+
+# a lone graph multiplies by A as neighbour sums, in _expand and in
+# predistance.matrix_values, when it has more than NEIGHBOUR_SUM_FLOOR
+# vertices and more than NEIGHBOUR_SUM_DENSITY per unit of its largest degree
+# k: the sums cost about k n^2 plus a fixed cost per call, a dense product
+# n^3.  Sums against dense products, one BLAS thread, 2-core Xeon VM:
+# distance_data took 1.31 against 0.92 ms on C_61 and 6.7 against 20.3 ms on
+# C_161; distance_data and matrix_values together 8.3 against 10.0 ms on the
+# folded 9-cube (n/k = 28) and 29 against 54 ms on O_6 (n/k = 77).  A uint8
+# sum beats the float32 product of the expansion from n/k of about 10, a
+# float64 sum the product of matrix_values only from about 30 (n = 400:
+# 2.7 against 3.3 ms at n/k = 33, 3.6 against 2.8 ms at n/k = 25); a verify
+# runs both.  At n/k = 2 (n = 400) a float64 sum took 43 ms against 3.0 ms
+NEIGHBOUR_SUM_FLOOR = 128
+NEIGHBOUR_SUM_DENSITY = 24
+
+# bytes of the result summed at a time: a block and its gathered rows stay in
+# a core's 2 MB L2 cache while the k gathers add into it.  A float64 A X at
+# n = 1716 (O_7) took 221 ms as a dense product, 121 ms as k whole-matrix
+# gathers, 40, 38, 39 and 51 ms in blocks of 8, 16, 32 and 64 rows
+NEIGHBOUR_SUM_BLOCK = 1 << 18
+
+
+def neighbour_table(adj):
+    """(n, k) table of each vertex's neighbours, k the largest degree, or None.
+
+    None unless n > NEIGHBOUR_SUM_FLOOR and n > NEIGHBOUR_SUM_DENSITY * k:
+    on a smaller or denser graph a dense product is the cheaper.  Row u lists
+    u's neighbours in increasing order; a row shorter than k is padded with
+    n, the index of the zero row that neighbour_sum's operand carries below
+    its n rows.
+    """
+    adj = np.asarray(adj)
+    n = len(adj)
+    if n <= NEIGHBOUR_SUM_FLOOR:
+        return None
+    deg = np.count_nonzero(adj, axis=1)
+    k = deg.max()
+    if n <= NEIGHBOUR_SUM_DENSITY * k:
+        return None
+    table = np.full((n, k), n, dtype=np.intp)
+    rows, cols = np.nonzero(adj)
+    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
+    return table
+
+
+def neighbour_sum(table, X, dtype):
+    """A X in dtype, for the adjacency A whose neighbour_table is table.
+
+    X has n + 1 rows, row n zero, and so has the result: row u is the sum of
+    the rows of X at u's neighbours, k gathers for a table of width k.  The
+    rows are summed a block of about NEIGHBOUR_SUM_BLOCK bytes at a time.
+    """
+    n = len(table)
+    out = np.empty(X.shape, dtype=dtype)
+    out[n] = 0
+    body = out[:n]
+    rows = max(1, NEIGHBOUR_SUM_BLOCK // out[0].nbytes)
+    part = np.empty((min(rows, n),) + X.shape[1:], dtype=X.dtype)
+    for lo in range(0, n, rows):
+        block, sums = table[lo:lo + rows], body[lo:lo + rows]
+        sums[...] = 0
+        for column in block.T:
+            sums += X.take(column, axis=0, out=part[:len(block)])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # distances and odd girth
 
 @dataclass
@@ -312,10 +387,15 @@ class DistanceData:
     """All-pairs hop distances; UNREACHABLE marks pairs with no path.
 
     odd_girth is the length of a shortest odd cycle, math.inf if there is none.
-    level_counts[k] is the float32 n x n matrix M_k = A_k A of the expansion's
-    level k, k = 0..diameter: M_k[u, v] = |Gamma(v) cap Gamma_k(u)|, the number
-    of neighbours of v at distance k from u.  The counts are at most n < 2^24,
-    so they are exact; the intersection numbers are read off them.
+    level_counts[k] is the n x n matrix M_k = A_k A of the expansion's level
+    k, k = 0..diameter: M_k[u, v] = |Gamma(v) cap Gamma_k(u)|, the number of
+    neighbours of v at distance k from u.  A count is at most the largest
+    degree, so it is exact in either dtype: float32 from a dense product, or,
+    on a graph that takes the neighbour sums (neighbour_table), the smallest
+    unsigned integer type that holds the largest degree (uint8 below degree
+    256), a quarter of the memory.  Either way M_k is stored in the same
+    orientation, so the intersection numbers and witnesses read off it do not
+    depend on the path.
     """
 
     dist: np.ndarray
@@ -332,28 +412,47 @@ def _expand(A):
     indexes the graphs whose level k is not empty, frontier[j, u] marks the
     vertices at distance k from u in graph live[j], counts[j] = F_k A, so
     counts[j, u, v] is the number of neighbours of v at distance k from u, and
-    reach[j] = counts[j] > 0.5 marks the neighbours of the level.
+    reach[j] = counts[j] > 0 marks the neighbours of the level.
 
     Level 0 is the identity, so its counts are A itself, with no product.  Each
     later level is one batched float32 product whose entries count paths of at
-    most n < 2^24, so they are exact and the > 0.5 test is too.  A graph leaves
+    most n < 2^24, so they are exact and the > 0 test is too.  A graph leaves
     the batch after its last non-empty level, so a batch does as many products
     per level as it has searches still running; the expansion ends when none
     is left.
+
+    A lone graph that neighbour_table accepts takes no dense product.  F_k is
+    symmetric, so F_k A = (A F_k)^T, and A F_k is a neighbour_sum of the rows
+    of F_k, held with the table's zero row below them.  The counts are a
+    contiguous copy of that sum's transpose, in the smallest unsigned dtype
+    that holds the largest degree: the ops on them and on reach then read
+    one layout, where a transposed view mixed with row-major operands made
+    each several times slower.
     """
-    A = np.asarray(A, dtype=np.float32)
     n = A.shape[-1]
     live = np.arange(len(A))
     frontier = np.eye(n, dtype=bool)[None].repeat(len(A), axis=0)
     seen = frontier.copy()
-    counts = A
+    table = neighbour_table(A[0]) if len(A) == 1 else None
+    if table is None:
+        A = counts = np.asarray(A, dtype=np.float32)
+    else:
+        counts = np.asarray(A, dtype=np.min_scalar_type(table.shape[1]))
     while True:
-        reach = counts > 0.5
+        reach = counts > 0
         yield live, frontier, reach, counts
-        frontier = reach > seen  # reach & ~seen
+        if table is None:
+            frontier = reach > seen  # reach & ~seen
+        else:
+            padded = np.zeros((n + 1, n), dtype=bool)  # row n is the table's zero row
+            frontier = np.greater(reach, seen, out=padded[None, :n])
         if not frontier.any():
             return
         seen |= reach
+        if table is not None:
+            sums = neighbour_sum(table, padded.view(np.uint8), counts.dtype)
+            counts = np.ascontiguousarray(sums[None, :n].transpose(0, 2, 1))
+            continue
         level = frontier.astype(np.float32)
         if len(live) > 1:  # a lone graph with a non-empty level is still live
             # per-graph level sizes: a matrix-vector product is several times

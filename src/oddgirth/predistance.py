@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
+
 
 class PredistanceError(ValueError):
     """Conditioning or normalization breakdown while building the system."""
@@ -153,18 +155,33 @@ def matrix_values(system, A):
     """Yield p_0(A), p_1(A), ..., p_d(A) from the three-term recurrence.
 
     p_{i+1}(A) = ((A - alpha_i I) p_i(A) - beta_{i-1} p_{i-1}(A)) / gamma_{i+1}:
-    d - 1 matrix products, and at most three n x n iterates held at a time.
+    d - 1 products with A (A p_0(A) is a multiple of A), and at most three
+    n x n float64 iterates held at a time.  On a graph that
+    graphs.neighbour_table accepts, each product is a graphs.neighbour_sum
+    in float64 and every iterate carries the zero row n that the table's
+    padding points at; the values yielded are the n x n views above it.
     """
-    A = np.asarray(A, dtype=np.float64)
-    prev, cur = None, system.polys[0][0] * np.eye(len(A))  # p_0 = 1, up to rounding
-    yield cur
+    n = len(A)
+    table = graphs.neighbour_table(A)
+    if table is None:
+        rows, A = n, np.asarray(A, dtype=np.float64)
+    else:
+        rows = n + 1
+    prev, cur = None, system.polys[0][0] * np.eye(rows, n)  # p_0 = 1, up to rounding
+    yield cur[:n]
     for i in range(system.d):
-        nxt = A @ cur if i else cur[0, 0] * A  # p_0(A) is a multiple of I
+        if not i:  # p_0(A) is a multiple of I
+            nxt = np.zeros((rows, n))
+            np.multiply(A, cur[0, 0], out=nxt[:n])
+        elif table is None:
+            nxt = A @ cur
+        else:
+            nxt = graphs.neighbour_sum(table, cur, np.float64)
         nxt -= system.alpha[i] * cur
         if i:
             nxt -= system.beta[i - 1] * prev
         nxt /= system.gamma[i + 1]
-        yield nxt
+        yield nxt[:n]
         prev, cur = cur, nxt
 
 

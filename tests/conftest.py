@@ -107,6 +107,19 @@ def mask_oracle():
 
 
 @pytest.fixture(scope="session")
+def sparse_irregular():
+    """A path on vertices 1..299 with 60 seeded chords, and vertex 0 isolated.
+
+    Irregular and disconnected, with largest degree at most 6, so it is
+    above both neighbour-sum floors; the isolated vertex's row of the
+    neighbour table is all padding.
+    """
+    rng = np.random.default_rng(11)
+    chords = [(int(u), int(v)) for u, v in rng.integers(1, 300, size=(60, 2)) if u != v]
+    return og.graph_from_edges(300, [(u, u + 1) for u in range(1, 299)] + chords)
+
+
+@pytest.fixture(scope="session")
 def family_suite():
     return [
         (suite_label(fam, params), og.generate_family(fam, params))

@@ -64,6 +64,8 @@ def test_graph_invariants_enforced():
         og.Graph(2, np.array([[1, 1], [1, 0]]))  # loop
     with pytest.raises(og.GraphError):
         og.Graph(2, np.array([[0, 2], [2, 0]]))  # non-0/1
+    with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
+        og.Graph(2, np.array([[0, -1], [-1, 0]]))
     with pytest.raises(og.GraphError):
         og.Graph(3, np.zeros((2, 2), dtype=int))  # shape
     with pytest.raises(og.GraphError):

@@ -212,6 +212,19 @@ def test_matrix_values_match_horner_and_distance_matrices(family_suite):
             assert np.abs(PA - (dd.dist == i)).max() < 1e-6, (label, i)
 
 
+def test_matrix_values_on_irregular_graph_above_the_floor(sparse_irregular):
+    # the neighbour sums with padded rows, against Horner: the recurrence is a
+    # polynomial identity, so C_11's system evaluates on any adjacency
+    A = sparse_irregular.adj
+    assert og.graphs.neighbour_table(A) is not None
+    sys = _system(og.generate_family("cycle", [11]))
+    values = list(matrix_values(sys, A))
+    assert len(values) == sys.d + 1
+    for i, (PA, p) in enumerate(zip(values, sys.polys)):
+        want = poly_eval_matrix(p, A)
+        assert np.abs(PA - want).max() <= 1e-9 * np.abs(want).max(), i
+
+
 def test_hoffman_polynomial_examples(petersen, c5):
     hp = og.hoffman_polynomial(_system(petersen))
     assert np.abs(hp - np.array([-2.0, 1.0, 1.0])).max() < 1e-8

@@ -19,12 +19,13 @@ def test_screen_counts_small():
     assert [(m, d, g) for m, d, g in hits] == [(7, 1, 3)]  # K_3 only
 
 
-def test_screen_matches_pipeline_exhaustively():
+def test_screen_matches_pipeline_exhaustively(mask_oracle):
     # for every connected graph on <= 6 vertices the screen's hypothesis
     # verdict, eigenvalue count and odd girth must match the full pipeline;
     # at n = 6 the screen solves for eigenvalues of only 181 of 26,704.  The
     # pipeline's eigenvalue counts are solved for all graphs of an n at once
-    # and split by cluster_breaks, the rule spectrum() applies to each graph
+    # and split by cluster_breaks, the rule spectrum() applies to each graph;
+    # its odd girths are distance_data's, held per mask by mask_oracle
     for n in range(1, 7):
         total = 1 << (n * (n - 1) // 2)
         _, hits = scan.screen_range(n, 0, total)
@@ -33,7 +34,7 @@ def test_screen_matches_pipeline_exhaustively():
         _, breaks = cluster_breaks(np.linalg.eigvalsh(np.stack([g.adj for g in graphs])))
         for g, d in zip(graphs, breaks.sum(axis=1)):
             mask = og.graph_mask(g)
-            girth = og.odd_girth(g)
+            girth = mask_oracle[n]["odd_girth"][mask]
             met = math.isfinite(girth) and girth >= 2 * d + 1
             assert (mask in by_mask) == met, (n, mask)
             if met:

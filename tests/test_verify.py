@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,17 +189,19 @@ def _relabeled(g, seed):
     return og.Graph(g.n, g.adj[np.ix_(perm, perm)])
 
 
+def _circulant():
+    """A 6-regular circulant on 200 vertices that is not distance-regular."""
+    return og.graph_from_edges(200, [(u, (u + j) % 200) for u in range(200) for j in (1, 5, 17)])
+
+
 def test_intersection_array_matches_products_on_large_graphs():
     # the level counts of the distance expansion against the float64 level
     # products: arrays and witnesses must agree exactly on relabeled O_5, the
     # folded 9-cube and a 6-regular circulant that is not distance-regular
-    circulant = og.graph_from_edges(
-        200, [(u, (u + j) % 200) for u in range(200) for j in (1, 5, 17)]
-    )
     cases = [
         (_relabeled(og.generate_family("odd", [5]), 1), og.IntersectionArray),
         (_relabeled(og.generate_family("folded_cube", [9]), 2), og.IntersectionArray),
-        (_relabeled(circulant, 3), NotDistanceRegular),
+        (_relabeled(_circulant(), 3), NotDistanceRegular),
     ]
     for g, kind in cases:
         got = og.intersection_array(g)
@@ -207,11 +210,47 @@ def test_intersection_array_matches_products_on_large_graphs():
 
 
 def test_level_counts_are_level_products(petersen, prism):
-    for g in (petersen, prism, _relabeled(og.generate_family("odd", [4]), 4)):
+    # the relabeled folded 9-cube takes the neighbour sums, the others the
+    # dense product
+    folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
+    assert og.graphs.neighbour_table(folded.adj) is not None
+    for g in (petersen, prism, _relabeled(og.generate_family("odd", [4]), 4), folded):
         dd = og.distance_data(g)
         assert len(dd.level_counts) == dd.diameter + 1
         for j, counts in enumerate(dd.level_counts):
             assert np.array_equal(counts, (dd.dist == j).astype(np.int64) @ g.adj), j
+
+
+def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_irregular):
+    # each graph through both products with A, the floors patched to force
+    # one and then the other: the distance layer, the level counts and the
+    # intersection arrays and witnesses must be identical, p_i(A) equal to
+    # rounding.  Graphs without a predistance system of their own use C_11's:
+    # its recurrence is a polynomial identity, so any A will do
+    assert not (og.distance_data(sparse_irregular).connected or sparse_irregular.is_regular())
+    fallback = og.predistance_polynomials(og.spectrum(og.generate_family("cycle", [11])))
+    cases = [(g, og.predistance_polynomials(og.spectrum(g))) for _, g in family_suite]
+    cases += [(_relabeled(_circulant(), 3), fallback), (sparse_irregular, fallback)]
+    for g, system in cases:
+        results = []
+        for floor, dtype in ((0, np.uint8), (math.inf, np.float32)):
+            monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
+            monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
+            dd = og.distance_data(g)
+            assert all(counts.dtype == dtype for counts in dd.level_counts), g.n
+            ia = og.intersection_array(g, dd) if dd.connected else None
+            results.append((dd, ia, list(og.predistance.matrix_values(system, g.adj))))
+        (sums, sums_ia, sums_values), (dense, dense_ia, dense_values) = results
+        assert np.array_equal(sums.dist, dense.dist), g.n
+        assert (sums.diameter, sums.connected, sums.odd_girth) == (
+            dense.diameter, dense.connected, dense.odd_girth), g.n
+        assert len(sums.level_counts) == len(dense.level_counts), g.n
+        for j, (a, b) in enumerate(zip(sums.level_counts, dense.level_counts)):
+            assert np.array_equal(a, b), (g.n, j)
+        assert sums_ia == dense_ia, g.n
+        assert len(sums_values) == len(dense_values) == system.d + 1, g.n
+        for i, (a, b) in enumerate(zip(sums_values, dense_values)):
+            assert np.abs(a - b).max() <= 1e-9, (g.n, i)
 
 
 def test_distance_polynomial_names_first_broken_level():
