@@ -2,9 +2,11 @@
 
 A connected graph with d+1 distinct adjacency eigenvalues and finite odd
 girth at least 2d+1 must be distance-regular (a generalized odd graph).  This
-package verifies that statement constructively on concrete graphs — spectrum,
-predistance polynomials, idempotents, local multiplicities, certificates —
-and scans every labeled connected graph on up to 7 vertices for violations.
+package verifies that statement constructively on concrete graphs — exact
+walk counts and their orthogonal-polynomial recurrence, spectrum, predistance
+polynomials, certificates, with idempotents and local multiplicities as float
+oracles — and scans every labeled connected graph on up to 7 vertices for
+violations.
 """
 
 from .graphs import (
@@ -27,13 +29,16 @@ from .graphs import (
 from .predistance import (
     PredistanceError,
     PredistanceSystem,
+    WalkRecurrence,
     check_parity,
+    closed_walks,
     hoffman_polynomial,
     poly_eval,
     poly_eval_matrix,
     predistance_polynomials,
     recurrence_coefficients,
     spectral_inner_product,
+    walk_recurrence,
 )
 from .spectral import (
     NumericalError,
@@ -43,6 +48,7 @@ from .spectral import (
     idempotent_residuals,
     idempotents,
     is_walk_regular,
+    jacobi_spectrum,
     local_multiplicities,
     spectrum,
     walk_regular_spread,

@@ -9,9 +9,12 @@ numbers are read from.  Each graph leaves the batch once its search has
 ended.  A has only k nonzeros per row, so on a large sparse graph
 (neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices and more than
 NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is a sum of k row
-gathers (neighbour_sum), O(k n^2), in uint8 for the expansion and float64
-for predistance.matrix_values; smaller or denser graphs, and every batch,
-keep the float32 product, O(n^3) but in BLAS.
+gathers (neighbour_sum), O(k n^2): in uint8 for the expansion, in the
+smallest unsigned type that holds them for the walk counts
+(predistance.closed_walks), in float64 for predistance.matrix_values.
+distance_data builds that table once and hands it on in its DistanceData.
+Smaller or denser graphs, and every batch, keep the dense product, O(n^3)
+but in BLAS.
 
 Two properties of an edge bitmask need no adjacency matrix at all, only a
 bitwise AND with a fixed table of patterns per n.  A graph is disconnected
@@ -314,17 +317,19 @@ def generate_family(family, params=()):
 # products with a sparse adjacency matrix
 
 # a lone graph multiplies by A as neighbour sums, in _expand and in
-# predistance.matrix_values, when it has more than NEIGHBOUR_SUM_FLOOR
-# vertices and more than NEIGHBOUR_SUM_DENSITY per unit of its largest degree
-# k: the sums cost about k n^2 plus a fixed cost per call, a dense product
-# n^3.  Sums against dense products, one BLAS thread, 2-core Xeon VM:
-# distance_data took 1.31 against 0.92 ms on C_61 and 6.7 against 20.3 ms on
+# predistance.closed_walks and matrix_values, when it has more than
+# NEIGHBOUR_SUM_FLOOR vertices and more than NEIGHBOUR_SUM_DENSITY per unit of
+# its largest degree k: the sums cost about k n^2 plus a fixed cost per call,
+# a dense product n^3.  Sums against dense products, one BLAS thread, 2-core
+# Xeon VM: distance_data took 1.31 against 0.92 ms on C_61 and 6.7 against 20.3 ms on
 # C_161; distance_data and matrix_values together 8.3 against 10.0 ms on the
 # folded 9-cube (n/k = 28) and 29 against 54 ms on O_6 (n/k = 77).  A uint8
 # sum beats the float32 product of the expansion from n/k of about 10, a
 # float64 sum the product of matrix_values only from about 30 (n = 400:
-# 2.7 against 3.3 ms at n/k = 33, 3.6 against 2.8 ms at n/k = 25); a verify
-# runs both.  At n/k = 2 (n = 400) a float64 sum took 43 ms against 3.0 ms
+# 2.7 against 3.3 ms at n/k = 33, 3.6 against 2.8 ms at n/k = 25).  At
+# n/k = 2 (n = 400) a float64 sum took 43 ms against 3.0 ms.  A met verify
+# runs the expansion and the walk counts, whose sums are unsigned integers
+# too: on O_6 a uint16 sum took 0.44 ms against 1.7 ms in float64
 NEIGHBOUR_SUM_FLOOR = 128
 NEIGHBOUR_SUM_DENSITY = 24
 
@@ -395,7 +400,9 @@ class DistanceData:
     unsigned integer type that holds the largest degree (uint8 below degree
     256), a quarter of the memory.  Either way M_k is stored in the same
     orientation, so the intersection numbers and witnesses read off it do not
-    depend on the path.
+    depend on the path.  neighbour_table is the graph's neighbour_table (None
+    when a dense product is the cheaper), built once for every product with A
+    that follows the expansion.
     """
 
     dist: np.ndarray
@@ -403,9 +410,10 @@ class DistanceData:
     connected: bool
     odd_girth: object
     level_counts: list
+    neighbour_table: np.ndarray = None
 
 
-def _expand(A):
+def _expand(A, table=None):
     """Level-synchronous BFS from every vertex of a (B, n, n) stack of adjacency matrices.
 
     Yields (live, frontier, reach, counts) for levels k = 0, 1, ...: live
@@ -421,7 +429,7 @@ def _expand(A):
     per level as it has searches still running; the expansion ends when none
     is left.
 
-    A lone graph that neighbour_table accepts takes no dense product.  F_k is
+    A lone graph passed with its neighbour_table takes no dense product.  F_k is
     symmetric, so F_k A = (A F_k)^T, and A F_k is a neighbour_sum of the rows
     of F_k, held with the table's zero row below them.  The counts are a
     contiguous copy of that sum's transpose, in the smallest unsigned dtype
@@ -433,7 +441,6 @@ def _expand(A):
     live = np.arange(len(A))
     frontier = np.eye(n, dtype=bool)[None].repeat(len(A), axis=0)
     seen = frontier.copy()
-    table = neighbour_table(A[0]) if len(A) == 1 else None
     if table is None:
         A = counts = np.asarray(A, dtype=np.float32)
     else:
@@ -468,7 +475,8 @@ def _expand(A):
 def distance_data(g):
     """Exact distances, diameter, connectivity, odd girth and level counts from one expansion.
 
-    All n sources expand together, as a batch of one graph, and each level's
+    All n sources expand together, as a batch of one graph (with its
+    neighbour_table, kept in the result), and each level's
     product F_k A is kept as level_counts[k].  An edge inside level k of some
     source (reach & frontier) closes an odd walk of length 2k+1, so it holds
     an odd cycle of at most that length; conversely a shortest odd cycle of
@@ -480,7 +488,8 @@ def distance_data(g):
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     girth = math.inf
     levels = []
-    for k, (_, frontier, reach, counts) in enumerate(_expand(g.adj[None])):
+    table = neighbour_table(g.adj)
+    for k, (_, frontier, reach, counts) in enumerate(_expand(g.adj[None], table)):
         dist[frontier[0]] = k
         levels.append(counts[0])
         if girth == math.inf and (reach & frontier).any():
@@ -491,6 +500,7 @@ def distance_data(g):
         connected=bool((dist != UNREACHABLE).all()),
         odd_girth=girth,
         level_counts=levels,
+        neighbour_table=table,
     )
 
 

@@ -1,18 +1,36 @@
 """Orthogonal polynomials for the spectrum-weighted inner product.
 
-The inner product is <f, g> = (1/n) * sum_i m_i f(lambda_i) g(lambda_i).
-The Stieltjes procedure on the d+1 distinct eigenvalues, normalized so that
-||p_i||^2 = p_i(lambda_0), yields the predistance polynomials; for
+The inner product is <f, g> = (1/n) tr(f(A) g(A))
+= (1/n) * sum_i m_i f(lambda_i) g(lambda_i).  Its moments are the closed-walk
+counts tr(A^ell) / n, integers over n, so its monic orthogonal polynomials
+pi_k and their three-term recurrence are exact rationals for every graph.
+closed_walks reads the walk counts off the powers of A, and walk_recurrence
+runs the Chebyshev algorithm on them in exact arithmetic (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, 2004, section
+2.1.7): d + 1 is the first k with ||pi_k||^2 = 0, the number of distinct
+eigenvalues, found with no eigensolve.  Normalized so that
+||p_i||^2 = p_i(lambda_0), the pi_i are the predistance polynomials; for
 distance-regular graphs these are the distance polynomials, p_i(A) = A_i.
+
+predistance_polynomials is the float counterpart, the Stieltjes procedure on
+a clustered spectrum's distinct eigenvalues; with matrix_values, which
+evaluates p_i(A) by the recurrence, it is the oracle of the exact path and
+the alarm path's way of naming the first level i where p_i(A) != A_i.
 Polynomials are coefficient vectors, index = degree.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import graphs
+
+# walk counts are exact in float64 below 2^53 and in int64 below 2^63
+# (closed_walks goes on in Python integers beyond)
+EXACT_FLOAT = 1 << 53
+EXACT_INT64 = 1 << 63
 
 
 class PredistanceError(ValueError):
@@ -151,18 +169,18 @@ def hoffman_polynomial(system):
     return H
 
 
-def matrix_values(system, A):
+def matrix_values(system, A, table):
     """Yield p_0(A), p_1(A), ..., p_d(A) from the three-term recurrence.
 
     p_{i+1}(A) = ((A - alpha_i I) p_i(A) - beta_{i-1} p_{i-1}(A)) / gamma_{i+1}:
     d - 1 products with A (A p_0(A) is a multiple of A), and at most three
-    n x n float64 iterates held at a time.  On a graph that
-    graphs.neighbour_table accepts, each product is a graphs.neighbour_sum
-    in float64 and every iterate carries the zero row n that the table's
-    padding points at; the values yielded are the n x n views above it.
+    n x n float64 iterates held at a time.  table is A's
+    graphs.neighbour_table (DistanceData.neighbour_table).  When it is not
+    None each product is a graphs.neighbour_sum in float64 and every iterate
+    carries the zero row n that the table's padding points at; the values
+    yielded are the n x n views above it.
     """
     n = len(A)
-    table = graphs.neighbour_table(A)
     if table is None:
         rows, A = n, np.asarray(A, dtype=np.float64)
     else:
@@ -185,13 +203,242 @@ def matrix_values(system, A):
         prev, cur = cur, nxt
 
 
+# ---------------------------------------------------------------------------
+# the exact recurrence from closed-walk counts
+
+def closed_walks(adj, table, length):
+    """diag(A^ell) for ell = 0..2 * length: one exact integer vector per ell.
+
+    Forms the powers A^2..A^length by products with A and reads each
+    diagonal as a row dot: diag(A^(2l)) is the row norm of A^l, and
+    diag(A^(2l+1)) the row dot of A^l with A^(l+1).  An entry of A^l counts
+    walks, at most k^l for the largest degree k, and each partial sum is at
+    most the entry it builds.  So the powers are exact while k^length < 2^53,
+    PredistanceError otherwise: as graphs.neighbour_sum in the smallest
+    unsigned type that holds k^length when table (A's
+    graphs.neighbour_table) is not None, as dense float64 products
+    otherwise.  The row dots run in float64 while k^(2 length) < 2^53, in
+    int64 while it is below 2^63 and in Python integers beyond; the vectors
+    are int64, or object arrays of Python integers in the last case.
+    """
+    n = len(adj)
+    k = int(np.count_nonzero(adj, axis=1).max())
+    if k ** length >= EXACT_FLOAT:
+        raise PredistanceError(
+            "exact-arithmetic range exceeded: walks of length L = %d number up to "
+            "k^L = %d^%d, and the float64 powers of A are exact only below 2^53"
+            % (length, k, length)
+        )
+    top = k ** (2 * length)
+    if top < EXACT_INT64:
+        kind = np.float64 if top < EXACT_FLOAT else np.int64
+
+        def dots(X, Y):
+            return np.einsum("ij,ij->i", X, Y, dtype=kind, casting="unsafe").astype(np.int64)
+    else:
+        def dots(X, Y):
+            X, Y = (Z.astype(np.int64).astype(object) for Z in (X, Y))
+            return np.einsum("ij,ij->i", X, Y)
+
+    if table is None:
+        A = cur = np.asarray(adj, dtype=np.float64)
+    else:  # row n is the zero row the table's padding reads
+        power = np.min_scalar_type(k ** length)
+        cur = np.zeros((n + 1, n), dtype=power)
+        cur[:n] = adj
+    walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dots(cur[:n], cur[:n])]
+    for _ in range(length - 1):
+        nxt = A @ cur if table is None else graphs.neighbour_sum(table, cur, power)
+        walks += [dots(cur[:n], nxt[:n]), dots(nxt[:n], nxt[:n])]
+        cur = nxt
+    return walks
+
+
+def closed_walk_total(walks):
+    """tr(A^ell) for each vector of closed_walks, as Python integers."""
+    return [sum(w.tolist()) for w in walks]
+
+
+@dataclass
+class WalkRecurrence:
+    """The monic orthogonal polynomials of the walk-count measure, in exact rationals.
+
+    pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1} with b_k = norms[k] / norms[k-1],
+    where norms[k] = n ||pi_k||^2 = tr(pi_k(A)^2), an exact Fraction.  The
+    run stops at the first vanishing norm: then d = len(norms) - 2, pi_{d+1}
+    is the minimal polynomial of A, and a holds a_0..a_d.  When no norm
+    vanished within the walk counts given, d is None: A has more distinct
+    eigenvalues than len(norms).
+    """
+
+    n: int
+    a: list
+    norms: list
+
+    @property
+    def d(self):
+        return len(self.norms) - 2 if not self.norms[-1] else None
+
+    @property
+    def b(self):
+        """b_1..b_d, the recurrence's positive coefficients (b_0 multiplies pi_{-1} = 0)."""
+        return [self.norms[k] / self.norms[k - 1] for k in range(1, self.d + 1)]
+
+    def integer_polynomials(self):
+        """Primitive integer multiples Q_0..Q_{d+1} of pi_0..pi_{d+1}, coefficient lists.
+
+        Each Q_k has a positive leading coefficient, so pi_k = Q_k / Q_k[-1].
+        With a_k = p / q and b_k = r / s in lowest terms,
+        Q_{k+1} = s l_{k-1} (q x - p) Q_k - r q l_k Q_{k-1} over its content,
+        l_k the leading coefficient of Q_k: integer arithmetic throughout.
+        """
+        polys, prev = [[1]], [1]  # l_{-1} = 1: pi_1 = (x - a_0) pi_0 has no pi_{-1} term
+        for k, (a_k, b_k) in enumerate(zip(self.a, [Fraction(0)] + self.b)):
+            cur = polys[k]
+            p, q = a_k.numerator, a_k.denominator
+            r, s = b_k.numerator, b_k.denominator
+            ahead, behind = s * prev[-1], r * q * cur[-1]
+            nxt = [0] + [ahead * q * c for c in cur]  # s l_{k-1} q x Q_k
+            for j, c in enumerate(cur):
+                nxt[j] -= ahead * p * c
+            for j, c in enumerate(prev if k else []):
+                nxt[j] -= behind * c
+            content = math.gcd(*nxt)
+            polys.append([c // content for c in nxt])
+            prev = cur
+        return polys
+
+    def distance_recurrence(self, lam0):
+        """Exact (alpha, beta, gamma) of p_i = s_i pi_i at the exact top eigenvalue lam0.
+
+        s_i = pi_i(lam0) / ||pi_i||^2 makes ||p_i||^2 = p_i(lam0), and then
+        x p_i = beta_{i-1} p_{i-1} + alpha_i p_i + gamma_{i+1} p_{i+1} with
+        alpha_i = a_i, beta_{i-1} = b_i s_i / s_{i-1} and
+        gamma_{i+1} = s_i / s_{i+1}, indexed as on PredistanceSystem.  On a
+        connected regular graph lam0 is the degree.
+        """
+        d, a, b = self.d, self.a, [0] + self.b
+        at = [Fraction(1), lam0 - a[0]]  # pi_i(lam0); pi_1 = x - a_0
+        for i in range(1, d):
+            at.append((lam0 - a[i]) * at[i] - b[i] * at[i - 1])
+        scale = [self.n * at[i] / self.norms[i] for i in range(d + 1)]
+        beta = [b[i + 1] * scale[i + 1] / scale[i] for i in range(d)] + [Fraction(0)]
+        gamma = [Fraction(0)] + [scale[i - 1] / scale[i] for i in range(1, d + 1)]
+        return list(a[: d + 1]), beta, gamma, scale
+
+    def predistance_system(self, lam0, spectrum):
+        """The exact predistance system at lam0, rounded to a float PredistanceSystem.
+
+        Its recurrence residuals are zero: the coefficients come from the
+        exact recurrence itself.
+        """
+        alpha, beta, gamma, scale = self.distance_recurrence(lam0)
+        polys = [np.array([float(s * Fraction(c, Q[-1])) for c in Q])
+                 for s, Q in zip(scale, self.integer_polynomials())]
+        return PredistanceSystem(
+            polys=polys,
+            alpha=np.array([float(x) for x in alpha]),
+            beta=np.array([float(x) for x in beta]),
+            gamma=np.array([float(x) for x in gamma]),
+            recurrence_residuals=np.zeros(self.d + 1),
+            spectrum=spectrum,
+        )
+
+
+def walk_recurrence(traces):
+    """The Chebyshev algorithm on the walk counts tr(A^0), ..., tr(A^(2L)), exactly.
+
+    With the moments mu_l = traces[l] (the measure scaled by n, which leaves
+    every a_k and b_k, k >= 1, unchanged) and sigma_{k,l} = <pi_k, x^l>:
+    sigma_{0,l} = mu_l, a_k = sigma_{k,k+1} / sigma_{k,k}
+    - sigma_{k-1,k} / sigma_{k-1,k-1}, b_k = sigma_{k,k} / sigma_{k-1,k-1} and
+    sigma_{k+1,l} = sigma_{k,l+1} - a_k sigma_{k,l} - b_k sigma_{k-1,l}.
+    sigma_{k,k} is the norm n ||pi_k||^2.  The 2L + 1 moments give the norms
+    up to pi_L; the run stops at the first that vanishes.
+
+    Each row is held fraction-free, as integers S_k[l] = D_k sigma_{k,l} over
+    their content, with one rational scale D_k per row.  With a_k = p / q
+    and u = S_{k-1}[k-1] > 0 the step reads
+    S_{k+1}[l] = q u S_k[l+1] - p u S_k[l] - q S_k[k] S_{k-1}[l] and
+    D_{k+1} = D_k q u, so only a_k and the norms are Fractions: O(L^2)
+    integer operations and O(L) rational ones.
+    """
+    m = len(traces)
+    prev, cur = None, [int(t) for t in traces]  # S_{k-1}, S_k, indexed by l
+    scale = Fraction(1)  # D_k
+    a, norms = [], [Fraction(cur[0])]
+    shift = Fraction(0)  # sigma_{k-1,k} / sigma_{k-1,k-1}
+    for k in range((m - 1) // 2):
+        ratio = Fraction(cur[k + 1], cur[k])
+        a_k = ratio - shift
+        p, q = a_k.numerator, a_k.denominator
+        u = prev[k - 1] if k else 1
+        top, bottom, back = q * u, p * u, q * cur[k]
+        nxt = [0] * m
+        for l in range(k + 1, m - k - 1):
+            value = top * cur[l + 1] - bottom * cur[l] if p else top * cur[l + 1]
+            nxt[l] = value - back * prev[l] if k else value
+        content = math.gcd(*nxt) or 1
+        nxt = [v // content for v in nxt]
+        scale = scale * top / content
+        a.append(a_k)
+        norms.append(nxt[k + 1] / scale)
+        if not nxt[k + 1]:
+            break
+        prev, cur, shift = cur, nxt, ratio
+    return WalkRecurrence(n=int(traces[0]), a=a, norms=norms)
+
+
+def _gcd_degree(f, g):
+    """Degree of gcd(f, g) over the rationals, for integer coefficient lists f (not zero) and g.
+
+    Euclid on primitive integer polynomials: f is replaced by lc(g) f
+    - lc(f) x^j g until its degree drops below g's, then divided by its
+    content.
+    """
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    f, g = trim(list(f)), trim(list(g))
+    while g:
+        while len(f) >= len(g):
+            lead, off = f[-1], len(f) - len(g)
+            f = [g[-1] * c for c in f]
+            for j, c in enumerate(g):
+                f[off + j] -= lead * c
+            f.pop()
+            trim(f)
+        if f:
+            content = math.gcd(*f)
+            f = [c // content for c in f]
+        f, g = g, f
+    return len(f) - 1
+
+
+def reflection_free(coeffs):
+    """Whether the polynomial pi shares no root with pi(-x): gcd(pi(x), pi(-x)) = 1.
+
+    coeffs are pi's integer coefficients (index = degree).  Write
+    pi(x) = E(x^2) + x O(x^2).  A common root lambda of pi(x) and pi(-x) is
+    a root of both even and odd parts, so either pi(0) = E(0) = 0 or
+    lambda^2 is a common root of E and O; and conversely.  So the test is
+    E(0) != 0 and gcd(E, O) = 1, on polynomials of half the degree.
+    """
+    even, odd = list(coeffs[0::2]), list(coeffs[1::2])
+    return bool(even[0]) and _gcd_degree(even, odd) == 0
+
+
 @dataclass
 class ParityReport:
     """Verdicts for the parity structure of the system.
 
     Checks: alpha_i vanishes for i < d, alpha_d does not, and p_i has no
     coefficient of parity opposite to i.  Not applicable (applicable=False)
-    unless the graph has finite odd girth >= 2d+1.
+    unless the graph has finite odd girth >= 2d+1.  check_parity fills it
+    from a float system under tol; the exact met path decides it on the
+    exact a_i, with tol and max_offparity_coeff None.
     """
 
     applicable: bool

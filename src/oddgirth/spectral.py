@@ -1,10 +1,16 @@
 """Eigenstructure of the adjacency matrix.
 
-Clustered spectrum, principal idempotents E_i = U_i U_i^T from one symmetric
-eigendecomposition, local multiplicities (idempotent diagonals), closed-walk
-counts, and the walk-regularity test.  A graph that may meet the theorem's
-hypothesis gets its local multiplicities from the same eigendecomposition as
-its spectrum, with no E_i formed.
+A graph that meets the theorem's hypothesis gets its spectrum with no n x n
+eigensolve: jacobi_spectrum reads the distinct eigenvalues and their
+multiplicities off the (d+1) x (d+1) Jacobi matrix of the exact walk-count
+recurrence (predistance.walk_recurrence).  Every other graph gets
+eigvalsh, clustered into distinct values (eigenvalue_spectrum).
+
+The float oracles of that exact path stay here: spectrum() (one eigh on a
+graph that meets the distance layer's prefilter, with the local
+multiplicities from its eigenvectors), principal idempotents
+E_i = U_i U_i^T, local multiplicities (idempotent diagonals), closed-walk
+counts predicted from them, and the walk-regularity test.
 """
 
 import math
@@ -40,7 +46,10 @@ class Spectrum:
     step records the tolerance it used, the smallest inter-cluster gap, and
     an ambiguity flag when that gap comes within a factor 10 of the tolerance.
     local_mults is the n x (d+1) matrix of local multiplicities m_u(lambda_i)
-    when spectrum() solved for eigenvectors too, None otherwise.
+    when spectrum() solved for eigenvectors too, None otherwise.  A spectrum
+    read off the Jacobi matrix (jacobi_spectrum) clustered nothing: d is
+    exact, ambiguous is False, and cluster_tol is the tolerance a clustering
+    of its n eigenvalues would have used.
     """
 
     values: np.ndarray
@@ -87,27 +96,24 @@ def cluster_spectrum(raw, cluster_tol=None):
     )
 
 
-def spectrum(g, cluster_tol=None, dd=None):
-    """Clustered eigenvalues of the adjacency matrix (cluster_spectrum), with warnings.
+def meets_prefilter(dd):
+    """The distance layer's exact prefilter: connected, finite odd girth >= 2D+1.
 
-    dd is g's DistanceData, computed when not given.  A graph that meets the
-    distance layer's exact prefilter (connected, finite odd girth >= 2D+1 for
-    diameter D) gets one eigh, and its local multiplicities are the row sums
-    of U_i^2 over each eigenvalue block, under the guards of idempotents.
-    Every hypothesis-met graph meets the prefilter, since d >= D; every other
-    graph gets eigvalsh alone, so rejecting it costs no eigenvectors.
+    A connected graph of diameter D has at least D+1 distinct eigenvalues,
+    so d >= D and every graph that meets the hypothesis meets the prefilter.
     """
-    if dd is None:
-        dd = distance_data(g)
     og = dd.odd_girth
-    prefilter = dd.connected and og != math.inf and og >= 2 * dd.diameter + 1
-    A = g.adj.astype(np.float64)
+    return bool(dd.connected and og != math.inf and og >= 2 * dd.diameter + 1)
+
+
+def _eigensolve(solver, g):
     try:
-        raw, U = np.linalg.eigh(A) if prefilter else (np.linalg.eigvalsh(A), None)
+        return solver(g.adj.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigensolver failed: %s" % exc)
-    s = cluster_spectrum(raw, cluster_tol)
 
+
+def _with_warnings(s, dd):
     if not dd.connected:
         s.warnings.append("graph is disconnected; the pipeline assumes connectivity")
     if s.ambiguous:
@@ -115,11 +121,72 @@ def spectrum(g, cluster_tol=None, dd=None):
             "eigenvalue clustering ambiguous: smallest inter-cluster gap %.3e "
             "is within 10x of tolerance %.3e" % (s.min_gap, s.cluster_tol)
         )
-    if U is not None:
-        U = np.square(_eigenspace_columns(s, raw, U))
-        starts = np.concatenate(([0], np.cumsum(s.mults)[:-1]))
-        s.local_mults = np.add.reduceat(U, starts, axis=1)
     return s
+
+
+def eigenvalue_spectrum(g, cluster_tol=None, dd=None):
+    """eigvalsh alone, clustered (cluster_spectrum), with warnings; dd computed when not given."""
+    if dd is None:
+        dd = distance_data(g)
+    return _with_warnings(cluster_spectrum(_eigensolve(np.linalg.eigvalsh, g), cluster_tol), dd)
+
+
+def spectrum(g, cluster_tol=None, dd=None):
+    """Clustered eigenvalues of the adjacency matrix (cluster_spectrum), with warnings.
+
+    dd is g's DistanceData, computed when not given.  A graph that meets the
+    prefilter (meets_prefilter) gets one eigh, and its local multiplicities
+    are the row sums of U_i^2 over each eigenvalue block, under the guards of
+    idempotents; every other graph gets eigenvalue_spectrum, eigvalsh alone.
+    verify_theorem calls it on graphs that fail the prefilter; on the others
+    it is the float oracle of the exact spectrum.
+    """
+    if dd is None:
+        dd = distance_data(g)
+    if not meets_prefilter(dd):
+        return eigenvalue_spectrum(g, cluster_tol, dd)
+    raw, U = _eigensolve(np.linalg.eigh, g)
+    s = _with_warnings(cluster_spectrum(raw, cluster_tol), dd)
+    U = np.square(_eigenspace_columns(s, raw, U))
+    starts = np.concatenate(([0], np.cumsum(s.mults)[:-1]))
+    s.local_mults = np.add.reduceat(U, starts, axis=1)
+    return s
+
+
+def jacobi_spectrum(a, b, n, cluster_tol=None):
+    """Spectrum of the measure whose monic orthogonal polynomials have recurrence (a, b).
+
+    pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1} for k = 0..d, with b_1..b_d > 0
+    and pi_{d+1} the minimal polynomial: the measure is
+    (1/n) sum_i m_i delta_{lambda_i}.  Its d+1 points are the eigenvalues of
+    the Jacobi matrix with diagonal a_0..a_d and off-diagonal
+    sqrt(b_1)..sqrt(b_d), and its weights m_i / n the squared first components
+    of the eigenvectors (Golub and Welsch, Math. Comp. 23, 1969).  Raises
+    NumericalError unless n times each weight lies within 1e-6 n of a
+    positive integer and those integers sum to n.  cluster_tol, when given,
+    is reported as the spectrum's tolerance; nothing is clustered.
+    """
+    off = np.sqrt(np.asarray(b, dtype=np.float64))
+    jacobi = np.diag(np.asarray(a, dtype=np.float64)) + np.diag(off, 1) + np.diag(off, -1)
+    try:
+        values, U = np.linalg.eigh(jacobi)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Jacobi eigensolver failed: %s" % exc)
+    weights = n * np.square(U[0, ::-1])
+    mults = np.rint(weights).astype(np.int64)
+    off_int = float(np.abs(weights - mults).max())
+    if mults.min() < 1 or mults.sum() != n or off_int > 1e-6 * n:
+        raise NumericalError(
+            "Jacobi multiplicities %s do not round to positive integers summing to n = %d"
+            % (np.array2string(weights, precision=6), n)
+        )
+    values = values[::-1]
+    gaps = -np.diff(values)
+    min_gap = float(gaps.min()) if len(gaps) else math.inf
+    if cluster_tol is None:  # what cluster_breaks uses for n eigenvalues
+        cluster_tol = 1e-8 * n * max(1.0, float(np.abs(values).max()))
+    return Spectrum(values=values, mults=mults, n=n, cluster_tol=float(cluster_tol),
+                    min_gap=min_gap, ambiguous=False)
 
 
 def _eigenspace_columns(s, raw, U):

@@ -3,8 +3,21 @@
 The pipeline: a connected graph with d+1 distinct adjacency eigenvalues and
 finite odd girth >= 2d+1 should be distance-regular (and a generalized odd
 graph, diameter d with odd girth 2d+1).  Each step of the argument becomes a
-numerical certificate; the brute-force intersection-array check is the
-independent oracle at the end.
+certificate; the brute-force intersection-array check is the independent
+oracle at the end.
+
+A graph that meets the distance layer's exact prefilter (connected, odd girth
+og finite and og >= 2D+1) has its walk counts tr(A^ell), ell <= og + 1, read
+off the powers of A, and the Chebyshev algorithm on them finds d exactly
+(predistance.walk_recurrence).  The hypothesis holds iff a norm vanishes by
+pi_L, L = (og + 1) / 2, so no tolerance enters the verdict.  On that met path
+every certificate is exact, the report's spectrum comes from the Jacobi
+matrix, and nothing n x n is solved or evaluated beyond the powers, unless
+the intersection array disagrees with the exact recurrence: then the p_i(A)
+pass (check_polynomial_identities) names the first level that breaks.  Every
+other graph gets eigvalsh for its report.  The float certificates below
+(vandermonde_certificate, check_walk_regular on local multiplicities, ...)
+are the exact path's oracles.
 """
 
 import math
@@ -16,8 +29,9 @@ from . import predistance, spectral
 from .graphs import GraphError, distance_data
 
 
-# warn above these: the predistance recurrence's reconstruction residual, and
-# the condition number of the Vandermonde system solved
+# the float oracles' thresholds, kept in every report's tolerances: the
+# predistance recurrence's reconstruction residual, and the condition number
+# above which vandermonde_certificate flags its system as ill-conditioned
 RECURRENCE_TOL = 1e-8
 DET_CONDITION = 1e12
 
@@ -28,6 +42,8 @@ class Tolerances:
 
     cluster=None resolves to spectral.cluster_breaks' 1e-8 * n * max(1, |lambda|max),
     which also bounds each raw eigenvalue's distance from its cluster value.
+    It clusters the spectrum of a graph that does not meet the hypothesis; a
+    met graph's d is exact and nothing of it is clustered.
     """
 
     cluster: float = None
@@ -40,7 +56,9 @@ class Certificate:
 
     For eigenvalue_symmetry the residual is a margin (smallest |lambda| or
     |lambda_i + lambda_j|) and passing requires residual > tol; every other
-    certificate passes when residual <= tol.
+    certificate passes when residual <= tol.  On the met path the verdicts
+    are exact and the residuals are reported beside them
+    (exact_certificates).
     """
 
     name: str
@@ -189,7 +207,7 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
         dd = distance_data(g)
     H = -np.ones((g.n, g.n))  # H(A) - J
     worst, first_bad = 0.0, None
-    for i, PA in enumerate(predistance.matrix_values(system, g.adj)):
+    for i, PA in enumerate(predistance.matrix_values(system, g.adj, dd.neighbour_table)):
         H += PA
         diff = PA - (dd.dist == i)
         residual = float(np.abs(diff, out=diff).max())
@@ -271,7 +289,8 @@ class VandermondeCertificate:
     multiplicities must equal proportionality / sum(proportionality).
     det_value is prod(lambda_i) * prod_{i>j}(lambda_i^2 - lambda_j^2) over
     i, j >= 1, the system's determinant.  condition is that of the system
-    actually solved, in the rows T_{2l-1}(lambda / lambda_0).
+    actually solved, in the rows T_{2l-1}(lambda / lambda_0); None on the
+    exact path, which solves nothing (exact_certificates).
     """
 
     det_value: float
@@ -281,15 +300,21 @@ class VandermondeCertificate:
     ill_conditioned: bool
 
 
+def _moment_determinant(vals):
+    """prod(lambda_i) * prod_{i>j}(lambda_i^2 - lambda_j^2) over i, j >= 1."""
+    tail = vals[1:]
+    det = float(np.prod(tail)) if len(tail) else 1.0
+    for i in range(len(tail)):
+        for j in range(i):
+            det *= float(tail[i] ** 2 - tail[j] ** 2)
+    return det
+
+
 def vandermonde_certificate(s, lm, tol=1e-6):
     """Solve the odd-power system and compare against all local multiplicities."""
     vals = s.values
     d = s.d
-    tail = vals[1:]
-    det = float(np.prod(tail)) if d else 1.0
-    for i in range(d):
-        for j in range(i):
-            det *= float(tail[i] ** 2 - tail[j] ** 2)
+    det = _moment_determinant(vals)
 
     if d == 0:
         prop = np.array([1.0])
@@ -337,6 +362,15 @@ def vandermonde_certificate(s, lm, tol=1e-6):
     )
 
 
+def _walk_regular(g, spread, passed, tol):
+    """The walk_regular certificate: diagonals with this spread, plus a direct degree check."""
+    deg = g.degrees()
+    regular = bool((deg == deg[0]).all())
+    witness = None if regular else ("degrees", (int(deg.min()), int(deg.max())))
+    return Certificate(name="walk_regular", passed=bool(passed and regular),
+                       residual=float(spread), tol=tol, witness=witness)
+
+
 def check_walk_regular(g, lm, tol=1e-6):
     """Constant idempotent diagonals plus a direct degree check.
 
@@ -344,21 +378,103 @@ def check_walk_regular(g, lm, tol=1e-6):
     diagonals silently corrupting the steps that assume regularity.
     """
     spread = spectral.walk_regular_spread(lm)
-    deg = g.degrees()
-    regular = bool((deg == deg[0]).all())
-    witness = None if regular else ("degrees", (int(deg.min()), int(deg.max())))
-    return Certificate(
-        name="walk_regular",
-        passed=bool(spread <= tol and regular),
-        residual=spread,
-        tol=tol,
-        witness=witness,
-    )
+    return _walk_regular(g, spread, spread <= tol, tol)
 
 
 def check_hoffman(g, system, tol=1e-6):
     """H(A) = J for connected regular graphs; see check_polynomial_identities."""
     return check_polynomial_identities(g, system, tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# the met path: every certificate in exact arithmetic
+
+def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
+    """The certificates of a hypothesis-met graph, each decided exactly.
+
+    walks are predistance.closed_walks' diagonals, recurrence the exact
+    predistance.WalkRecurrence with d set, s its jacobi_spectrum and ia the
+    intersection_array result.  A certificate that holds has residual 0; the
+    residuals are exact integer or rational defects, as floats, except
+    eigenvalue_symmetry's, which is the float margin of s's values as in
+    check_eigenvalue_symmetry.  Each certificate keeps tol for the report.
+
+    - eigenvalue_symmetry: gcd(pi_{d+1}(x), pi_{d+1}(-x)) = 1 over the
+      rationals (predistance.reflection_free).
+    - vandermonde: every odd diagonal diag(A^ell), ell <= 2d - 1, is zero,
+      and the odd-moment system is nonsingular.  Its determinant vanishes
+      iff some lambda_i, i >= 1, is zero or the negative of another; -lambda_0
+      is no eigenvalue of a connected graph with an odd cycle, so that is the
+      reflection test again.  Then every vertex solves the same system, and
+      its local multiplicities are m_i / n.
+    - walk_regular: diag(A^ell) is one integer at every vertex for ell <= d
+      (with d+1 distinct eigenvalues this fixes every idempotent diagonal),
+      plus the degree check of check_walk_regular.
+    - parity: a_i = 0 for i < d and a_d != 0.  For i <= d, pi_i has the
+      parity of i iff a_0..a_{i-1} vanish, so coefficient parity is the
+      first condition.
+    - hoffman and distance_polynomial: on a regular graph lambda_0 = k, so
+      the recurrence of the p_i is exact (WalkRecurrence.distance_recurrence).
+      If ia is an array of diameter d whose (a_i, b_{i-1}, c_{i+1}) equal
+      (alpha_i, beta_{i-1}, gamma_{i+1}), then p_0 = 1 and the shared
+      recurrence make p_i the distance polynomial of the array, so
+      p_i(A) = A_i at every level and H(A) = J.  Otherwise the p_i(A) pass
+      (check_polynomial_identities) on the exact recurrence, rounded to
+      floats, measures the residuals and names the first broken level.
+      Both are not applicable if g is irregular.
+    """
+    d, a = recurrence.d, recurrence.a
+    free = predistance.reflection_free(recurrence.integer_polynomials()[d + 1])
+    symmetry = check_eigenvalue_symmetry(s, tol)
+    symmetry.passed = free
+
+    odd = max((int(np.abs(w).max()) for w in walks[1:2 * d:2]), default=0)
+    vandermonde = VandermondeCertificate(
+        det_value=_moment_determinant(s.values),
+        proportionality=s.mults / s.mults[0],
+        residual=float(odd),
+        condition=None,
+        ill_conditioned=False,
+    )
+
+    spread = max(int(w.max() - w.min()) for w in walks[: d + 1])
+    walk_regular = _walk_regular(g, spread, not spread, tol)
+
+    if not g.is_regular():
+        hoffman = Certificate(name="hoffman", tol=tol)
+        distance_polynomial = Certificate(name="distance_polynomial", tol=tol)
+    else:
+        k = int(g.degrees()[0])
+        alpha, beta, gamma, _ = recurrence.distance_recurrence(k)
+        if (isinstance(ia, IntersectionArray) and ia.D == d and alpha == ia.a
+                and beta[:d] == ia.b and gamma[1:] == ia.c):
+            hoffman = Certificate(name="hoffman", passed=True, residual=0.0, tol=tol)
+            distance_polynomial = Certificate(name="distance_polynomial", passed=True,
+                                              residual=0.0, tol=tol)
+        else:
+            hoffman, distance_polynomial = check_polynomial_identities(
+                g, recurrence.predistance_system(k, s), tol, dd
+            )
+
+    interior = max((abs(x) for x in a[:d]), default=0)
+    parity = predistance.ParityReport(
+        applicable=True,
+        interior_alpha_zero=not interior,
+        top_alpha_nonzero=bool(a[d]),
+        coefficient_parity=not interior,
+        max_interior_alpha=float(interior),
+        top_alpha=float(a[d]),
+    )
+    return {
+        "eigenvalue_symmetry": symmetry,
+        "vandermonde": Certificate(name="vandermonde", passed=not odd and free,
+                                   residual=float(odd), tol=tol, witness=vandermonde),
+        "walk_regular": walk_regular,
+        "hoffman": hoffman,
+        "parity": Certificate(name="parity", passed=parity.passed,
+                              residual=float(interior), witness=parity),
+        "distance_polynomial": distance_polynomial,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +558,43 @@ def verify_theorem(g, tolerances=None, input_label=None):
     """Run the whole pipeline on one graph and assemble the report.
 
     Hypotheses: connected, d+1 distinct eigenvalues, finite odd girth >= 2d+1.
-    When they hold, every certificate must pass and the brute-force check must
-    find an intersection array; any failure is a counterexample alarm.  When
-    they do not hold the conclusion is not-applicable (None) and no
-    certificates are computed.
+    A graph that meets the prefilter (spectral.meets_prefilter) has its d
+    decided exactly from its walk counts up to tr(A^(og+1)) (see the module
+    docstring); the hypothesis holds iff d <= (og - 1) / 2.  When it holds,
+    every certificate (exact_certificates) must pass and the brute-force
+    check must find an intersection array; any failure is a counterexample
+    alarm.  When it does not hold the conclusion is not-applicable (None),
+    no certificates are computed, and the report's spectrum is eigvalsh's,
+    clustered; a graph has at least D+1 distinct eigenvalues, and a prefilter
+    graph whose walk counts did not fix d at least L+1, so a clustering that
+    finds fewer raises NumericalError.
     """
     tols = tolerances if tolerances is not None else Tolerances()
     dd = distance_data(g)
-    s = spectral.spectrum(g, tols.cluster, dd)
-    warnings = list(s.warnings)
     og = dd.odd_girth
-    d = s.d
+    walks = recurrence = None
+    if spectral.meets_prefilter(dd):
+        walks = predistance.closed_walks(g.adj, dd.neighbour_table, (og + 1) // 2)
+        recurrence = predistance.walk_recurrence(predistance.closed_walk_total(walks))
+    met = recurrence is not None and recurrence.d is not None
 
-    met = bool(dd.connected and og != math.inf and og >= 2 * d + 1)
+    if met:
+        s = spectral.jacobi_spectrum([float(x) for x in recurrence.a],
+                                     [float(x) for x in recurrence.b], g.n, tols.cluster)
+    else:
+        # spectrum() is eigvalsh alone off the prefilter; on it, it would also
+        # solve for eigenvectors, which a rejected graph's report does not read
+        if recurrence is None:
+            s, floor = spectral.spectrum(g, tols.cluster, dd), dd.diameter
+        else:
+            s, floor = spectral.eigenvalue_spectrum(g, tols.cluster, dd), len(recurrence.norms) - 1
+        if s.d < floor:
+            raise spectral.NumericalError(
+                "%d clustered eigenvalues where at least %d are distinct: the cluster "
+                "tolerance %.3e merged distinct eigenvalues" % (s.d + 1, floor + 1, s.cluster_tol)
+            )
+    warnings = list(s.warnings)
+    d = s.d
     hypotheses = {
         "connected": dd.connected,
         "eigenvalue_count": d + 1,
@@ -465,51 +605,9 @@ def verify_theorem(g, tolerances=None, input_label=None):
     certificates = {}
     conclusion = None
     if met:
-        certificates["eigenvalue_symmetry"] = check_eigenvalue_symmetry(s, tols.certificate)
-
-        # a connected graph of diameter D has at least D+1 distinct eigenvalues;
-        # with d >= D a met graph meets the prefilter under which spectrum
-        # solved for the eigenvectors too
-        if d < dd.diameter:
-            raise spectral.NumericalError(
-                "%d clustered eigenvalues for diameter %d: the cluster tolerance %.3e "
-                "merged distinct eigenvalues" % (d + 1, dd.diameter, s.cluster_tol)
-            )
-        lm = s.local_mults
-        certificates["vandermonde"] = vandermonde_certificate(s, lm, tols.certificate)
-        if certificates["vandermonde"].witness.ill_conditioned:
-            warnings.append(
-                "vandermonde system ill-conditioned (cond %.3e)"
-                % certificates["vandermonde"].witness.condition
-            )
-        certificates["walk_regular"] = check_walk_regular(g, lm, tols.certificate)
-
-        system = predistance.predistance_polynomials(s)
-        max_rec = float(system.recurrence_residuals.max())
-        if max_rec > RECURRENCE_TOL:
-            warnings.append(
-                "recurrence reconstruction residual %.3e exceeds %.3e"
-                % (max_rec, RECURRENCE_TOL)
-            )
         _check_partition(dd)
-        certificates["hoffman"], distance_polynomial = check_polynomial_identities(
-            g, system, tols.certificate, dd
-        )
-
-        parity_report = predistance.check_parity(system, og)
-        certificates["parity"] = Certificate(
-            name="parity",
-            passed=parity_report.passed,
-            residual=None
-            if not parity_report.applicable
-            else max(parity_report.max_interior_alpha, parity_report.max_offparity_coeff),
-            tol=parity_report.tol,
-            witness=parity_report,
-        )
-
-        certificates["distance_polynomial"] = distance_polynomial
-
         ia = intersection_array(g, dd)
+        certificates = exact_certificates(g, dd, walks, recurrence, s, ia, tols.certificate)
         if isinstance(ia, IntersectionArray):
             conclusion = Conclusion(
                 distance_regular=True,

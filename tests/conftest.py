@@ -88,21 +88,42 @@ def screen_regular_range(n, start, stop):
 
 @pytest.fixture(scope="session")
 def mask_oracle():
-    """For n <= 6, lists indexed by mask of what one Graph per mask reports.
+    """For n <= 6, lists indexed by mask of what the definitions give for its graph.
 
-    Keys: connected, diameter and odd_girth from distance_data, and
-    triangle_free from trace(A^3), which is six times the triangle count.
+    All masks of an n at once, sharing no code with the package.  The pair
+    (u, v), u < v, is bit v(v-1)/2 + u.  Distances come from boolean
+    reachability: u reaches v within k steps iff (I + A)^k has (u, v) > 0.
+    Keys: connected (every pair reached within n - 1 steps), diameter (the
+    largest finite distance), odd_girth (the least odd ell <= n with
+    tr(A^ell) > 0, inf if none: a shortest odd closed walk is a cycle) and
+    triangle_free (tr(A^3) = 0).
     """
     oracle = {}
     for n in range(1, 7):
-        rows = []
-        for mask in range(1 << (n * (n - 1) // 2)):
-            g = og.graph_from_mask(n, mask)
-            dd = og.distance_data(g)
-            free = bool(np.trace(g.adj @ g.adj @ g.adj) == 0)
-            rows.append((dd.connected, dd.diameter, dd.odd_girth, free))
-        keys = ("connected", "diameter", "odd_girth", "triangle_free")
-        oracle[n] = dict(zip(keys, map(list, zip(*rows))))
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+        A = np.zeros((len(masks), n, n), dtype=np.int64)
+        for v in range(n):
+            for u in range(v):
+                A[:, u, v] = A[:, v, u] = (masks >> (v * (v - 1) // 2 + u)) & 1
+        reach = np.broadcast_to(np.eye(n, dtype=bool), A.shape)
+        diameter = np.zeros(len(masks), dtype=np.int64)
+        power = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
+        girth = np.full(len(masks), math.inf)
+        traces = {}
+        for ell in range(1, n + 1):
+            grown = reach | (np.matmul(reach.astype(np.int64), A) > 0)
+            diameter[(grown != reach).any(axis=(1, 2))] = ell
+            reach = grown
+            power = np.matmul(power, A)
+            traces[ell] = np.trace(power, axis1=1, axis2=2)
+            if ell % 2:
+                girth[np.isinf(girth) & (traces[ell] > 0)] = ell
+        oracle[n] = {
+            "connected": reach.all(axis=(1, 2)).tolist(),
+            "diameter": diameter.tolist(),
+            "odd_girth": girth.tolist(),
+            "triangle_free": (traces[3] == 0).tolist() if n >= 3 else [True] * len(masks),
+        }
     return oracle
 
 

@@ -205,7 +205,7 @@ def test_matrix_values_match_horner_and_distance_matrices(family_suite):
         A = g.adj.astype(float)
         dd = og.distance_data(g)
         assert dd.diameter == sys.d, label
-        values = list(matrix_values(sys, A))
+        values = list(matrix_values(sys, A, dd.neighbour_table))
         assert len(values) == sys.d + 1, label
         for i, (PA, p) in enumerate(zip(values, sys.polys)):
             assert np.abs(PA - poly_eval_matrix(p, A)).max() < 1e-6, (label, i)
@@ -218,7 +218,7 @@ def test_matrix_values_on_irregular_graph_above_the_floor(sparse_irregular):
     A = sparse_irregular.adj
     assert og.graphs.neighbour_table(A) is not None
     sys = _system(og.generate_family("cycle", [11]))
-    values = list(matrix_values(sys, A))
+    values = list(matrix_values(sys, A, og.graphs.neighbour_table(A)))
     assert len(values) == sys.d + 1
     for i, (PA, p) in enumerate(zip(values, sys.polys)):
         want = poly_eval_matrix(p, A)

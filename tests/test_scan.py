@@ -136,18 +136,18 @@ def test_scan_corpus(tmp_path, petersen, prism):
 
 
 def test_scan_corpus_counts_verify_failures(tmp_path, petersen):
-    # C_101 stops at the predistance conditioning guard; the run goes on and
-    # Petersen, on the line before, is still certified
+    # C_105's walk counts leave the exact range (2^53 at L = 53); the run goes
+    # on and Petersen, on the line before, is still certified
     path = tmp_path / "corpus.g6"
-    c101 = og.generate_family("cycle", [101])
-    path.write_bytes(og.encode_graph6(petersen) + b"\n" + og.encode_graph6(c101) + b"\n")
+    c105 = og.generate_family("cycle", [105])
+    path.write_bytes(og.encode_graph6(petersen) + b"\n" + og.encode_graph6(c105) + b"\n")
     for jobs in (1, 2):
         summary = scan.scan_corpus(path, jobs=jobs)
         assert summary.examined == 2 and summary.hypothesis_met == 1, jobs
         assert summary.certified == 1 and summary.alarms == 0, jobs
         assert summary.hits[0].graph6 == og.encode_graph6(petersen).decode(), jobs
         assert summary.verify_failures == 1, jobs
-        assert summary.verify_errors[0].startswith("line 2: conditioning failure"), jobs
+        assert summary.verify_errors[0].startswith("line 2: exact-arithmetic range"), jobs
         doc = summary.to_dict()
         assert doc["verify_failures"] == 1 and doc["verify_errors"] == summary.verify_errors
 
@@ -155,7 +155,7 @@ def test_scan_corpus_counts_verify_failures(tmp_path, petersen):
 def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5):
     # hits and errors keep file order whether the lines are verified in this
     # process or in a pool
-    graphs = (c5, prism, None, og.generate_family("cycle", [101]), petersen,
+    graphs = (c5, prism, None, og.generate_family("cycle", [105]), petersen,
               og.generate_family("complete", [4]))
     lines = [og.encode_graph6(g).decode() if g else "not graph6" for g in graphs]
     path = tmp_path / "corpus.g6"
@@ -166,7 +166,7 @@ def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5):
     assert docs[0] == docs[1]
     assert [h["graph6"] for h in docs[0]["hits"]] == [lines[0], lines[4], lines[5]]
     assert docs[0]["parse_errors"][0].startswith("line 3:")
-    assert docs[0]["verify_errors"][0].startswith("line 4: conditioning failure")
+    assert docs[0]["verify_errors"][0].startswith("line 4: exact-arithmetic range")
 
 
 def test_jobs_capped_at_affinity(tmp_path, petersen):

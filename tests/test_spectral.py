@@ -153,21 +153,22 @@ def test_met_path_local_multiplicities_match_idempotents(family_suite):
 
 
 def test_met_path_spectrum_matches_eigvalsh(family_suite):
-    # the met path clusters eigh's eigenvalues; eigvalsh's clustering, the
+    # the met path reads its spectrum off the Jacobi matrix of the exact
+    # recurrence, with no eigenvectors of A; eigvalsh's clustering, the
     # rejection path's, must give the same d and multiplicities, and values
-    # within the clustering tolerance
+    # within 1e-9
     graphs = [g for _, g in family_suite]
-    graphs += [og.generate_family("cycle", [k]) for k in (31, 41, 61)]
+    graphs += [og.generate_family("cycle", [k]) for k in (31, 41, 61, 101)]
     for g in graphs:
         report = og.verify_theorem(g)
         if not report.hypothesis_met:
             assert g.n == 2  # K_2, bipartite
             continue
         s = report.spectrum
-        assert s.local_mults is not None, g.n
+        assert s.local_mults is None and not s.ambiguous, g.n
         ref = og.cluster_spectrum(np.linalg.eigvalsh(g.adj.astype(float)))
         assert s.d == ref.d and list(s.mults) == list(ref.mults), g.n
-        assert np.abs(s.values - ref.values).max() <= s.cluster_tol, g.n
+        assert np.abs(s.values - ref.values).max() <= 1e-9, g.n
 
 
 def test_local_multiplicities_k2():

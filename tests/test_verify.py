@@ -239,7 +239,9 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
             dd = og.distance_data(g)
             assert all(counts.dtype == dtype for counts in dd.level_counts), g.n
             ia = og.intersection_array(g, dd) if dd.connected else None
-            results.append((dd, ia, list(og.predistance.matrix_values(system, g.adj))))
+            assert (dd.neighbour_table is None) == (floor == math.inf), g.n
+            results.append(
+                (dd, ia, list(og.predistance.matrix_values(system, g.adj, dd.neighbour_table))))
         (sums, sums_ia, sums_values), (dense, dense_ia, dense_values) = results
         assert np.array_equal(sums.dist, dense.dist), g.n
         assert (sums.diameter, sums.connected, sums.odd_girth) == (
@@ -268,14 +270,23 @@ def test_distance_polynomial_names_first_broken_level():
             assert cert.passed is False and cert.witness == j + 2, (g.n, j)
 
 
+def _c5_with_a_hat():
+    """C_5 plus a vertex on 0 and 2: connected, odd girth 5 >= 2D + 1 = 5, but d = 5."""
+    return og.graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 2)])
+
+
 def test_verify_computes_each_quantity_once(monkeypatch, prism):
-    # a met graph: one eigh and no eigvalsh, no idempotent matrices, and one
-    # pass of the recurrence; a rejected graph: one eigvalsh and no eigh
-    calls = {"eigh": 0, "eigvalsh": 0, "matrix_values": 0}
+    # a met graph: no eigensolve of an n x n matrix (one eigh of the small
+    # Jacobi matrix), none of the float pipeline, and one neighbour table; a
+    # rejected graph, whether it fails the prefilter or only the exact count
+    # of its eigenvalues: one eigvalsh of A and no eigh
+    calls = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            size = len(args[0]) if name in ("eigh", "eigvalsh") else None
+            key = name if size is None else (name, "n x n" if size == current.n else "small")
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -283,32 +294,48 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(og.predistance, "matrix_values",
                         counting("matrix_values", og.predistance.matrix_values))
+    monkeypatch.setattr(og.graphs, "neighbour_table",
+                        counting("neighbour_table", og.graphs.neighbour_table))
 
     def forbidden(*args):
-        raise AssertionError("verify_theorem formed the idempotent matrices")
+        raise AssertionError("verify_theorem ran the float pipeline on a met graph")
 
-    monkeypatch.setattr(og.spectral, "idempotents", forbidden)
-    for g in (_relabeled(og.generate_family("odd", [4]), 5), og.generate_family("cycle", [9])):
-        for key in calls:
-            calls[key] = 0
-        rep = og.verify_theorem(g)
+    for name in ("idempotents", "spectrum"):
+        monkeypatch.setattr(og.spectral, name, forbidden)
+    monkeypatch.setattr(og.predistance, "predistance_polynomials", forbidden)
+    monkeypatch.setattr(og.verify, "vandermonde_certificate", forbidden)
+    folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
+    assert og.graphs.neighbour_table(folded.adj) is not None
+    for current in (_relabeled(og.generate_family("odd", [4]), 5),
+                    og.generate_family("cycle", [9]), folded):
+        calls.clear()
+        rep = og.verify_theorem(current)
         assert rep.hypothesis_met and not rep.alarm
-        assert calls == {"eigh": 1, "eigvalsh": 0, "matrix_values": 1}
-    for g in (og.generate_family("cycle", [6]), og.generate_family("path", [5]), prism):
-        for key in calls:
-            calls[key] = 0
-        rep = og.verify_theorem(g)
+        assert calls == {("eigh", "small"): 1, "neighbour_table": 1}, current.n
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for current in (og.generate_family("cycle", [6]), og.generate_family("path", [5]), prism,
+                    _c5_with_a_hat()):
+        calls.clear()
+        rep = og.verify_theorem(current)
         assert not rep.hypothesis_met
-        assert calls == {"eigh": 0, "eigvalsh": 1, "matrix_values": 0}
+        assert calls == {("eigvalsh", "n x n"): 1}, current.n
 
 
 def test_verify_refuses_merged_eigenvalues(petersen, prism):
     # a cluster tolerance wide enough to merge every eigenvalue leaves fewer
-    # than diameter + 1 of them: a numerical breakdown, not an alarm, whether
-    # the prefilter held (Petersen, eigh) or not (the prism, eigvalsh)
-    for g in (petersen, prism):
+    # than diameter + 1 of them on a graph that fails the prefilter (the
+    # prism), and fewer than L + 1 on one whose walk counts showed d >= L
+    # (C_5 with a hat): a numerical breakdown, not an alarm.  Petersen's d
+    # is exact and its spectrum comes from the Jacobi matrix: nothing is
+    # clustered, so it certifies
+    for g in (prism, _c5_with_a_hat()):
         with pytest.raises(og.NumericalError, match="merged"):
             og.verify_theorem(g, og.Tolerances(cluster=10.0))
+    rep = og.verify_theorem(petersen, og.Tolerances(cluster=10.0))
+    assert rep.hypothesis_met and not rep.alarm and rep.spectrum.d == 2
+    assert rep.to_dict()["tolerances"]["cluster"] == 10.0
 
 
 def test_distance_polynomial_check(petersen, c5, prism, p3):
@@ -428,12 +455,13 @@ def test_verify_theorem_c7():
     assert rep.hypotheses["odd_girth"] == 7 and rep.hypotheses["eigenvalue_count"] == 4
 
 
-@pytest.mark.parametrize("k", [31, 41, 61])
+@pytest.mark.parametrize("k", [31, 41, 61, 101])
 def test_verify_theorem_long_odd_cycles(k):
-    # d = (k - 1) / 2 up to 30: the moment system and the polynomials must
-    # stay well conditioned enough that no certificate raises a false alarm
+    # d = (k - 1) / 2 up to 50: every certificate is exact, so none raises a
+    # false alarm or a warning however long the cycle, within the exact range
     rep = og.verify_theorem(og.generate_family("cycle", [k]))
-    assert rep.hypothesis_met and not rep.alarm
+    assert rep.hypothesis_met and not rep.alarm and rep.warnings == []
+    assert rep.spectrum.d == (k - 1) // 2
     assert all(c.passed for c in rep.certificates.values()), {
         name: c.residual for name, c in rep.certificates.items() if not c.passed
     }
@@ -441,11 +469,17 @@ def test_verify_theorem_long_odd_cycles(k):
     assert not rep.certificates["vandermonde"].witness.ill_conditioned
 
 
-def test_verify_theorem_cycle_101_hits_conditioning_guard():
-    # at d = 50 the monic degree-i polynomial's norm falls below 1e-20 of
-    # <x^i, x^i>: the system is refused rather than certified or alarmed
+def test_verify_theorem_cycle_105_out_of_exact_range():
+    # C_105 meets the prefilter with L = 53, and 2^53 walks no longer fit the
+    # float64 powers exactly: the graph is refused, not certified or alarmed.
+    # C_103 (L = 52) is still in range; the float pipeline stops there at its
+    # conditioning guard
+    with pytest.raises(og.PredistanceError, match="exact-arithmetic range"):
+        og.verify_theorem(og.generate_family("cycle", [105]))
+    c103 = og.generate_family("cycle", [103])
+    assert og.verify_theorem(c103).hypothesis_met
     with pytest.raises(og.PredistanceError, match="conditioning"):
-        og.verify_theorem(og.generate_family("cycle", [101]))
+        og.predistance_polynomials(og.spectrum(c103))
 
 
 def test_alarm_flag_construction(petersen):
