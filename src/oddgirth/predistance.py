@@ -292,7 +292,7 @@ class WalkRecurrence:
         Q_{k+1} = s l_{k-1} (q x - p) Q_k - r q l_k Q_{k-1} over its content,
         l_k the leading coefficient of Q_k: integer arithmetic throughout.
         """
-        polys, prev = [[1]], [1]  # l_{-1} = 1: pi_1 = (x - a_0) pi_0 has no pi_{-1} term
+        polys, prev = [[1]], [1]  # l_{-1} = 1, and b_0 = 0 drops the pi_{-1} term
         for k, (a_k, b_k) in enumerate(zip(self.a, [Fraction(0)] + self.b)):
             cur = polys[k]
             p, q = a_k.numerator, a_k.denominator
@@ -301,7 +301,7 @@ class WalkRecurrence:
             nxt = [0] + [ahead * q * c for c in cur]  # s l_{k-1} q x Q_k
             for j, c in enumerate(cur):
                 nxt[j] -= ahead * p * c
-            for j, c in enumerate(prev if k else []):
+            for j, c in enumerate(prev):
                 nxt[j] -= behind * c
             content = math.gcd(*nxt)
             polys.append([c // content for c in nxt])
@@ -364,7 +364,7 @@ def walk_recurrence(traces):
     integer operations and O(L) rational ones.
     """
     m = len(traces)
-    prev, cur = None, [int(t) for t in traces]  # S_{k-1}, S_k, indexed by l
+    prev, cur = [0] * m, [int(t) for t in traces]  # S_{k-1}, S_k, indexed by l
     scale = Fraction(1)  # D_k
     a, norms = [], [Fraction(cur[0])]
     shift = Fraction(0)  # sigma_{k-1,k} / sigma_{k-1,k-1}
@@ -376,8 +376,7 @@ def walk_recurrence(traces):
         top, bottom, back = q * u, p * u, q * cur[k]
         nxt = [0] * m
         for l in range(k + 1, m - k - 1):
-            value = top * cur[l + 1] - bottom * cur[l] if p else top * cur[l + 1]
-            nxt[l] = value - back * prev[l] if k else value
+            nxt[l] = top * cur[l + 1] - bottom * cur[l] - back * prev[l]
         content = math.gcd(*nxt) or 1
         nxt = [v // content for v in nxt]
         scale = scale * top / content

@@ -174,8 +174,8 @@ def jacobi_spectrum(a, b, n, cluster_tol=None):
         raise NumericalError("Jacobi eigensolver failed: %s" % exc)
     weights = n * np.square(U[0, ::-1])
     mults = np.rint(weights).astype(np.int64)
-    off_int = float(np.abs(weights - mults).max())
-    if mults.min() < 1 or mults.sum() != n or off_int > 1e-6 * n:
+    drift = float(np.abs(weights - mults).max())
+    if mults.min() < 1 or mults.sum() != n or drift > 1e-6 * n:
         raise NumericalError(
             "Jacobi multiplicities %s do not round to positive integers summing to n = %d"
             % (np.array2string(weights, precision=6), n)
