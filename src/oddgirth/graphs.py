@@ -11,7 +11,9 @@ ended.  A has only k nonzeros per row, so on a large sparse graph
 NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is a sum of k row
 gathers (neighbour_sum), O(k n^2): in uint8 for the expansion, in the
 smallest unsigned type that holds them for the walk counts
-(predistance.closed_walks), in float64 for predistance.matrix_values.
+(predistance.closed_walks; in Python integers on any graph whose walk counts
+outgrow float64, with the table of neighbour_rows), in float64 for
+predistance.matrix_values.
 distance_data builds that table once and hands it on in its DistanceData.
 Smaller or denser graphs, and every batch, keep the dense product, O(n^3)
 but in BLAS.
@@ -354,10 +356,18 @@ def neighbour_table(adj):
     if n <= NEIGHBOUR_SUM_FLOOR:
         return None
     deg = np.count_nonzero(adj, axis=1)
-    k = deg.max()
-    if n <= NEIGHBOUR_SUM_DENSITY * k:
+    if n <= NEIGHBOUR_SUM_DENSITY * deg.max():
         return None
-    table = np.full((n, k), n, dtype=np.intp)
+    return neighbour_rows(adj, deg)
+
+
+def neighbour_rows(adj, deg=None):
+    """neighbour_table's (n, k) table whatever n and k; deg is A's degrees, if known."""
+    adj = np.asarray(adj)
+    n = len(adj)
+    if deg is None:
+        deg = np.count_nonzero(adj, axis=1)
+    table = np.full((n, deg.max()), n, dtype=np.intp)
     rows, cols = np.nonzero(adj)
     table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
     return table

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import graphs
 
-# walk counts are exact in float64 below 2^53 and in int64 below 2^63
-# (closed_walks goes on in Python integers beyond)
+# integers below 2^53 are exact in float64: the walk counts are computed in
+# it, or in unsigned integers, below that bound and in Python integers beyond
 EXACT_FLOAT = 1 << 53
-EXACT_INT64 = 1 << 63
 
 
 class PredistanceError(ValueError):
@@ -213,37 +212,35 @@ def closed_walks(adj, table, length):
     diagonal as a row dot: diag(A^(2l)) is the row norm of A^l, and
     diag(A^(2l+1)) the row dot of A^l with A^(l+1).  An entry of A^l counts
     walks, at most k^l for the largest degree k, and each partial sum is at
-    most the entry it builds.  So the powers are exact while k^length < 2^53,
-    PredistanceError otherwise: as graphs.neighbour_sum in the smallest
-    unsigned type that holds k^length when table (A's
-    graphs.neighbour_table) is not None, as dense float64 products
-    otherwise.  The row dots run in float64 while k^(2 length) < 2^53, in
-    int64 while it is below 2^63 and in Python integers beyond; the vectors
-    are int64, or object arrays of Python integers in the last case.
+    most the entry it builds.  While k^length < 2^53 the powers are
+    graphs.neighbour_sum in the smallest unsigned type that holds k^length
+    when table (A's graphs.neighbour_table) is not None, dense float64
+    products otherwise.  Beyond that they are neighbour sums of Python
+    integers in object arrays, on a table of graphs.neighbour_rows when
+    table is None: O(k n^2) integer additions a power, but no graph is out
+    of range.  The row dots run in float64 while k^(2 length) < 2^53 and in
+    Python integers beyond; the vectors are int64, or object arrays of
+    Python integers in the second case.
     """
     n = len(adj)
     k = int(np.count_nonzero(adj, axis=1).max())
-    if k ** length >= EXACT_FLOAT:
-        raise PredistanceError(
-            "exact-arithmetic range exceeded: walks of length L = %d number up to "
-            "k^L = %d^%d, and the float64 powers of A are exact only below 2^53"
-            % (length, k, length)
-        )
-    top = k ** (2 * length)
-    if top < EXACT_INT64:
-        kind = np.float64 if top < EXACT_FLOAT else np.int64
-
+    if k ** (2 * length) < EXACT_FLOAT:
         def dots(X, Y):
-            return np.einsum("ij,ij->i", X, Y, dtype=kind, casting="unsafe").astype(np.int64)
+            return np.einsum("ij,ij->i", X, Y, dtype=np.float64, casting="unsafe").astype(np.int64)
     else:
         def dots(X, Y):
-            X, Y = (Z.astype(np.int64).astype(object) for Z in (X, Y))
+            X, Y = (Z if Z.dtype == object else Z.astype(np.int64).astype(object) for Z in (X, Y))
             return np.einsum("ij,ij->i", X, Y)
 
+    if k ** length < EXACT_FLOAT:
+        power = None if table is None else np.min_scalar_type(k ** length)
+    else:
+        power = object
+        if table is None:
+            table = graphs.neighbour_rows(adj)
     if table is None:
         A = cur = np.asarray(adj, dtype=np.float64)
     else:  # row n is the zero row the table's padding reads
-        power = np.min_scalar_type(k ** length)
         cur = np.zeros((n + 1, n), dtype=power)
         cur[:n] = adj
     walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dots(cur[:n], cur[:n])]
@@ -437,7 +434,7 @@ class ParityReport:
     coefficient of parity opposite to i.  Not applicable (applicable=False)
     unless the graph has finite odd girth >= 2d+1.  check_parity fills it
     from a float system under tol; the exact met path decides it on the
-    exact a_i, with tol and max_offparity_coeff None.
+    exact a_i, with tol 0.0 and max_offparity_coeff None.
     """
 
     applicable: bool

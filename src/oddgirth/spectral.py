@@ -138,8 +138,8 @@ def spectrum(g, cluster_tol=None, dd=None):
     prefilter (meets_prefilter) gets one eigh, and its local multiplicities
     are the row sums of U_i^2 over each eigenvalue block, under the guards of
     idempotents; every other graph gets eigenvalue_spectrum, eigvalsh alone.
-    verify_theorem calls it on graphs that fail the prefilter; on the others
-    it is the float oracle of the exact spectrum.
+    It is the float oracle of the exact spectrum: verify_theorem calls
+    eigenvalue_spectrum on every graph that does not meet the hypothesis.
     """
     if dd is None:
         dd = distance_data(g)

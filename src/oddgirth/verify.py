@@ -394,25 +394,29 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
 
     walks are predistance.closed_walks' diagonals, recurrence the exact
     predistance.WalkRecurrence with d set, s its jacobi_spectrum and ia the
-    intersection_array result.  A certificate that holds has residual 0; the
-    residuals are exact integer or rational defects, as floats, except
-    eigenvalue_symmetry's, which is the float margin of s's values as in
-    check_eigenvalue_symmetry.  Each certificate keeps tol for the report.
+    intersection_array result.  A certificate that holds has residual 0, and
+    every residual but eigenvalue_symmetry's (the float margin of s's
+    values, as in check_eigenvalue_symmetry) is an exact count or defect
+    named below, as a float.  parity's tol is 0.0, the bound its exact
+    residual is held to, and the report's tolerances.parity; every other
+    certificate keeps tol for the report.
 
     - eigenvalue_symmetry: gcd(pi_{d+1}(x), pi_{d+1}(-x)) = 1 over the
       rationals (predistance.reflection_free).
-    - vandermonde: every odd diagonal diag(A^ell), ell <= 2d - 1, is zero,
-      and the odd-moment system is nonsingular.  Its determinant vanishes
-      iff some lambda_i, i >= 1, is zero or the negative of another; -lambda_0
-      is no eigenvalue of a connected graph with an odd cycle, so that is the
-      reflection test again.  Then every vertex solves the same system, and
+    - vandermonde: every odd diagonal diag(A^ell), ell <= 2d - 1, is zero
+      (residual: the largest such walk count), and the odd-moment system is
+      nonsingular.  Its determinant vanishes iff some lambda_i, i >= 1, is
+      zero or the negative of another; -lambda_0 is no eigenvalue of a
+      connected graph with an odd cycle, so that is the reflection test
+      again.  Then every vertex solves the same system, and
       its local multiplicities are m_i / n.
     - walk_regular: diag(A^ell) is one integer at every vertex for ell <= d
-      (with d+1 distinct eigenvalues this fixes every idempotent diagonal),
-      plus the degree check of check_walk_regular.
-    - parity: a_i = 0 for i < d and a_d != 0.  For i <= d, pi_i has the
-      parity of i iff a_0..a_{i-1} vanish, so coefficient parity is the
-      first condition.
+      (with d+1 distinct eigenvalues this fixes every idempotent diagonal;
+      residual: the largest spread max - min of such a diagonal), plus the
+      degree check of check_walk_regular.
+    - parity: a_i = 0 for i < d and a_d != 0 (residual: max |a_i|, i < d).
+      For i <= d, pi_i has the parity of i iff a_0..a_{i-1} vanish, so
+      coefficient parity is the first condition.
     - hoffman and distance_polynomial: on a regular graph lambda_0 = k, so
       the recurrence of the p_i is exact (WalkRecurrence.distance_recurrence).
       If ia is an array of diameter d whose (a_i, b_{i-1}, c_{i+1}) equal
@@ -420,7 +424,8 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
       recurrence make p_i the distance polynomial of the array, so
       p_i(A) = A_i at every level and H(A) = J.  Otherwise the p_i(A) pass
       (check_polynomial_identities) on the exact recurrence, rounded to
-      floats, measures the residuals and names the first broken level.
+      floats, measures the residuals (0 when the recurrences match) and
+      names the first broken level.
       Both are not applicable if g is irregular.
     """
     d, a = recurrence.d, recurrence.a
@@ -462,6 +467,7 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
         interior_alpha_zero=not interior,
         top_alpha_nonzero=bool(a[d]),
         coefficient_parity=not interior,
+        tol=0.0,
         max_interior_alpha=float(interior),
         top_alpha=float(a[d]),
     )
@@ -472,7 +478,7 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
         "walk_regular": walk_regular,
         "hoffman": hoffman,
         "parity": Certificate(name="parity", passed=parity.passed,
-                              residual=float(interior), witness=parity),
+                              residual=float(interior), tol=0.0, witness=parity),
         "distance_polynomial": distance_polynomial,
     }
 
@@ -548,7 +554,7 @@ class TheoremReport:
                 "cluster": float(self.spectrum.cluster_tol),
                 "certificate": float(self.tolerances.certificate),
                 "recurrence": RECURRENCE_TOL,
-                "parity": float(parity.tol) if parity is not None and parity.tol else None,
+                "parity": None if parity is None or parity.tol is None else float(parity.tol),
                 "det_condition": DET_CONDITION,
             },
         }
@@ -582,12 +588,8 @@ def verify_theorem(g, tolerances=None, input_label=None):
         s = spectral.jacobi_spectrum([float(x) for x in recurrence.a],
                                      [float(x) for x in recurrence.b], g.n, tols.cluster)
     else:
-        # spectrum() is eigvalsh alone off the prefilter; on it, it would also
-        # solve for eigenvectors, which a rejected graph's report does not read
-        if recurrence is None:
-            s, floor = spectral.spectrum(g, tols.cluster, dd), dd.diameter
-        else:
-            s, floor = spectral.eigenvalue_spectrum(g, tols.cluster, dd), len(recurrence.norms) - 1
+        s = spectral.eigenvalue_spectrum(g, tols.cluster, dd)
+        floor = dd.diameter if recurrence is None else len(recurrence.norms) - 1
         if s.d < floor:
             raise spectral.NumericalError(
                 "%d clustered eigenvalues where at least %d are distinct: the cluster "

@@ -166,3 +166,23 @@ def p3():
 @pytest.fixture(scope="session")
 def c5():
     return og.generate_family("cycle", (5,))
+
+
+@pytest.fixture
+def break_verify(monkeypatch):
+    """break_verify(g): the corpus scan's verify of g raises a numerical breakdown.
+
+    Exact arithmetic leaves no natural graph whose verify breaks down, so the
+    per-line error handling is exercised by making one graph's fail.  A fork
+    pool inherits the patch.
+    """
+    def fail_on(bad):
+        real = og.scan.verify_theorem
+
+        def verify(g, *args, **kwargs):
+            if g == bad:
+                raise og.NumericalError("eigensolver failed: broken on purpose")
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(og.scan, "verify_theorem", verify)
+    return fail_on

@@ -138,12 +138,13 @@ def test_walk_diagonals_match_matrix_powers(monkeypatch, sparse_irregular):
 
 @pytest.mark.parametrize("family, params, dots", [
     ("odd", (5,), np.float64),  # k^(2L) = 5^10
-    ("cycle", (61,), np.int64),  # 2^62
-    ("cycle", (101,), object),  # 2^102: Python integers
+    ("cycle", (61,), object),  # 2^62: Python integers
+    ("cycle", (105,), object),  # k^L = 2^53: the powers too
 ])
 def test_walk_diagonals_in_each_exact_range(monkeypatch, family, params, dots):
-    # the row dots run in the narrowest exact type, on both products with A,
-    # and every vertex's diagonal is the known walk count
+    # the row dots run in float64 while it is exact and in Python integers
+    # beyond, on both products with A, and every vertex's diagonal is the
+    # known walk count
     g = og.generate_family(family, params)
     L = (og.odd_girth(g) + 1) // 2
     if family == "odd":
@@ -169,12 +170,22 @@ def test_walk_diagonals_in_each_exact_range(monkeypatch, family, params, dots):
     assert seen == {np.dtype(dots)}
 
 
-def test_walk_counts_refuse_the_inexact_range():
-    # C_105: L = 53 and 2^53 walks; C_103 (L = 52) is in range
-    c103, c105 = (og.generate_family("cycle", [k]) for k in (103, 105))
-    assert len(closed_walks(c103.adj, None, 52)) == 105
-    with pytest.raises(og.PredistanceError, match=r"2\^53"):
-        closed_walks(c105.adj, None, 53)
+def test_walk_powers_past_the_float64_range(monkeypatch):
+    # from k^L = 2^53 on, the powers are neighbour sums of Python integers on
+    # either path, and the diagonals still match the closed form
+    seen = set()
+    real = og.graphs.neighbour_sum
+
+    def recording(table, X, dtype):
+        seen.add(np.dtype(dtype))
+        return real(table, X, dtype)
+
+    monkeypatch.setattr(og.graphs, "neighbour_sum", recording)
+    for k, L in ((103, 52), (105, 53)):
+        seen.clear()
+        walks = closed_walks(og.generate_family("cycle", [k]).adj, None, L)
+        assert [int(w[0]) for w in walks] == [_cycle_walks(k, ell) for ell in range(2 * L + 1)]
+        assert seen == (set() if L == 52 else {np.dtype(object)}), k
 
 
 def test_walk_recurrence_stops_at_the_first_vanishing_norm(petersen):

@@ -135,27 +135,30 @@ def test_scan_corpus(tmp_path, petersen, prism):
     assert pooled.examined == 2 and pooled.hypothesis_met == 1
 
 
-def test_scan_corpus_counts_verify_failures(tmp_path, petersen):
-    # C_105's walk counts leave the exact range (2^53 at L = 53); the run goes
-    # on and Petersen, on the line before, is still certified
+def test_scan_corpus_counts_verify_failures(tmp_path, petersen, break_verify):
+    # C_9's verify breaks down; the run goes on and Petersen, on the line
+    # before, is still certified
     path = tmp_path / "corpus.g6"
-    c105 = og.generate_family("cycle", [105])
-    path.write_bytes(og.encode_graph6(petersen) + b"\n" + og.encode_graph6(c105) + b"\n")
+    c9 = og.generate_family("cycle", [9])
+    break_verify(c9)
+    path.write_bytes(og.encode_graph6(petersen) + b"\n" + og.encode_graph6(c9) + b"\n")
     for jobs in (1, 2):
         summary = scan.scan_corpus(path, jobs=jobs)
         assert summary.examined == 2 and summary.hypothesis_met == 1, jobs
         assert summary.certified == 1 and summary.alarms == 0, jobs
         assert summary.hits[0].graph6 == og.encode_graph6(petersen).decode(), jobs
         assert summary.verify_failures == 1, jobs
-        assert summary.verify_errors[0].startswith("line 2: exact-arithmetic range"), jobs
+        assert summary.verify_errors[0].startswith("line 2: eigensolver failed"), jobs
         doc = summary.to_dict()
         assert doc["verify_failures"] == 1 and doc["verify_errors"] == summary.verify_errors
 
 
-def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5):
+def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5, break_verify):
     # hits and errors keep file order whether the lines are verified in this
     # process or in a pool
-    graphs = (c5, prism, None, og.generate_family("cycle", [105]), petersen,
+    c9 = og.generate_family("cycle", [9])
+    break_verify(c9)
+    graphs = (c5, prism, None, c9, petersen,
               og.generate_family("complete", [4]))
     lines = [og.encode_graph6(g).decode() if g else "not graph6" for g in graphs]
     path = tmp_path / "corpus.g6"
@@ -166,7 +169,7 @@ def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5):
     assert docs[0] == docs[1]
     assert [h["graph6"] for h in docs[0]["hits"]] == [lines[0], lines[4], lines[5]]
     assert docs[0]["parse_errors"][0].startswith("line 3:")
-    assert docs[0]["verify_errors"][0].startswith("line 4: exact-arithmetic range")
+    assert docs[0]["verify_errors"][0].startswith("line 4: eigensolver failed")
 
 
 def test_jobs_capped_at_affinity(tmp_path, petersen):

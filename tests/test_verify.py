@@ -469,17 +469,46 @@ def test_verify_theorem_long_odd_cycles(k):
     assert not rep.certificates["vandermonde"].witness.ill_conditioned
 
 
-def test_verify_theorem_cycle_105_out_of_exact_range():
-    # C_105 meets the prefilter with L = 53, and 2^53 walks no longer fit the
-    # float64 powers exactly: the graph is refused, not certified or alarmed.
-    # C_103 (L = 52) is still in range; the float pipeline stops there at its
-    # conditioning guard
-    with pytest.raises(og.PredistanceError, match="exact-arithmetic range"):
-        og.verify_theorem(og.generate_family("cycle", [105]))
-    c103 = og.generate_family("cycle", [103])
-    assert og.verify_theorem(c103).hypothesis_met
+def _c67_with_a_hat():
+    """C_67 plus a vertex on 0 and 2: odd girth 67 = 2D + 1, largest degree 3, 3^34 > 2^53."""
+    return og.graph_from_edges(68, [(i, (i + 1) % 67) for i in range(67)] + [(67, 0), (67, 2)])
+
+
+def test_verify_theorem_past_the_float64_range():
+    # walk counts past 2^53 are carried in Python integers, so no graph is
+    # refused: C_105 (L = 53, 2^53 walks) certifies, while the float
+    # Stieltjes procedure already stops at C_103 at its conditioning guard;
+    # the C_67 with a hat meets the prefilter with 3^34 walks and gets the
+    # not-applicable report of its clustered eigvalsh, all 68 eigenvalues
+    rep = og.verify_theorem(og.generate_family("cycle", [105]))
+    assert rep.hypothesis_met and not rep.alarm and rep.warnings == []
+    assert rep.spectrum.d == 52 and all(c.passed for c in rep.certificates.values())
     with pytest.raises(og.PredistanceError, match="conditioning"):
-        og.predistance_polynomials(og.spectrum(c103))
+        og.predistance_polynomials(og.spectrum(og.generate_family("cycle", [103])))
+    g = _c67_with_a_hat()
+    assert og.spectral.meets_prefilter(og.distance_data(g))
+    rep = og.verify_theorem(g)
+    assert not rep.hypothesis_met and rep.conclusion is None and rep.certificates == {}
+    want = og.cluster_spectrum(np.linalg.eigvalsh(g.adj.astype(float)))
+    assert rep.spectrum.d == want.d == 67
+    assert np.array_equal(rep.spectrum.values, want.values)
+
+
+def test_report_tolerances_block(petersen, prism):
+    # a met graph's exact parity verdict is held to 0.0; a graph that does
+    # not meet the hypothesis has no parity certificate
+    for g, parity in ((petersen, 0.0), (og.generate_family("cycle", [21]), 0.0), (prism, None)):
+        rep = og.verify_theorem(g)
+        assert rep.to_dict()["tolerances"] == {
+            "cluster": rep.spectrum.cluster_tol,
+            "certificate": 1e-6,
+            "recurrence": verify.RECURRENCE_TOL,
+            "parity": parity,
+            "det_condition": verify.DET_CONDITION,
+        }, g.n
+        if parity is not None:
+            cert = rep.certificates["parity"]
+            assert cert.tol == cert.residual == 0.0 and cert.passed
 
 
 def test_alarm_flag_construction(petersen):
