@@ -119,7 +119,8 @@ def cmd_analyze(args):
     with open(args.path, "rb") as fh:
         raw = fh.read()
     if args.format == "graph6":
-        lines = [ln for ln in raw.splitlines() if ln.strip()]
+        lines = [ln.strip() for ln in raw.splitlines()]  # as scan_corpus reads a line
+        lines = [ln for ln in lines if ln]
         if len(lines) != 1:
             raise GraphError(
                 "expected exactly one graph6 line in %s, found %d" % (args.path, len(lines))

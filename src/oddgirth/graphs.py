@@ -1,5 +1,12 @@
 """Graphs as dense 0/1 adjacency matrices: parsing, families, distances, enumeration.
 
+graph6 numbers the pairs (u, v), u < v, column by column, (u, v) at
+v(v-1)/2 + u (edge_pairs; edge bitmasks use the same order).  That is the
+row-major order of the strict lower triangle np.tri(n, k=-1), so one boolean
+mask places every decoded bit in the adjacency matrix (parse_graph6) or reads
+every bit off it (encode_graph6): the codec is a few whole-array operations,
+with no step per bit.
+
 The distance layer is one breadth-first search, _expand, run level by level
 from every vertex of a stack of graphs: a single graph for distance_data, a
 batch of edge bitmasks for mask_distances.  Each level is one product with
@@ -37,6 +44,8 @@ UNREACHABLE = -1  # sentinel for unreachable pairs in distance matrices
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
+_G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # a 6-bit group, high bit first
+_G6_WEIGHTS.setflags(write=False)
 
 
 class GraphError(ValueError):
@@ -101,7 +110,11 @@ def parse_graph6(text):
     """Decode one graph6-encoded line into a Graph.
 
     Accepts bytes or an ASCII string; errors name the 0-based byte offset of
-    the offending byte.
+    the offending byte.  The body is decoded as one array: each byte less 63
+    is split into its 6 bits, most significant first, and bit b is the pair
+    edge_pairs(n)[b], which is entry b of the strict lower triangle
+    np.tri(n, k=-1) in row-major order.  The bits past n(n-1)/2 pad the last
+    byte and must be zero.
     """
     if isinstance(text, str):
         try:
@@ -113,11 +126,14 @@ def parse_graph6(text):
     data = data.rstrip(b"\r\n")
     if not data:
         raise GraphError("graph6: empty input")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphError(
-                "graph6: byte 0x%02x at offset %d outside printable range 63..126" % (byte, off)
-            )
+    # a byte below 63 wraps around, so > 63 marks every byte outside 63..126
+    raw = np.frombuffer(data, dtype=np.uint8) - np.uint8(63)
+    outside = raw > 63
+    if outside.any():
+        off = int(outside.argmax())
+        raise GraphError(
+            "graph6: byte 0x%02x at offset %d outside printable range 63..126" % (data[off], off)
+        )
 
     if data[0] != 126:
         n, pos = data[0] - 63, 1
@@ -140,7 +156,7 @@ def parse_graph6(text):
 
     nbits = n * (n - 1) // 2
     nbytes = -(-nbits // 6)
-    body = data[pos:]
+    body = raw[pos:]
     if len(body) < nbytes:
         raise GraphError(
             "graph6: truncated body at offset %d (n=%d needs %d data bytes)"
@@ -149,25 +165,24 @@ def parse_graph6(text):
     if len(body) > nbytes:
         raise GraphError("graph6: trailing data at offset %d" % (pos + nbytes))
 
-    pairs = edge_pairs(n)
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()  # each byte's low 6 bits
+    if bits[nbits:].any():  # fewer than 6 padding bits, all in the last byte
+        raise GraphError("graph6: nonzero padding bit in byte at offset %d" % (pos + nbytes - 1))
+    lower = np.tri(n, k=-1, dtype=bool)
     adj = np.zeros((n, n), dtype=np.int64)
-    idx = 0
-    for k, byte in enumerate(body):
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if idx < nbits:
-                if bit:
-                    u, v = pairs[idx]
-                    adj[u, v] = adj[v, u] = 1
-            elif bit:
-                raise GraphError("graph6: nonzero padding bit in byte at offset %d" % (pos + k))
-            idx += 1
+    # adj.T[lower] is the upper triangle in the same pair order: no n x n temporary
+    adj[lower] = adj.T[lower] = bits[:nbits]
     return Graph(n, adj)
 
 
 def encode_graph6(g):
-    """Encode a Graph as one graph6 line (bytes, no trailing newline)."""
+    """Encode a Graph as one graph6 line (bytes, no trailing newline).
+
+    The pairs of edge_pairs(n) are read as one array, the strict lower
+    triangle np.tri(n, k=-1) of the adjacency in row-major order, zero-padded
+    to a multiple of 6 bits; each group of 6, most significant first, plus 63
+    is one byte.
+    """
     n = g.n
     if n <= _G6_MAX_SHORT:
         head = bytes([n + 63])
@@ -176,17 +191,11 @@ def encode_graph6(g):
     else:
         raise GraphError("graph6: n=%d exceeds the supported header range" % n)
 
-    out = bytearray(head)
-    val = nfill = 0
-    for u, v in edge_pairs(n):
-        val = (val << 1) | int(g.adj[u, v])
-        nfill += 1
-        if nfill == 6:
-            out.append(val + 63)
-            val = nfill = 0
-    if nfill:
-        out.append((val << (6 - nfill)) + 63)
-    return bytes(out)
+    nbits = n * (n - 1) // 2
+    nbytes = -(-nbits // 6)
+    bits = np.zeros(6 * nbytes, dtype=np.uint8)
+    bits[:nbits] = g.adj[np.tri(n, k=-1, dtype=bool)]
+    return head + (bits.reshape(nbytes, 6) @ _G6_WEIGHTS + np.uint8(63)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +410,10 @@ def neighbour_sum(table, X, dtype):
 class DistanceData:
     """All-pairs hop distances; UNREACHABLE marks pairs with no path.
 
+    dist is in the smallest signed type that holds -n, int8 up to 128
+    vertices and int16 beyond: a distance is less than n, and UNREACHABLE is
+    -1.  Its readers only compare it, so no arithmetic on it can overflow.
+
     odd_girth is the length of a shortest odd cycle, math.inf if there is none.
     level_counts[k] is the n x n matrix M_k = A_k A of the expansion's level
     k, k = 0..diameter: M_k[u, v] = |Gamma(v) cap Gamma_k(u)|, the number of
@@ -495,12 +508,12 @@ def distance_data(g):
     level, for disconnected graphs too.
     """
     n = g.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    dist = np.full((n, n), UNREACHABLE, dtype=np.min_scalar_type(-n))  # a distance is < n
     girth = math.inf
     levels = []
     table = neighbour_table(g.adj)
     for k, (_, frontier, reach, counts) in enumerate(_expand(g.adj[None], table)):
-        dist[frontier[0]] = k
+        np.putmask(dist, frontier[0], k)  # a quarter faster than dist[frontier[0]] = k
         levels.append(counts[0])
         if girth == math.inf and (reach & frontier).any():
             girth = 2 * k + 1

@@ -1,4 +1,4 @@
-"""Shared fixtures: the family suite and frozen oracle data.
+"""Shared fixtures: the family suite, frozen oracle data and a per-bit graph6 codec.
 
 The frozen spectra and intersection arrays below are standard facts about
 these families (circulant eigenvalues for cycles, binomial eigenvalue
@@ -84,6 +84,98 @@ def screen_regular_range(n, start, stop):
         regular = masks[(deg == deg[:, :1]).all(axis=1)]
         out.extend(int(m) for m in regular[mask_connected(n, regular)])
     return out
+
+
+def graph6_oracle_parse(text):
+    """parse_graph6 by definition: one bit per step, the pair read off edge_pairs.
+
+    Same results and the same GraphError text as the package's codec, which
+    decodes whole arrays; kept here as its reference.
+    """
+    if isinstance(text, str):
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise og.GraphError("graph6: non-ASCII character at byte offset %d" % exc.start)
+    else:
+        data = bytes(text)
+    data = data.rstrip(b"\r\n")
+    if not data:
+        raise og.GraphError("graph6: empty input")
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise og.GraphError(
+                "graph6: byte 0x%02x at offset %d outside printable range 63..126" % (byte, off)
+            )
+
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise og.GraphError("graph6: truncated long header at offset %d" % len(data))
+        n = 0
+        for byte in data[1:4]:
+            n = (n << 6) | (byte - 63)
+        pos = 4
+    else:
+        if len(data) < 8:
+            raise og.GraphError("graph6: truncated very-long header at offset %d" % len(data))
+        n = 0
+        for byte in data[2:8]:
+            n = (n << 6) | (byte - 63)
+        pos = 8
+    if n < 1:
+        raise og.GraphError("graph6: vertex count %d out of range (offset 0)" % n)
+
+    nbits = n * (n - 1) // 2
+    nbytes = -(-nbits // 6)
+    body = data[pos:]
+    if len(body) < nbytes:
+        raise og.GraphError(
+            "graph6: truncated body at offset %d (n=%d needs %d data bytes)"
+            % (len(data), n, nbytes)
+        )
+    if len(body) > nbytes:
+        raise og.GraphError("graph6: trailing data at offset %d" % (pos + nbytes))
+
+    pairs = edge_pairs(n)
+    adj = np.zeros((n, n), dtype=np.int64)
+    idx = 0
+    for k, byte in enumerate(body):
+        group = byte - 63
+        for shift in range(5, -1, -1):
+            bit = (group >> shift) & 1
+            if idx < nbits:
+                if bit:
+                    u, v = pairs[idx]
+                    adj[u, v] = adj[v, u] = 1
+            elif bit:
+                raise og.GraphError("graph6: nonzero padding bit in byte at offset %d" % (pos + k))
+            idx += 1
+    return og.Graph(n, adj)
+
+
+def graph6_oracle_encode(g):
+    """encode_graph6 by definition: six pairs of edge_pairs at a time into one byte."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    elif n <= 258047:
+        head = bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    else:
+        raise og.GraphError("graph6: n=%d exceeds the supported header range" % n)
+
+    out = bytearray(head)
+    val = nfill = 0
+    for u, v in edge_pairs(n):
+        val = (val << 1) | int(g.adj[u, v])
+        nfill += 1
+        if nfill == 6:
+            out.append(val + 63)
+            val = nfill = 0
+    if nfill:
+        out.append((val << (6 - nfill)) + 63)
+    return bytes(out)
 
 
 @pytest.fixture(scope="session")

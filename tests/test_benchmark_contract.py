@@ -3,17 +3,22 @@
 perfbench/run.py records oddgirth.scan.BACKEND before it prints anything,
 perfbench/spans.py wraps every (module, function) in its TRACED list, and
 the workloads call the package's public names; a rename there would cost
-the benchmark its result line, not fail a test.  The benchmark is read from
-its files here, not changed.
+the benchmark its result line, not fail a test.  The corpus_mixed input is
+written with the package's own graph6 encoder, so it is pinned to the
+per-bit oracle's encoding: a codec change must not change the file that is
+timed.  The benchmark is read from its files here, not changed.
 """
 
 import importlib
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import oddgirth as og
 from oddgirth import scan
+
+from conftest import graph6_oracle_encode
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +51,19 @@ def test_workload_names_resolve():
         for part in name.split("."):
             target = getattr(target, part, None)
         assert target is not None, name
+
+
+def test_corpus_mixed_input_is_the_oracle_encoding(tmp_path):
+    corpus = _load("workloads").CorpusMixed
+    oracle = SimpleNamespace(Graph=og.Graph, generate_family=og.generate_family,
+                             encode_graph6=graph6_oracle_encode)
+    for seed in (1, 2, 3):
+        files = []
+        for label, package in (("package", og), ("oracle", oracle)):
+            outdir = tmp_path / label
+            outdir.mkdir(exist_ok=True)
+            workload = corpus(package, seed, outdir)
+            workload.generate()
+            files.append(workload.path.read_bytes())
+        assert files[0] == files[1], seed
+        assert files[0].count(b"\n") == 60, seed

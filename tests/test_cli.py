@@ -138,6 +138,18 @@ def test_analyze_error_paths(tmp_path, capsys):
     assert "one graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", [" ", "\t"])
+def test_analyze_and_scan_strip_a_line_alike(tmp_path, capsys, space):
+    # Petersen with surrounding whitespace: both commands strip the line
+    path = _write(tmp_path, "p.g6", space + "IheA@GUAo" + space + "\n")
+    assert cli.main(["analyze", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 10 and doc["conclusion"]["distance_regular"]
+    assert cli.main(["scan", "--corpus", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["examined"] == 1 and doc["certified"] == 1 and doc["parse_failures"] == 0
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse normally exits 2, which is reserved for counterexample alarms
     with pytest.raises(SystemExit) as exc:

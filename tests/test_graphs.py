@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import oddgirth as og
 from oddgirth.graphs import _patterns, mask_connected, mask_distances, mask_triangle_free
 
+from conftest import graph6_oracle_encode, graph6_oracle_parse
+
 
 def floyd_warshall(g):
     """Independent all-pairs oracle for small n."""
@@ -152,10 +154,105 @@ def test_graph6_unsupported_size():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 10**9))
+@given(st.integers(1, 130), st.integers(0, 10**9))
 def test_graph6_round_trip_random(n, seed):
     g = random_graph(n, seed)
     assert og.parse_graph6(og.encode_graph6(g)) == g
+
+
+def test_lower_triangle_order_is_edge_pairs():
+    # graph6, graph_from_mask and graph_mask all number the pairs this way
+    for n in range(1, 13):
+        rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))
+        assert list(zip(cols.tolist(), rows.tolist())) == og.edge_pairs(n), n
+
+
+def _assert_graph6_matches_oracle(g):
+    enc = og.encode_graph6(g)
+    assert enc == graph6_oracle_encode(g), g.n
+    assert og.parse_graph6(enc) == graph6_oracle_parse(enc) == g, g.n
+
+
+def test_graph6_matches_oracle_on_every_small_mask():
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _assert_graph6_matches_oracle(og.graph_from_mask(n, mask))
+
+
+def test_graph6_matches_oracle_on_family_suite(family_suite):
+    for _, g in family_suite:
+        _assert_graph6_matches_oracle(g)
+
+
+def test_graph6_matches_oracle_on_random_graphs():
+    # n = 62/63 is the short/long header boundary
+    rng = np.random.default_rng(13)
+    for n in [1, 2, 3, 7, 13, 60, 61, 62, 63, 64, 65, 100, 126, 200, 300]:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            adj = np.triu((rng.random((n, n)) < density).astype(np.int64), 1)
+            _assert_graph6_matches_oracle(og.Graph(n, adj + adj.T))
+
+
+def _graph6_outcome(parse, data):
+    """The parsed Graph, or the text of the GraphError the input raises."""
+    try:
+        return parse(data)
+    except og.GraphError as exc:
+        return "GraphError: %s" % exc
+
+
+GRAPH6_ERRORS = [
+    ("B\u00e9w", "non-ASCII character at byte offset 1"),
+    (b"B" + bytes([200]), "byte 0xc8 at offset 1 outside"),
+    (b"##", "byte 0x23 at offset 0 outside"),
+    (b"Bw\x7f", "byte 0x7f at offset 2 outside"),
+    (b"", "empty input"),
+    (b"\r\n", "empty input"),
+    (b"?", "vertex count 0 out of range"),
+    (b"~???", "vertex count 0 out of range"),
+    (b"~~??????", "vertex count 0 out of range"),
+    (b"~", "truncated very-long header at offset 1"),
+    (b"~?", "truncated long header at offset 2"),
+    (b"~??", "truncated long header at offset 3"),
+    (b"~~", "truncated very-long header at offset 2"),
+    (b"~~?????", "truncated very-long header at offset 7"),
+    (b"D", "truncated body at offset 1 (n=5 needs 2 data bytes)"),
+    (b"~?@?", "truncated body at offset 4 (n=64 needs 336 data bytes)"),
+    (b"A_q", "trailing data at offset 2"),
+    (b"~??@?", "trailing data at offset 4"),
+    (bytes([63 + 2, 63 + 0b100001]), "nonzero padding bit in byte at offset 1"),
+    (b"Dw" + bytes([63 + 1]), "nonzero padding bit in byte at offset 2"),
+]
+
+
+def test_graph6_errors_match_oracle():
+    for data, message in GRAPH6_ERRORS:
+        found = _graph6_outcome(og.parse_graph6, data)
+        assert found == _graph6_outcome(graph6_oracle_parse, data), data
+        assert isinstance(found, str) and message in found, (data, found)
+
+
+def test_graph6_mutations_match_oracle(family_suite):
+    # seeded single-byte mutations, every truncation and one-byte extensions
+    # of real lines, the long-header folded 7-cube among them
+    rng = np.random.default_rng(29)
+    lines = [og.encode_graph6(g) for _, g in family_suite] + [b"@", b"A_"]
+    messages = set()
+    for line in lines:
+        inputs = [line[:i] for i in range(len(line))]
+        for _ in range(100):
+            i, byte = int(rng.integers(len(line))), int(rng.integers(256))
+            inputs.append(line[:i] + bytes([byte]) + line[i + 1:])
+            i, byte = int(rng.integers(len(line) + 1)), int(rng.integers(256))
+            inputs.append(line[:i] + bytes([byte]) + line[i:])
+        for data in inputs:
+            found = _graph6_outcome(og.parse_graph6, data)
+            assert found == _graph6_outcome(graph6_oracle_parse, data), data
+            if isinstance(found, str):
+                messages.add(found)
+    for branch in ("empty", "outside printable", "out of range", "truncated long header",
+                   "truncated body", "trailing data", "padding"):
+        assert any(branch in m for m in messages), branch
 
 
 # ---------------------------------------------------------------------------
