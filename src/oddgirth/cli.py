@@ -159,7 +159,8 @@ def cmd_scan(args):
         print("alarms: %d" % summary.alarms)
         print("elapsed: %.2f s" % summary.elapsed_s)
         if summary.funnel:
-            print("funnel (masks -> connected -> expanded -> prefilter survivors -> hits):")
+            print("funnel (masks -> connected -> triangle-free -> expanded -> prefilter survivors "
+                  "-> hits):")
             for n, counts in sorted(summary.funnel.items()):
                 stages = (str(counts[stage]) for stage in scan_mod.FUNNEL_STAGES)
                 print("  n=%d: %s" % (n, " -> ".join(stages)))

@@ -28,9 +28,12 @@ but in BLAS.
 Two properties of an edge bitmask need no adjacency matrix at all, only a
 bitwise AND with a fixed table of patterns per n.  A graph is disconnected
 iff some vertex set S with 0 in S != V has no edge leaving it, that is
-mask & cut(S) == 0, for one of the 2^(n-1) - 1 cuts (mask_connected).  It
-has a triangle iff mask & T == T for one of the C(n, 3) triangle masks T
-(mask_triangle_free).  The eigenvalue machinery lives in the sibling modules.
+mask & cut(S) == 0, for one of the 2^(n-1) - 1 cuts (mask_connected).  On
+the same table it is bipartite iff some cut holds every edge,
+mask & cut(S) == mask, with S the colour class of vertex 0 (mask_bipartite;
+K_1 has no cut and is bipartite).  It has a triangle iff mask & T == T for
+one of the C(n, 3) triangle masks T (mask_triangle_free).  The eigenvalue
+machinery lives in the sibling modules.
 """
 
 import functools
@@ -551,12 +554,15 @@ def graph_mask(g):
     return mask
 
 
-# masks per batch: the cut and triangle tests make one numpy call per pattern
-# (98 at n=7) whatever the batch size, so large batches spread that cost; only
-# about 4.4% of an n=7 batch (some 1,450 masks) reaches the distance layer, so
-# its float32 levels still fit a core's L2 cache.  The n=7 screen_range took
-# 0.58 s with 8192 masks, 0.44 s with 16384, 0.42 s with 32768 and 0.53 s with
-# 131072 (medians of 7 alternating runs, 2-core Xeon VM, 2 MB of L2 per core)
+# masks per batch: the cut, triangle and bipartite tests make one numpy call
+# per pattern (98 at n=7, and 63 more on the connected triangle-free masks)
+# whatever the batch size, so large batches spread that cost; only about 1.2%
+# of an n=7 batch (some 400 masks) reaches the distance layer, so its float32
+# levels fit a core's L2 cache.  The n=7 screen_range took 0.37 and 0.41 s
+# with 16384 masks, 0.32 and 0.35 s with 32768, 0.34 and 0.35 s with 65536
+# (medians of 7 and 9 alternating in-process runs, one BLAS thread, 2-core
+# Xeon VM, 2 MB of L2 per core); before the bipartite test it took 0.58 s with
+# 8192 and 0.53 s with 131072
 MASK_BATCH = 32768
 
 
@@ -590,6 +596,21 @@ def mask_connected(n, masks):
     for cut in _patterns(n)[0]:
         connected &= np.bitwise_and(masks, cut, out=anded) != 0
     return connected
+
+
+def mask_bipartite(n, masks):
+    """Whether each edge bitmask in an int64 array is bipartite: some cut holds every edge.
+
+    The cut of S, the colour class of vertex 0, holds every edge of a
+    2-colouring; an edgeless graph fits every cut, and K_1, which has none,
+    is bipartite.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    bipartite = np.full(len(masks), n == 1)
+    anded = np.empty_like(masks)
+    for cut in _patterns(n)[0]:
+        bipartite |= np.bitwise_and(masks, cut, out=anded) == masks
+    return bipartite
 
 
 def mask_triangle_free(n, masks):

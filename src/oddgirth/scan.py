@@ -8,11 +8,15 @@ distinct eigenvalues, so d >= D and every hit has odd girth >= 2D+1.  A graph
 with a triangle has odd girth 3, so it can be a hit only if D = 1, which
 makes it the complete graph K_n.
 
-The screen runs in three exact steps, each on fewer masks.  Connectivity
-(no empty cut) and triangles are bitwise tests on the masks themselves; only
-the connected masks that are triangle-free or complete go to the distance
-layer, which tests odd girth >= 2D+1; only those that pass have their
-eigenvalues solved for.
+The hypothesis needs a finite odd girth, so a bipartite graph, which has no
+odd cycle, is never a hit.
+
+The screen runs in four exact steps, each on fewer masks.  Connectivity (no
+empty cut), triangles and bipartiteness (a cut that holds every edge) are
+bitwise tests on the masks themselves; only the connected masks that are
+triangle-free or complete and not bipartite go to the distance layer, which
+tests odd girth >= 2D+1; only those that pass have their eigenvalues solved
+for.
 """
 
 import os
@@ -27,6 +31,7 @@ from .graphs import (
     GraphError,
     encode_graph6,
     graph_from_mask,
+    mask_bipartite,
     mask_connected,
     mask_distances,
     mask_triangle_free,
@@ -41,10 +46,11 @@ BACKEND = "python"
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
-# per-n screen counts, each a subset of the one before: the expanded masks go
-# through the distance layer, and every survivor of its exact prefilter costs
-# one eigensolve
-FUNNEL_STAGES = ("masks", "connected", "expanded", "survivors", "hits")
+# per-n screen counts, each a subset of the one before: triangle_free counts
+# the connected masks that are triangle-free or complete, the expanded ones
+# (those of them not bipartite) go through the distance layer, and every
+# survivor of its exact prefilter costs one eigensolve
+FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits")
 
 
 @dataclass
@@ -130,7 +136,7 @@ def screen_range(n, start, stop, funnel=None):
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
     by FUNNEL_STAGES, the range's counts are added to it.
     """
-    examined = expanded = survivors = 0
+    examined = triangle_free = expanded = survivors = 0
     hits = []
     complete = (1 << (n * (n - 1) // 2)) - 1
     for lo in range(start, stop, MASK_BATCH):
@@ -138,10 +144,12 @@ def screen_range(n, start, stop, funnel=None):
         masks = masks[mask_connected(n, masks)]
         examined += len(masks)
         masks = masks[mask_triangle_free(n, masks) | (masks == complete)]
+        triangle_free += len(masks)
+        masks = masks[~mask_bipartite(n, masks)]
         expanded += len(masks)
         batch = mask_distances(n, masks)
         girth = batch.odd_girth
-        keep = np.isfinite(girth) & (girth >= 2 * batch.diameter + 1)
+        keep = girth >= 2 * batch.diameter + 1  # no mask left is bipartite: girth is finite
         survivors += int(keep.sum())
         if not keep.any():
             continue
@@ -151,7 +159,7 @@ def screen_range(n, start, stop, funnel=None):
         for m, dd, og in zip(masks[keep][met], d[met], girth[keep][met]):
             hits.append((int(m), int(dd), int(og)))
     if funnel is not None:
-        counts = (stop - start, examined, expanded, survivors, len(hits))
+        counts = (stop - start, examined, triangle_free, expanded, survivors, len(hits))
         for stage, count in zip(FUNNEL_STAGES, counts):
             funnel[stage] += count
     return examined, hits
@@ -253,17 +261,17 @@ def scan_corpus(path, jobs=1):
     with open(path, "rb") as fh:
         raw = fh.read()
     lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [(i + 1, ln.decode("ascii", errors="replace")) for i, ln in enumerate(lines) if ln]
+    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
 
     parsed = []
     parse_errors = []
-    for lineno, text in lines:
+    for lineno, data in lines:
         try:
-            g = parse_graph6(text)
+            g = parse_graph6(data)  # the bytes as read, so a bad byte is named as analyze names it
         except GraphError as exc:
             parse_errors.append("line %d: %s" % (lineno, exc))
         else:
-            parsed.append((lineno, g, text))
+            parsed.append((lineno, g, data.decode("ascii")))  # a parsed line is printable ASCII
 
     hits = []
     verify_errors = []

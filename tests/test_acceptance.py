@@ -15,7 +15,13 @@ import pytest
 
 import oddgirth as og
 from oddgirth import cli, scan
-from oddgirth.graphs import MASK_BATCH, mask_connected, mask_distances, mask_triangle_free
+from oddgirth.graphs import (
+    MASK_BATCH,
+    mask_bipartite,
+    mask_connected,
+    mask_distances,
+    mask_triangle_free,
+)
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -191,6 +197,9 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
             masks = masks[mask_connected(n, masks) & mask_triangle_free(n, masks)]
             layer = mask_distances(n, masks)
             bipartite = np.isinf(layer.odd_girth)
+            # the cut-table test the screen uses agrees with the distance layer
+            for mask in masks[mask_bipartite(n, masks) != bipartite]:
+                bad.append("n=%d mask=%d: mask_bipartite disagrees with odd girth" % (n, mask))
             # the batch's eigenvalues at once, each row clustered as spectrum() does
             raw = np.linalg.eigvalsh(layer.adj[bipartite])
             for mask, values in zip(masks[bipartite], raw):

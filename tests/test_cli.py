@@ -66,7 +66,8 @@ SCAN_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["n", "masks", "connected", "expanded", "survivors", "hits"],
+                "required": ["n", "masks", "connected", "triangle_free", "expanded",
+                             "survivors", "hits"],
             },
         },
         "hits": {
@@ -150,6 +151,19 @@ def test_analyze_and_scan_strip_a_line_alike(tmp_path, capsys, space):
     assert doc["examined"] == 1 and doc["certified"] == 1 and doc["parse_failures"] == 0
 
 
+def test_analyze_and_scan_name_a_bad_byte_alike(tmp_path, capsys):
+    # 0xc8 is neither printable graph6 nor ASCII: both commands report the
+    # byte that parse_graph6 sees, not a replacement character
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"B\xc8w\n")
+    message = "graph6: byte 0xc8 at offset 1 outside printable range 63..126"
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert cli.main(["scan", "--corpus", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parse_errors"] == ["line 1: %s" % message]
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse normally exits 2, which is reserved for counterexample alarms
     with pytest.raises(SystemExit) as exc:
@@ -192,8 +206,8 @@ def test_scan_n3_json(capsys):
     assert doc["hits"][0]["graph6"] == "Bw"  # K_3
     assert doc["hits"][0]["generalized_odd_graph"] is True
     assert [row["masks"] for row in doc["funnel"]] == [1, 2, 8]
-    assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "expanded": 4,
-                                 "survivors": 1, "hits": 1}
+    assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "triangle_free": 4,
+                                 "expanded": 1, "survivors": 1, "hits": 1}
 
 
 def test_scan_text_output(capsys):
@@ -203,7 +217,7 @@ def test_scan_text_output(capsys):
     assert "hypothesis met: 2" in out
     assert "alarms: 0" in out
     assert "elapsed: " in out
-    assert "  n=4: 64 -> 38 -> 20 -> 1 -> 1" in out
+    assert "  n=4: 64 -> 38 -> 20 -> 1 -> 1 -> 1" in out.splitlines()
 
 
 def test_scan_corpus_cli(tmp_path, petersen, capsys):

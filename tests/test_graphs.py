@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgirth as og
-from oddgirth.graphs import _patterns, mask_connected, mask_distances, mask_triangle_free
+from oddgirth.graphs import (
+    _patterns,
+    mask_bipartite,
+    mask_connected,
+    mask_distances,
+    mask_triangle_free,
+)
 
 from conftest import graph6_oracle_encode, graph6_oracle_parse
 
@@ -555,6 +561,7 @@ def test_mask_distances_seven_vertex_batch():
     assert np.array_equal(layer.adj, np.array([g.adj for g, *_ in cases]))
     assert mask_connected(7, masks).tolist() == [c[1] for c in cases]
     assert mask_triangle_free(7, masks).tolist() == [c[4] for c in cases]
+    assert mask_bipartite(7, masks).tolist() == [math.isinf(c[3]) for c in cases]
     for row, (g, connected, diameter, girth, _) in enumerate(cases):
         dd = og.distance_data(g)
         assert dd.connected == connected, row
@@ -569,17 +576,21 @@ def test_mask_distances_empty_batch():
         assert layer.adj.shape == (0, n, n)
         for values in (layer.diameter, layer.odd_girth):
             assert values.shape == (0,)
-        for values in (mask_connected(n, empty), mask_triangle_free(n, empty)):
+        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
+            values = fn(n, empty)
             assert values.shape == (0,) and values.dtype == bool
 
 
 def test_mask_patterns_exhaustive(mask_oracle):
-    # every mask on n <= 6 vertices: connectivity against distance_data, and
-    # triangles against trace(A^3)
+    # every mask on n <= 6 vertices: connectivity against reachability,
+    # triangles against trace(A^3) and bipartiteness against an infinite odd
+    # girth (no odd closed walk)
     for n in range(1, 7):
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
         assert mask_connected(n, masks).tolist() == mask_oracle[n]["connected"], n
         assert mask_triangle_free(n, masks).tolist() == mask_oracle[n]["triangle_free"], n
+        bipartite = [math.isinf(g) for g in mask_oracle[n]["odd_girth"]]
+        assert mask_bipartite(n, masks).tolist() == bipartite, n
 
 
 def test_mask_pattern_tables():
@@ -590,20 +601,25 @@ def test_mask_pattern_tables():
         assert len(set(cuts.tolist())) == len(cuts) and 0 not in cuts.tolist(), n
         assert all(bin(t).count("1") == 3 for t in triangles.tolist()), n
         assert not cuts.flags.writeable and not triangles.flags.writeable
-    # n = 1 has no cut and n <= 2 no triangle: every mask passes
+    # n = 1 has no cut and n <= 2 no triangle: every mask passes; K_1 is bipartite
     assert mask_connected(1, [0]).tolist() == [True]
     assert mask_triangle_free(1, [0]).tolist() == [True]
+    assert mask_bipartite(1, [0]).tolist() == [True]
     assert mask_connected(2, [0, 1]).tolist() == [False, True]
     assert mask_triangle_free(2, [0, 1]).tolist() == [True, True]
-    # n = 11 uses 55 of the 63 bits: K_11 and the empty graph
+    assert mask_bipartite(2, [0, 1]).tolist() == [True, True]
+    # n = 11 uses 55 of the 63 bits: K_11, the empty graph and the star at
+    # vertex 10, whose edges are the top ten bits
     full = (1 << 55) - 1
-    assert mask_connected(11, [full, 0]).tolist() == [True, False]
-    assert mask_triangle_free(11, [full, 0]).tolist() == [False, True]
+    star = full ^ ((1 << 45) - 1)
+    assert mask_connected(11, [full, 0, star]).tolist() == [True, False, True]
+    assert mask_triangle_free(11, [full, 0, star]).tolist() == [False, True, True]
+    assert mask_bipartite(11, [full, 0, star]).tolist() == [False, True, True]
 
 
 def test_mask_patterns_reject_wide_masks():
     # n = 12 needs 66 bits, more than an int64 mask holds
     for n in (0, 12):
-        for fn in (mask_connected, mask_triangle_free):
+        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
             with pytest.raises(og.GraphError):
                 fn(n, np.zeros(1, dtype=np.int64))

@@ -66,7 +66,8 @@ def test_scan_funnel_totals(monkeypatch):
     assert totals["masks"] == serial.masks_total == 33867
     assert totals["connected"] == serial.examined == 27476
     assert totals["hits"] == serial.hypothesis_met == 16
-    assert totals["expanded"] == 3806  # connected and triangle-free, or complete
+    assert totals["triangle_free"] == 3806  # connected and triangle-free, or complete
+    assert totals["expanded"] == 556  # of those, not bipartite: 0, 0, 1, 1, 13, 541
     assert totals["survivors"] == 196  # eigensolves: 0, 0, 1, 1, 13, 181
     for counts in serial.funnel.values():
         values = [counts[stage] for stage in scan.FUNNEL_STAGES]
@@ -74,7 +75,8 @@ def test_scan_funnel_totals(monkeypatch):
     assert serial.elapsed_s > 0
     doc = serial.to_dict()
     assert doc["funnel"][-1] == {"n": 6, "masks": 32768, "connected": 26704,
-                                 "expanded": 3572, "survivors": 181, "hits": 1}
+                                 "triangle_free": 3572, "expanded": 541,
+                                 "survivors": 181, "hits": 1}
     # the forked path sums the funnel over its chunks
     monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
     forked = scan.scan_enumerated(6, jobs=2)
