@@ -25,21 +25,29 @@ distance_data builds that table once and hands it on in its DistanceData.
 Smaller or denser graphs, and every batch, keep the dense product, O(n^3)
 but in BLAS.
 
-Two properties of an edge bitmask need no adjacency matrix at all, only a
-bitwise AND with a fixed table of patterns per n.  A graph is disconnected
-iff some vertex set S with 0 in S != V has no edge leaving it, that is
-mask & cut(S) == 0, for one of the 2^(n-1) - 1 cuts (mask_connected).  On
-the same table it is bipartite iff some cut holds every edge,
-mask & cut(S) == mask, with S the colour class of vertex 0 (mask_bipartite;
-K_1 has no cut and is bipartite).  It has a triangle iff mask & T == T for
-one of the C(n, 3) triangle masks T (mask_triangle_free).  The eigenvalue
-machinery lives in the sibling modules.
+Connectivity, triangles and bipartiteness of an edge bitmask on n <= 7
+vertices need no adjacency matrix, only a table per graph on fewer
+vertices: the vertex-extension step of orderly generation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A mask on n
+vertices is a graph on the first n - 1 (its low (n-1)(n-2)/2 bits) plus the
+neighbour set S of vertex n - 1 (its top n - 1 bits).  The table of every
+graph on m <= 6 vertices (_table, built once per m from the table of m - 1
+with the same step) holds each vertex's component and colour class as
+vertex bitmasks, and a triangle-free and a bipartite flag.  Adding vertex j
+joined to S (_extend), the graph is connected iff the components of S's
+vertices and j cover every vertex; triangle-free iff it was and no edge lies
+inside S; bipartite iff it was and S meets each component in one colour
+class.  mask_blocks walks a range of masks in blocks of one S, a slice of
+the table each; mask_connected, mask_triangle_free and mask_bipartite
+gather the rows of arbitrary masks.  The eigenvalue machinery lives in the
+sibling modules.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,16 +71,16 @@ class Graph:
     adj: np.ndarray
 
     def __post_init__(self):
-        self.adj = np.asarray(self.adj, dtype=np.int64)
+        adj = self.adj = np.asarray(self.adj, dtype=np.int64)
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        if self.adj.shape != (self.n, self.n):
-            raise GraphError("adjacency shape %s does not match n=%d" % (self.adj.shape, self.n))
-        if not np.array_equal(self.adj, self.adj.T):
+        if adj.shape != (self.n, self.n):
+            raise GraphError("adjacency shape %s does not match n=%d" % (adj.shape, self.n))
+        if not (adj == adj.T).all():
             raise GraphError("adjacency must be symmetric")
-        if np.any(np.diag(self.adj) != 0):
+        if adj.diagonal().any():
             raise GraphError("self-loops are not allowed")
-        if not ((self.adj == 0) | (self.adj == 1)).all():
+        if (adj & -2).any():  # any bit but the lowest: an entry other than 0 or 1
             raise GraphError("adjacency entries must be 0 or 1")
 
     def __eq__(self, other):
@@ -538,10 +546,27 @@ def odd_girth(g):
 # ---------------------------------------------------------------------------
 # exhaustive enumeration by edge bitmask
 
+def _mask_range_error(n, mask):
+    return GraphError(
+        "edge bitmask %d is outside [0, 2^%d) for n=%d" % (mask, n * (n - 1) // 2, n)
+    )
+
+
+def _checked_masks(n, masks):
+    """masks as an int64 array, each in [0, 2^(n(n-1)/2)); GraphError names one that is not."""
+    masks = np.asarray(masks, dtype=np.int64)
+    outside = (masks >> (n * (n - 1) // 2)) != 0  # a negative mask shifts to -1
+    if outside.any():
+        raise _mask_range_error(n, int(masks[outside.argmax()]))
+    return masks
+
+
 def graph_from_mask(n, mask):
     """Graph from an edge bitmask on 1 <= n <= 11 vertices; bit b is the edge edge_pairs(n)[b]."""
     if not 1 <= n <= 11:
         raise GraphError("edge bitmasks support 1 <= n <= 11, got %d" % n)
+    if not 0 <= mask < 1 << (n * (n - 1) // 2):
+        raise _mask_range_error(n, mask)
     return Graph(n, adjacency_batch(n, np.array([mask], dtype=np.int64))[0])
 
 
@@ -554,73 +579,165 @@ def graph_mask(g):
     return mask
 
 
-# masks per batch: the cut, triangle and bipartite tests make one numpy call
-# per pattern (98 at n=7, and 63 more on the connected triangle-free masks)
-# whatever the batch size, so large batches spread that cost; only about 1.2%
-# of an n=7 batch (some 400 masks) reaches the distance layer, so its float32
-# levels fit a core's L2 cache.  The n=7 screen_range took 0.37 and 0.41 s
-# with 16384 masks, 0.32 and 0.35 s with 32768, 0.34 and 0.35 s with 65536
-# (medians of 7 and 9 alternating in-process runs, one BLAS thread, 2-core
-# Xeon VM, 2 MB of L2 per core); before the bipartite test it took 0.58 s with
-# 8192 and 0.53 s with 131072
-MASK_BATCH = 32768
+class _Table(NamedTuple):
+    """Graphs on m vertices, entry i of each array for the graph of mask low[i].
+
+    comp[u] is the component of vertex u and same[u] the vertices of that
+    component coloured as u in a 2-colouring, both as vertex bitmasks (uint8,
+    one row per vertex; same means nothing where the graph is not
+    bipartite).  pairs[S] is the edge bitmask of the pairs inside the vertex
+    set S, for each of the 2^m sets: the edges a vertex joined to S closes
+    into triangles.
+    """
+
+    comp: np.ndarray
+    same: np.ndarray
+    triangle_free: np.ndarray
+    bipartite: np.ndarray
+    low: np.ndarray
+    pairs: np.ndarray
+
+    def rows(self, index):
+        """The graphs at index, a slice (views) or an index array (a gather)."""
+        return _Table(self.comp[:, index], self.same[:, index], self.triangle_free[index],
+                      self.bipartite[index], self.low[index], self.pairs)
+
+
+def _extend(rows, S):
+    """Join a new vertex j = len(rows.comp) to the vertex set S in each graph of rows.
+
+    Returns (reach, side, triangle_free, bipartite) of the graphs on j + 1
+    vertices.  reach is the component of j: bit j and the components of the
+    vertices of S, so a graph is connected iff reach holds all j + 1
+    vertices.  It is triangle-free iff it was before and no edge lies
+    inside S, low & pairs[S] == 0.  It is bipartite iff it was before and S
+    meets every component in one colour class, S & comp[u] & ~same[u] == 0
+    for each u in S; side, the union of same[u] over u in S, is then the
+    colour class of S, and reach ^ side that of j.
+    """
+    j = len(rows.comp)
+    reach = np.full(len(rows.low), 1 << j, dtype=np.uint8)
+    side = np.zeros_like(reach)
+    other = np.zeros_like(reach)  # the union of comp[u] & ~same[u] over u in S
+    for u in range(j):
+        if S >> u & 1:
+            reach |= rows.comp[u]
+            side |= rows.same[u]
+            other |= rows.comp[u] ^ rows.same[u]
+    triangle_free = (rows.low & rows.pairs[S]) == 0
+    triangle_free &= rows.triangle_free
+    other &= S
+    bipartite = other == 0
+    bipartite &= rows.bipartite
+    return reach, side, triangle_free, bipartite
 
 
 @functools.lru_cache(maxsize=None)
-def _patterns(n):
-    """(cuts, triangles): read-only int64 arrays of edge bitmasks on n vertices, 1 <= n <= 11.
+def _table(m):
+    """The read-only _Table of every graph on m <= 6 vertices, row L for mask L.
 
-    cuts holds, for each vertex set S with 0 in S != V, the edges with one end
-    in S: 2^(n-1) - 1 masks.  triangles holds the C(n, 3) triangles.  Above
-    n = 11 the n(n-1)/2 pairs no longer fit in the 63 bits of a mask.
+    A mask on m vertices is a graph on the first m - 1 (its low
+    e = (m-1)(m-2)/2 bits) plus the neighbour set S of vertex m - 1 (its top
+    m - 1 bits).  So the rows with one S are the block [S 2^e, (S+1) 2^e),
+    the whole table of m - 1 vertices extended by S, and each block is
+    written in place into arrays of the final size.  m = 0 is the one empty
+    graph: connected to nothing, triangle-free and bipartite.
     """
-    if not 1 <= n <= 11:
-        raise GraphError("edge bitmasks support 1 <= n <= 11, got %d" % n)
-    bit = {pair: 1 << b for b, pair in enumerate(edge_pairs(n))}
-    cuts = []
-    for inside in range((1 << (n - 1)) - 1):  # the vertices 1..n-1 in S, never all
-        side = [True] + [bool((inside >> (v - 1)) & 1) for v in range(1, n)]
-        cuts.append(sum(b for (u, v), b in bit.items() if side[u] != side[v]))
-    triangles = [bit[a, b] | bit[a, c] | bit[b, c] for a, b, c in combinations(range(n), 3)]
-    tables = (np.array(cuts, dtype=np.int64), np.array(triangles, dtype=np.int64))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    if m == 0:
+        none = np.zeros((0, 1), dtype=np.uint8)
+        table = _Table(none, none, np.ones(1, dtype=bool), np.ones(1, dtype=bool),
+                       np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
+    else:
+        prev = _table(m - 1)
+        j, size = m - 1, len(prev.low)
+        comp = np.empty((m, size << j), dtype=np.uint8)
+        same = np.empty_like(comp)
+        triangle_free = np.empty(size << j, dtype=bool)
+        bipartite = np.empty_like(triangle_free)
+        for S in range(1 << j):
+            block = slice(S * size, (S + 1) * size)
+            reach, side, triangle_free[block], bipartite[block] = _extend(prev, S)
+            rest = reach ^ side  # the colour class of j
+            comp[j, block], same[j, block] = reach, rest
+            for v in range(j):
+                joined = (reach >> v) & 1 == 1
+                comp[v, block] = np.where(joined, reach, prev.comp[v])
+                colour = np.where((side >> v) & 1 == 1, side, rest)
+                same[v, block] = np.where(joined, colour, prev.same[v])
+        # the pair (u, j) is bit j(j-1)/2 + u, so S + 2^j adds S << j(j-1)/2
+        inner = np.arange(1 << j, dtype=np.int32) << (j * (j - 1) // 2)
+        pairs = np.concatenate([prev.pairs, prev.pairs | inner])
+        table = _Table(comp, same, triangle_free, bipartite,
+                       np.arange(size << j, dtype=np.int32), pairs)
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _check_table_n(n):
+    if not 1 <= n <= 7:
+        raise GraphError("mask tables support 1 <= n <= 7, got %d" % n)
+
+
+def mask_blocks(n, start, stop):
+    """Yield (lo, connected, triangle_free, bipartite) for the masks [start, stop) on n vertices.
+
+    1 <= n <= 7.  Entry i of each bool array is the property of mask lo + i.
+    A block holds the masks with one neighbour set S of vertex n - 1, a slice
+    of the table of n - 1 vertices extended by S (_extend), so a block is
+    2^((n-1)(n-2)/2) masks, less where it meets start or stop.
+    """
+    _check_table_n(n)
+    if not 0 <= start <= stop <= 1 << (n * (n - 1) // 2):
+        raise GraphError("mask range [%d, %d) is outside [0, 2^%d) for n=%d"
+                         % (start, stop, n * (n - 1) // 2, n))
+    if start == stop:
+        return
+    table = _table(n - 1)
+    size = len(table.low)
+    for S in range(start // size, -(-stop // size)):
+        base = S * size
+        index = slice(max(start - base, 0), min(stop - base, size))
+        reach, _, triangle_free, bipartite = _extend(table.rows(index), S)
+        yield base + index.start, reach == (1 << n) - 1, triangle_free, bipartite
+
+
+def _mask_flags(n, masks):
+    """(3, B) bool array: connected, triangle_free and bipartite of each edge bitmask.
+
+    The masks are taken in groups of one neighbour set S of vertex n - 1:
+    each group's table rows, gathered by the low bits, are extended by S as
+    in mask_blocks.
+    """
+    _check_table_n(n)
+    masks = _checked_masks(n, masks)
+    table = _table(n - 1)
+    high = (masks >> ((n - 1) * (n - 2) // 2)).astype(np.uint8)
+    order = np.argsort(high, kind="stable")
+    bounds = np.searchsorted(high[order], np.arange((1 << (n - 1)) + 1))
+    flags = np.empty((3, len(masks)), dtype=bool)
+    for S in range(1 << (n - 1)):
+        group = order[bounds[S]:bounds[S + 1]]
+        if len(group):
+            rows = table.rows(masks[group] & (len(table.low) - 1))
+            reach, _, flags[1, group], flags[2, group] = _extend(rows, S)
+            flags[0, group] = reach == (1 << n) - 1
+    return flags
 
 
 def mask_connected(n, masks):
-    """Connectivity of each edge bitmask in an int64 array: no cut is empty."""
-    masks = np.asarray(masks, dtype=np.int64)
-    connected = np.ones(len(masks), dtype=bool)
-    anded = np.empty_like(masks)
-    for cut in _patterns(n)[0]:
-        connected &= np.bitwise_and(masks, cut, out=anded) != 0
-    return connected
-
-
-def mask_bipartite(n, masks):
-    """Whether each edge bitmask in an int64 array is bipartite: some cut holds every edge.
-
-    The cut of S, the colour class of vertex 0, holds every edge of a
-    2-colouring; an edgeless graph fits every cut, and K_1, which has none,
-    is bipartite.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    bipartite = np.full(len(masks), n == 1)
-    anded = np.empty_like(masks)
-    for cut in _patterns(n)[0]:
-        bipartite |= np.bitwise_and(masks, cut, out=anded) == masks
-    return bipartite
+    """Connectivity of each edge bitmask in an int64 array, 1 <= n <= 7."""
+    return _mask_flags(n, masks)[0]
 
 
 def mask_triangle_free(n, masks):
-    """Whether each edge bitmask in an int64 array holds no triangle."""
-    masks = np.asarray(masks, dtype=np.int64)
-    free = np.ones(len(masks), dtype=bool)
-    anded = np.empty_like(masks)
-    for triangle in _patterns(n)[1]:
-        free &= np.bitwise_and(masks, triangle, out=anded) != triangle
-    return free
+    """Whether each edge bitmask in an int64 array, 1 <= n <= 7, holds no triangle."""
+    return _mask_flags(n, masks)[1]
+
+
+def mask_bipartite(n, masks):
+    """Whether each edge bitmask in an int64 array, 1 <= n <= 7, is bipartite (K_1 is)."""
+    return _mask_flags(n, masks)[2]
 
 
 @dataclass
@@ -629,12 +746,21 @@ class MaskDistances:
 
     adj is the (B, n, n) float64 adjacency batch; diameter and odd_girth are
     what distance_data reports for each mask's graph (odd_girth is a float
-    array, inf where there is no odd cycle).  Connectivity comes from mask_connected.
+    array, inf where there is no odd cycle).  Connectivity comes from mask_blocks.
     """
 
     adj: np.ndarray
     diameter: np.ndarray
     odd_girth: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_bits(n):
+    """Read-only (n, n) index of each pair's bit in an edge bitmask, 63 on the diagonal."""
+    lo, hi = np.sort(np.indices((n, n)), axis=0)
+    bit = np.where(lo == hi, 63, hi * (hi - 1) // 2 + lo)
+    bit.setflags(write=False)
+    return bit
 
 
 def adjacency_batch(n, masks):
@@ -645,11 +771,9 @@ def adjacency_batch(n, masks):
     edge_pairs(n) (n <= 11, so the pairs fit in 63 bits).  The diagonal reads
     bit 63, which is 0 in a non-negative mask.
     """
-    lo, hi = np.sort(np.indices((n, n)), axis=0)
-    bit = np.where(lo == hi, 63, hi * (hi - 1) // 2 + lo)
     raw = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(raw, axis=1, bitorder="little")
-    return bits[:, bit].astype(np.float64)
+    return bits[:, _pair_bits(n)].astype(np.float64)
 
 
 def mask_distances(n, masks):
@@ -678,8 +802,6 @@ def enumerate_connected(n):
     """
     if not 1 <= n <= 7:
         raise GraphError("enumeration supports 1 <= n <= 7, got %d" % n)
-    total = 1 << (n * (n - 1) // 2)
-    for lo in range(0, total, MASK_BATCH):
-        masks = np.arange(lo, min(lo + MASK_BATCH, total), dtype=np.int64)
-        for mask in masks[mask_connected(n, masks)]:
+    for lo, connected, _, _ in mask_blocks(n, 0, 1 << (n * (n - 1) // 2)):
+        for mask in lo + np.flatnonzero(connected):
             yield graph_from_mask(n, int(mask))

@@ -172,8 +172,9 @@ def matrix_values(system, A, table):
     """Yield p_0(A), p_1(A), ..., p_d(A) from the three-term recurrence.
 
     p_{i+1}(A) = ((A - alpha_i I) p_i(A) - beta_{i-1} p_{i-1}(A)) / gamma_{i+1}:
-    d - 1 products with A (A p_0(A) is a multiple of A), and at most three
-    n x n float64 iterates held at a time.  table is A's
+    d - 1 products with A (A p_0(A) is a multiple of A), at most three
+    n x n float64 iterates held at a time, and one scratch matrix that takes
+    the alpha and beta terms in turn.  table is A's
     graphs.neighbour_table (DistanceData.neighbour_table).  When it is not
     None each product is a graphs.neighbour_sum in float64 and every iterate
     carries the zero row n that the table's padding points at; the values
@@ -186,6 +187,7 @@ def matrix_values(system, A, table):
         rows = n + 1
     prev, cur = None, system.polys[0][0] * np.eye(rows, n)  # p_0 = 1, up to rounding
     yield cur[:n]
+    term = np.empty((rows, n))  # alpha_i p_i(A), then beta_{i-1} p_{i-1}(A)
     for i in range(system.d):
         if not i:  # p_0(A) is a multiple of I
             nxt = np.zeros((rows, n))
@@ -194,9 +196,9 @@ def matrix_values(system, A, table):
             nxt = A @ cur
         else:
             nxt = graphs.neighbour_sum(table, cur, np.float64)
-        nxt -= system.alpha[i] * cur
+        nxt -= np.multiply(cur, system.alpha[i], out=term)
         if i:
-            nxt -= system.beta[i - 1] * prev
+            nxt -= np.multiply(prev, system.beta[i - 1], out=term)
         nxt /= system.gamma[i + 1]
         yield nxt[:n]
         prev, cur = cur, nxt

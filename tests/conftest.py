@@ -7,13 +7,15 @@ the odd graphs); the tests treat them as independent oracles for the
 numerical pipeline.
 """
 
+import functools
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import oddgirth as og
-from oddgirth.graphs import MASK_BATCH, edge_pairs, mask_connected
+from oddgirth.graphs import edge_pairs, mask_blocks
 
 # one line per acceptance criterion, echoed after the run by the summary hook
 ACCEPTANCE_LINES = []
@@ -78,12 +80,56 @@ def screen_regular_range(n, start, stop):
     """
     stars = [sum(1 << b for b, pair in enumerate(edge_pairs(n)) if v in pair) for v in range(n)]
     out = []
-    for lo in range(start, stop, MASK_BATCH):
-        masks = np.arange(lo, min(lo + MASK_BATCH, stop), dtype=np.int64)
+    for lo, connected, _, _ in mask_blocks(n, start, stop):
+        masks = lo + np.flatnonzero(connected)
         deg = np.stack([np.bitwise_count(masks & star) for star in stars], axis=1)
-        regular = masks[(deg == deg[:, :1]).all(axis=1)]
-        out.extend(int(m) for m in regular[mask_connected(n, regular)])
+        out.extend(int(m) for m in masks[(deg == deg[:, :1]).all(axis=1)])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def cut_patterns(n):
+    """(cuts, triangles): read-only int64 arrays of edge bitmasks on n vertices, 1 <= n <= 11.
+
+    cuts holds, for each vertex set S with 0 in S != V, the edges with one end
+    in S: 2^(n-1) - 1 masks.  triangles holds the C(n, 3) triangles.  Above
+    n = 11 the n(n-1)/2 pairs no longer fit in the 63 bits of a mask.
+    """
+    assert 1 <= n <= 11, n
+    bit = {pair: 1 << b for b, pair in enumerate(edge_pairs(n))}
+    cuts = []
+    for inside in range((1 << (n - 1)) - 1):  # the vertices 1..n-1 in S, never all
+        side = [True] + [bool((inside >> (v - 1)) & 1) for v in range(1, n)]
+        cuts.append(sum(b for (u, v), b in bit.items() if side[u] != side[v]))
+    triangles = [bit[a, b] | bit[a, c] | bit[b, c] for a, b, c in combinations(range(n), 3)]
+    tables = (np.array(cuts, dtype=np.int64), np.array(triangles, dtype=np.int64))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def cut_oracle(n, masks):
+    """(connected, triangle_free, bipartite) of each edge bitmask by the cut and triangle tables.
+
+    The package's reference for its vertex-extension tables, one AND per
+    pattern.  A graph is disconnected iff some cut holds none of its edges,
+    mask & cut == 0; it is bipartite iff some cut holds all of them,
+    mask & cut == mask (the cut of the colour class of vertex 0; K_1, which
+    has no cut, is bipartite); it has a triangle T iff mask & T == T.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    cuts, triangles = cut_patterns(n)
+    connected = np.ones(len(masks), dtype=bool)
+    bipartite = np.full(len(masks), n == 1)
+    free = np.ones(len(masks), dtype=bool)
+    anded = np.empty_like(masks)
+    for cut in cuts:
+        np.bitwise_and(masks, cut, out=anded)
+        connected &= anded != 0
+        bipartite |= anded == masks
+    for triangle in triangles:
+        free &= np.bitwise_and(masks, triangle, out=anded) != triangle
+    return connected, free, bipartite
 
 
 def graph6_oracle_parse(text):

@@ -15,13 +15,7 @@ import pytest
 
 import oddgirth as og
 from oddgirth import cli, scan
-from oddgirth.graphs import (
-    MASK_BATCH,
-    mask_bipartite,
-    mask_connected,
-    mask_distances,
-    mask_triangle_free,
-)
+from oddgirth.graphs import mask_blocks, mask_distances
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -192,14 +186,15 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
     for n in range(1, 8):
         total = 1 << (n * (n - 1) // 2)
         found = 0
-        for lo in range(0, total, MASK_BATCH):
-            masks = np.arange(lo, min(lo + MASK_BATCH, total), dtype=np.int64)
-            masks = masks[mask_connected(n, masks) & mask_triangle_free(n, masks)]
+        for lo, connected, free, flagged in mask_blocks(n, 0, total):
+            keep = connected & free
+            masks = lo + np.flatnonzero(keep)
             layer = mask_distances(n, masks)
             bipartite = np.isinf(layer.odd_girth)
-            # the cut-table test the screen uses agrees with the distance layer
-            for mask in masks[mask_bipartite(n, masks) != bipartite]:
-                bad.append("n=%d mask=%d: mask_bipartite disagrees with odd girth" % (n, mask))
+            # the table test the screen uses agrees with the distance layer
+            for mask in masks[flagged[keep] != bipartite]:
+                bad.append("n=%d mask=%d: mask_blocks' bipartite flag disagrees with odd girth"
+                           % (n, mask))
             # the batch's eigenvalues at once, each row clustered as spectrum() does
             raw = np.linalg.eigvalsh(layer.adj[bipartite])
             for mask, values in zip(masks[bipartite], raw):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 import oddgirth as og
 from oddgirth.graphs import (
-    _patterns,
+    _table,
     mask_bipartite,
+    mask_blocks,
     mask_connected,
     mask_distances,
     mask_triangle_free,
 )
 
-from conftest import graph6_oracle_encode, graph6_oracle_parse
+from conftest import cut_oracle, cut_patterns, graph6_oracle_encode, graph6_oracle_parse
 
 
 def floyd_warshall(g):
@@ -66,18 +67,23 @@ def relabeled(g, seed):
 # Graph type
 
 def test_graph_invariants_enforced():
-    with pytest.raises(og.GraphError):
-        og.Graph(2, np.array([[0, 1], [0, 0]]))  # asymmetric
-    with pytest.raises(og.GraphError):
-        og.Graph(2, np.array([[1, 1], [1, 0]]))  # loop
-    with pytest.raises(og.GraphError):
-        og.Graph(2, np.array([[0, 2], [2, 0]]))  # non-0/1
+    with pytest.raises(og.GraphError, match="must be symmetric"):
+        og.Graph(2, np.array([[0, 1], [0, 0]]))
+    with pytest.raises(og.GraphError, match="self-loops"):
+        og.Graph(2, np.array([[1, 1], [1, 0]]))
+    with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
+        og.Graph(2, np.array([[0, 2], [2, 0]]))
     with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
         og.Graph(2, np.array([[0, -1], [-1, 0]]))
-    with pytest.raises(og.GraphError):
-        og.Graph(3, np.zeros((2, 2), dtype=int))  # shape
-    with pytest.raises(og.GraphError):
+    with pytest.raises(og.GraphError, match="does not match n=3"):
+        og.Graph(3, np.zeros((2, 2), dtype=int))
+    with pytest.raises(og.GraphError, match="at least one vertex"):
         og.Graph(0, np.zeros((0, 0), dtype=int))
+    # the checks run in this order: symmetry before loops before the entries
+    with pytest.raises(og.GraphError, match="must be symmetric"):
+        og.Graph(2, np.array([[2, 1], [0, 0]]))
+    with pytest.raises(og.GraphError, match="self-loops"):
+        og.Graph(2, np.array([[2, 1], [1, 0]]))
 
 
 def test_graph_equality_and_degrees():
@@ -593,14 +599,47 @@ def test_mask_patterns_exhaustive(mask_oracle):
         assert mask_bipartite(n, masks).tolist() == bipartite, n
 
 
-def test_mask_pattern_tables():
-    for n in range(1, 12):
-        cuts, triangles = _patterns(n)
-        assert len(cuts) == 2 ** (n - 1) - 1, n
-        assert len(triangles) == math.comb(n, 3), n
-        assert len(set(cuts.tolist())) == len(cuts) and 0 not in cuts.tolist(), n
-        assert all(bin(t).count("1") == 3 for t in triangles.tolist()), n
-        assert not cuts.flags.writeable and not triangles.flags.writeable
+def test_mask_flags_match_cut_oracle():
+    # all 2,131,019 masks on n <= 7 vertices, by blocks and as arbitrary
+    # masks in a shuffled order, against the cut and triangle tables
+    rng = np.random.default_rng(15)
+    for n in range(1, 8):
+        total = 1 << (n * (n - 1) // 2)
+        want = np.stack(cut_oracle(n, np.arange(total, dtype=np.int64)))
+        blocks = list(mask_blocks(n, 0, total))
+        assert [lo for lo, *_ in blocks] == list(range(0, total, total >> (n - 1))), n
+        got = np.concatenate([np.stack(flags) for _, *flags in blocks], axis=1)
+        assert np.array_equal(got, want), n
+        masks = rng.permutation(total)
+        predicates = (mask_connected, mask_triangle_free, mask_bipartite)
+        got = np.stack([fn(n, masks) for fn in predicates])
+        assert np.array_equal(got, want[:, masks]), n
+
+
+def test_mask_tables():
+    for m in range(7):
+        table = _table(m)
+        rows = 1 << (m * (m - 1) // 2)
+        assert table.comp.shape == table.same.shape == (m, rows), m
+        assert len(table.triangle_free) == len(table.bipartite) == len(table.low) == rows, m
+        assert table.low.tolist() == list(range(rows)), m
+        assert all(not a.flags.writeable for a in table), m
+        # pairs[S] holds exactly the pairs inside S
+        inside = [sum(1 << b for b, (u, v) in enumerate(og.edge_pairs(m)) if S >> u & S >> v & 1)
+                  for S in range(1 << m)]
+        assert table.pairs.tolist() == inside, m
+        if not m:
+            continue
+        # every vertex lies in its component and in its own colour class,
+        # which lies in the component; vertices of one component agree on it
+        vertex = (1 << np.arange(m, dtype=np.uint8))[:, None]
+        assert ((table.comp & vertex) != 0).all() and ((table.same & vertex) != 0).all(), m
+        bip = table.bipartite
+        assert ((table.same[:, bip] & ~table.comp[:, bip]) == 0).all(), m
+        for u in range(m):
+            for v in range(m):
+                joined = (table.comp[u] >> v) & 1 == 1
+                assert (table.comp[v][joined] == table.comp[u][joined]).all(), (m, u, v)
     # n = 1 has no cut and n <= 2 no triangle: every mask passes; K_1 is bipartite
     assert mask_connected(1, [0]).tolist() == [True]
     assert mask_triangle_free(1, [0]).tolist() == [True]
@@ -608,18 +647,51 @@ def test_mask_pattern_tables():
     assert mask_connected(2, [0, 1]).tolist() == [False, True]
     assert mask_triangle_free(2, [0, 1]).tolist() == [True, True]
     assert mask_bipartite(2, [0, 1]).tolist() == [True, True]
+
+
+def test_mask_pattern_tables():
+    # the reference cut and triangle tables, n = 1..11
+    for n in range(1, 12):
+        cuts, triangles = cut_patterns(n)
+        assert len(cuts) == 2 ** (n - 1) - 1, n
+        assert len(triangles) == math.comb(n, 3), n
+        assert len(set(cuts.tolist())) == len(cuts) and 0 not in cuts.tolist(), n
+        assert all(bin(t).count("1") == 3 for t in triangles.tolist()), n
+        assert not cuts.flags.writeable and not triangles.flags.writeable
     # n = 11 uses 55 of the 63 bits: K_11, the empty graph and the star at
     # vertex 10, whose edges are the top ten bits
     full = (1 << 55) - 1
     star = full ^ ((1 << 45) - 1)
-    assert mask_connected(11, [full, 0, star]).tolist() == [True, False, True]
-    assert mask_triangle_free(11, [full, 0, star]).tolist() == [False, True, True]
-    assert mask_bipartite(11, [full, 0, star]).tolist() == [False, True, True]
+    connected, free, bipartite = cut_oracle(11, [full, 0, star])
+    assert connected.tolist() == [True, False, True]
+    assert free.tolist() == [False, True, True]
+    assert bipartite.tolist() == [False, True, True]
 
 
 def test_mask_patterns_reject_wide_masks():
-    # n = 12 needs 66 bits, more than an int64 mask holds
-    for n in (0, 12):
+    # the tables cover n <= 7; n = 12 would need 66 bits, more than an int64 mask holds
+    for n in (0, 8, 12):
         for fn in (mask_connected, mask_triangle_free, mask_bipartite):
             with pytest.raises(og.GraphError):
                 fn(n, np.zeros(1, dtype=np.int64))
+        with pytest.raises(og.GraphError):
+            next(mask_blocks(n, 0, 1))
+
+
+def test_masks_out_of_range_rejected():
+    # a mask outside [0, 2^(n(n-1)/2)) is an error naming n and the mask,
+    # not a graph with the extra bits dropped or a loop read off bit 63
+    for mask in (8, 15, -1, 1 << 40):
+        with pytest.raises(og.GraphError, match=r"edge bitmask %d .*n=3" % mask):
+            og.graph_from_mask(3, mask)
+        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
+            with pytest.raises(og.GraphError, match=r"edge bitmask %d .*n=3" % mask):
+                fn(3, [7, mask, 0])
+    with pytest.raises(og.GraphError, match="n=1"):
+        mask_connected(1, [1])
+    assert og.graph_from_mask(3, 7) == og.generate_family("complete", [3])
+    with pytest.raises(og.GraphError, match="outside"):
+        next(mask_blocks(3, 0, 9))
+    with pytest.raises(og.GraphError, match="outside"):
+        next(mask_blocks(3, 5, 4))
+    assert list(mask_blocks(3, 4, 4)) == []

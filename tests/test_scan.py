@@ -41,6 +41,28 @@ def test_screen_matches_pipeline_exhaustively(mask_oracle):
                 assert by_mask[mask] == (d, girth), (n, mask)
 
 
+def test_screen_range_split_anywhere():
+    # the jobs > 1 chunks start and end inside blocks of one neighbour set of
+    # the last vertex (2^15 masks at n = 7): pieces cut at such offsets sum to
+    # exactly the counts and hits of one call over the whole range
+    total = 1 << 21
+    whole = dict.fromkeys(scan.FUNNEL_STAGES, 0)
+    examined, hits = scan.screen_range(7, 0, total, whole)
+    cuts = [0, 12345, 32769, (1 << 20) - 7, (1 << 20) + 1, total]
+    parts = dict.fromkeys(scan.FUNNEL_STAGES, 0)
+    examined_parts, hits_parts = 0, []
+    for lo, hi in zip(cuts, cuts[1:]):
+        e, h = scan.screen_range(7, lo, hi, parts)
+        examined_parts += e
+        hits_parts += h
+    assert (examined_parts, hits_parts, parts) == (examined, hits, whole)
+    assert whole["masks"] == total and whole["connected"] == examined == 1866256
+    assert whole["expanded"] == 25981 and len(hits) == whole["hits"] == 361
+    # an empty range, and one inside a single block
+    assert scan.screen_range(7, 99, 99) == (0, [])
+    assert scan.screen_range(7, total - 1, total)[1] == [(total - 1, 1, 3)]  # K_7
+
+
 def test_screen_regular_range_counts():
     # connected regular graphs on n labeled vertices
     want = {1: 1, 2: 1, 3: 1, 4: 4, 5: 13, 6: 146}
@@ -54,8 +76,8 @@ def test_screen_regular_range_counts():
 
 
 def test_screen_regular_range_without_regular_masks():
-    # masks 1 and 2 on 7 vertices are single edges: the batch handed to the
-    # connectivity test is empty
+    # masks 1 and 2 on 7 vertices are single edges: no connected mask is
+    # left for the degree test
     assert screen_regular_range(7, 1, 3) == []
 
 
@@ -185,17 +207,45 @@ def test_jobs_capped_at_affinity(tmp_path, petersen):
 
 
 def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, prism):
+    # each line is parsed where it is verified, in a pool worker when jobs > 1,
+    # so the calls are counted in a file that every process appends to
     path = tmp_path / "corpus.g6"
     path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (petersen, prism, petersen)))
-    calls = []
+    log = tmp_path / "parses"
 
     def counting_parse(text):
-        calls.append(text)
+        with open(log, "ab") as fh:
+            fh.write(bytes(text) + b"\n")
         return og.parse_graph6(text)
 
     monkeypatch.setattr(scan, "parse_graph6", counting_parse)
     for jobs in (1, 2):
-        calls.clear()
+        log.write_bytes(b"")
         summary = scan.scan_corpus(path, jobs=jobs)
-        assert len(calls) == 3, jobs
+        assert len(log.read_bytes().splitlines()) == 3, jobs
         assert summary.examined == 3 and summary.certified == 2, jobs
+
+
+def test_scan_corpus_streams_lines(tmp_path, monkeypatch, petersen, prism):
+    # in one process each line is parsed and verified before the next is
+    # parsed: no list of every parsed graph is held first
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join([og.encode_graph6(petersen), b"!bad", og.encode_graph6(prism)]))
+    steps = []
+    real_parse, real_verify = scan.parse_graph6, scan.verify_theorem
+
+    def parse(text):
+        steps.append("parse")
+        return real_parse(text)
+
+    def verify(g, *args, **kwargs):
+        steps.append("verify")
+        return real_verify(g, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "parse_graph6", parse)
+    monkeypatch.setattr(scan, "verify_theorem", verify)
+    summary = scan.scan_corpus(path)
+    assert steps == ["parse", "verify", "parse", "parse", "verify"]
+    assert summary.examined == 2 and summary.hypothesis_met == 1
+    assert [e[:7] for e in summary.parse_errors] == ["line 2:"]
+
