@@ -131,7 +131,7 @@ def cmd_analyze(args):
     tols = Tolerances() if args.tol is None else Tolerances(certificate=args.tol)
     report = verify_theorem(g, tols, input_label=args.path)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     else:
         _print_report(report, sys.stdout)
     return 2 if report.alarm else 0
@@ -149,7 +149,7 @@ def cmd_scan(args):
     else:
         summary = scan_mod.scan_corpus(args.corpus, jobs=args.jobs)
     if args.json:
-        print(json.dumps(summary.to_dict(), indent=2))
+        print(json.dumps(summary.to_dict(), indent=2, allow_nan=False))
     else:
         print("scan: %s (jobs %d)" % (summary.source, summary.jobs))
         print("masks considered: %d" % summary.masks_total)

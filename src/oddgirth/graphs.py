@@ -12,8 +12,8 @@ from every vertex of a stack of graphs: a single graph for distance_data, a
 batch of edge bitmasks for mask_distances.  Each level is one product with
 the adjacency matrix A whose entries are counts of at most the largest
 degree; distance_data keeps them as the level counts the intersection
-numbers are read from.  Each graph leaves the batch once its search has
-ended.  A has only k nonzeros per row, so on a large sparse graph
+numbers are read from.  The batch expands until no graph in it has a
+non-empty level.  A has only k nonzeros per row, so on a large sparse graph
 (neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices and more than
 NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is a sum of k row
 gathers (neighbour_sum), O(k n^2): in uint8 for the expansion, in the
@@ -38,9 +38,9 @@ joined to S (_extend), the graph is connected iff the components of S's
 vertices and j cover every vertex; triangle-free iff it was and no edge lies
 inside S; bipartite iff it was and S meets each component in one colour
 class.  mask_blocks walks a range of masks in blocks of one S, a slice of
-the table each; mask_connected, mask_triangle_free and mask_bipartite
-gather the rows of arbitrary masks.  The eigenvalue machinery lives in the
-sibling modules.
+the table each; mask_connected, mask_triangle_free and mask_bipartite index
+the flags it gives every mask on n vertices.  The eigenvalue machinery lives
+in the sibling modules.
 """
 
 import functools
@@ -450,18 +450,16 @@ class DistanceData:
 def _expand(A, table=None):
     """Level-synchronous BFS from every vertex of a (B, n, n) stack of adjacency matrices.
 
-    Yields (live, frontier, reach, counts) for levels k = 0, 1, ...: live
-    indexes the graphs whose level k is not empty, frontier[j, u] marks the
-    vertices at distance k from u in graph live[j], counts[j] = F_k A, so
-    counts[j, u, v] is the number of neighbours of v at distance k from u, and
-    reach[j] = counts[j] > 0 marks the neighbours of the level.
+    Yields (frontier, reach, counts) for levels k = 0, 1, ...: frontier[j, u]
+    marks the vertices at distance k from u in graph j (none once graph j's
+    search has ended), counts[j] = F_k A, so counts[j, u, v] is the number of
+    neighbours of v at distance k from u, and reach[j] = counts[j] > 0 marks
+    the neighbours of the level.
 
     Level 0 is the identity, so its counts are A itself, with no product.  Each
     later level is one batched float32 product whose entries count paths of at
-    most n < 2^24, so they are exact and the > 0 test is too.  A graph leaves
-    the batch after its last non-empty level, so a batch does as many products
-    per level as it has searches still running; the expansion ends when none
-    is left.
+    most n < 2^24, so they are exact and the > 0 test is too.  The expansion
+    ends after the last level at which some graph of the stack is not empty.
 
     A lone graph passed with its neighbour_table takes no dense product.  F_k is
     symmetric, so F_k A = (A F_k)^T, and A F_k is a neighbour_sum of the rows
@@ -472,7 +470,6 @@ def _expand(A, table=None):
     each several times slower.
     """
     n = A.shape[-1]
-    live = np.arange(len(A))
     frontier = np.eye(n, dtype=bool)[None].repeat(len(A), axis=0)
     seen = frontier.copy()
     if table is None:
@@ -481,7 +478,7 @@ def _expand(A, table=None):
         counts = np.asarray(A, dtype=np.min_scalar_type(table.shape[1]))
     while True:
         reach = counts > 0
-        yield live, frontier, reach, counts
+        yield frontier, reach, counts
         if table is None:
             frontier = reach > seen  # reach & ~seen
         else:
@@ -494,16 +491,7 @@ def _expand(A, table=None):
             sums = neighbour_sum(table, padded.view(np.uint8), counts.dtype)
             counts = np.ascontiguousarray(sums[None, :n].transpose(0, 2, 1))
             continue
-        level = frontier.astype(np.float32)
-        if len(live) > 1:  # a lone graph with a non-empty level is still live
-            # per-graph level sizes: a matrix-vector product is several times
-            # faster than any() over the short rows of a (B, n * n) array
-            alive = level.reshape(len(live), n * n) @ np.ones(n * n, dtype=np.float32) > 0.5
-            if not alive.all():
-                keep = np.flatnonzero(alive)
-                live, frontier, seen, A = (x.take(keep, axis=0) for x in (live, frontier, seen, A))
-                level = frontier.astype(np.float32)
-        counts = level @ A
+        counts = frontier.astype(np.float32) @ A
 
 
 def distance_data(g):
@@ -523,7 +511,7 @@ def distance_data(g):
     girth = math.inf
     levels = []
     table = neighbour_table(g.adj)
-    for k, (_, frontier, reach, counts) in enumerate(_expand(g.adj[None], table)):
+    for k, (frontier, reach, counts) in enumerate(_expand(g.adj[None], table)):
         np.putmask(dist, frontier[0], k)  # a quarter faster than dist[frontier[0]] = k
         levels.append(counts[0])
         if girth == math.inf and (reach & frontier).any():
@@ -598,7 +586,7 @@ class _Table(NamedTuple):
     pairs: np.ndarray
 
     def rows(self, index):
-        """The graphs at index, a slice (views) or an index array (a gather)."""
+        """The graphs at index, a slice: views of the arrays."""
         return _Table(self.comp[:, index], self.same[:, index], self.triangle_free[index],
                       self.bipartite[index], self.low[index], self.pairs)
 
@@ -705,24 +693,12 @@ def mask_blocks(n, start, stop):
 def _mask_flags(n, masks):
     """(3, B) bool array: connected, triangle_free and bipartite of each edge bitmask.
 
-    The masks are taken in groups of one neighbour set S of vertex n - 1:
-    each group's table rows, gathered by the low bits, are extended by S as
-    in mask_blocks.
+    Read off the flags mask_blocks gives every mask on n vertices.
     """
     _check_table_n(n)
     masks = _checked_masks(n, masks)
-    table = _table(n - 1)
-    high = (masks >> ((n - 1) * (n - 2) // 2)).astype(np.uint8)
-    order = np.argsort(high, kind="stable")
-    bounds = np.searchsorted(high[order], np.arange((1 << (n - 1)) + 1))
-    flags = np.empty((3, len(masks)), dtype=bool)
-    for S in range(1 << (n - 1)):
-        group = order[bounds[S]:bounds[S + 1]]
-        if len(group):
-            rows = table.rows(masks[group] & (len(table.low) - 1))
-            reach, _, flags[1, group], flags[2, group] = _extend(rows, S)
-            flags[0, group] = reach == (1 << n) - 1
-    return flags
+    blocks = mask_blocks(n, 0, 1 << (n * (n - 1) // 2))
+    return np.concatenate([np.stack(flags) for _, *flags in blocks], axis=1)[:, masks]
 
 
 def mask_connected(n, masks):
@@ -738,20 +714,6 @@ def mask_triangle_free(n, masks):
 def mask_bipartite(n, masks):
     """Whether each edge bitmask in an int64 array, 1 <= n <= 7, is bipartite (K_1 is)."""
     return _mask_flags(n, masks)[2]
-
-
-@dataclass
-class MaskDistances:
-    """The distance layer for a batch of edge bitmasks on n vertices, one row per mask.
-
-    adj is the (B, n, n) float64 adjacency batch; diameter and odd_girth are
-    what distance_data reports for each mask's graph (odd_girth is a float
-    array, inf where there is no odd cycle).  Connectivity comes from mask_blocks.
-    """
-
-    adj: np.ndarray
-    diameter: np.ndarray
-    odd_girth: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -777,21 +739,24 @@ def adjacency_batch(n, masks):
 
 
 def mask_distances(n, masks):
-    """Diameter and odd girth of every mask: one batched expansion.
+    """(diameter, odd_girth) of every edge bitmask on n vertices: one batched expansion.
 
-    Each mask's row is written at the levels its search is live: its diameter
-    is the last one, and its odd girth 2k+1 at the first level k with an edge
-    inside the level, as in distance_data.
+    Both are what distance_data reports for the mask's graph; odd_girth is a
+    float array, inf where there is no odd cycle.  A mask's diameter is the
+    last level k at which its frontier is not empty, and its odd girth 2k+1
+    at the first level k with an edge inside the level.  Connectivity comes
+    from mask_blocks.
     """
-    A = adjacency_batch(n, masks)
     diameter = np.zeros(len(masks), dtype=np.int64)
     girth = np.full(len(masks), math.inf)
+    # a matrix-vector product is several times faster than any() over the
+    # short rows of a (B, n * n) array
     ones = np.ones(n * n, dtype=np.float32)
-    for k, (live, frontier, reach, _) in enumerate(_expand(A)):
-        diameter[live] = k
-        closed = live[(reach & frontier).reshape(len(live), n * n) @ ones > 0.5]
+    for k, (frontier, reach, _) in enumerate(_expand(adjacency_batch(n, masks))):
+        diameter[frontier.reshape(len(masks), n * n) @ ones > 0.5] = k
+        closed = (reach & frontier).reshape(len(masks), n * n) @ ones > 0.5
         girth[closed] = np.minimum(girth[closed], 2 * k + 1)
-    return MaskDistances(A, diameter, girth)
+    return diameter, girth
 
 
 def enumerate_connected(n):

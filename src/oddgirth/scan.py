@@ -17,7 +17,8 @@ neighbour set S of the last vertex are one block, a graph on one vertex
 fewer extended by S, and the three properties are read off a slice of that
 smaller graph's table.  Only the connected masks that are triangle-free or
 complete and not bipartite go to the distance layer, which tests odd girth
->= 2D+1; only those that pass have their eigenvalues solved for.
+>= 2D+1; only those that pass have an adjacency matrix built and their
+eigenvalues solved for.
 """
 
 import itertools
@@ -30,6 +31,7 @@ import numpy as np
 
 from .graphs import (
     GraphError,
+    adjacency_batch,
     encode_graph6,
     graph_from_mask,
     mask_blocks,
@@ -161,16 +163,16 @@ def screen_range(n, start, stop, funnel=None):
             expanded += int(np.count_nonzero(keep))
             kept.append(lo + np.flatnonzero(keep))
         masks = np.concatenate(kept)
-        batch = mask_distances(n, masks)
-        girth = batch.odd_girth
-        keep = girth >= 2 * batch.diameter + 1  # no mask left is bipartite: girth is finite
+        diameter, girth = mask_distances(n, masks)
+        keep = girth >= 2 * diameter + 1  # no mask left is bipartite: girth is finite
         survivors += int(keep.sum())
         if not keep.any():
             continue
-        _, breaks = cluster_breaks(np.linalg.eigvalsh(batch.adj[keep]))
+        masks, girth = masks[keep], girth[keep]
+        _, breaks = cluster_breaks(np.linalg.eigvalsh(adjacency_batch(n, masks)))
         d = breaks.sum(axis=1)
-        met = girth[keep] >= 2 * d + 1
-        for m, dd, og in zip(masks[keep][met], d[met], girth[keep][met]):
+        met = girth >= 2 * d + 1
+        for m, dd, og in zip(masks[met], d[met], girth[met]):
             hits.append((int(m), int(dd), int(og)))
     if funnel is not None:
         counts = (stop - start, examined, triangle_free, expanded, survivors, len(hits))

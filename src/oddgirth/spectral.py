@@ -4,13 +4,12 @@ A graph that meets the theorem's hypothesis gets its spectrum with no n x n
 eigensolve: jacobi_spectrum reads the distinct eigenvalues and their
 multiplicities off the (d+1) x (d+1) Jacobi matrix of the exact walk-count
 recurrence (predistance.walk_recurrence).  Every other graph gets
-eigvalsh, clustered into distinct values (eigenvalue_spectrum).
+eigvalsh, clustered into distinct values (spectrum).
 
-The float oracles of that exact path stay here: spectrum() (one eigh on a
-graph that meets the distance layer's prefilter, with the local
-multiplicities from its eigenvectors), principal idempotents
-E_i = U_i U_i^T, local multiplicities (idempotent diagonals), closed-walk
-counts predicted from them, and the walk-regularity test.
+The float oracles of that exact path stay here: spectrum itself on a met
+graph, principal idempotents E_i = U_i U_i^T (one eigh), local
+multiplicities (idempotent diagonals), closed-walk counts predicted from
+them, and the walk-regularity test.
 """
 
 import math
@@ -45,11 +44,9 @@ class Spectrum:
     The distinct-value count drives everything downstream, so the clustering
     step records the tolerance it used, the smallest inter-cluster gap, and
     an ambiguity flag when that gap comes within a factor 10 of the tolerance.
-    local_mults is the n x (d+1) matrix of local multiplicities m_u(lambda_i)
-    when spectrum() solved for eigenvectors too, None otherwise.  A spectrum
-    read off the Jacobi matrix (jacobi_spectrum) clustered nothing: d is
-    exact, ambiguous is False, and cluster_tol is the tolerance a clustering
-    of its n eigenvalues would have used.
+    A spectrum read off the Jacobi matrix (jacobi_spectrum) clustered
+    nothing: d is exact, ambiguous is False, and cluster_tol is the tolerance
+    a clustering of its n eigenvalues would have used.
     """
 
     values: np.ndarray
@@ -59,7 +56,6 @@ class Spectrum:
     min_gap: float
     ambiguous: bool
     warnings: list = field(default_factory=list)
-    local_mults: np.ndarray = None
 
     @property
     def d(self):
@@ -113,7 +109,17 @@ def _eigensolve(solver, g):
         raise NumericalError("eigensolver failed: %s" % exc)
 
 
-def _with_warnings(s, dd):
+def spectrum(g, cluster_tol=None, dd=None):
+    """eigvalsh's eigenvalues of the adjacency matrix, clustered (cluster_spectrum), with warnings.
+
+    dd is g's DistanceData, computed when not given; a disconnected graph,
+    and an ambiguous clustering, add a warning.  verify_theorem calls it on
+    every graph that does not meet the hypothesis; on a met graph it is the
+    float oracle of jacobi_spectrum.
+    """
+    if dd is None:
+        dd = distance_data(g)
+    s = cluster_spectrum(_eigensolve(np.linalg.eigvalsh, g), cluster_tol)
     if not dd.connected:
         s.warnings.append("graph is disconnected; the pipeline assumes connectivity")
     if s.ambiguous:
@@ -121,35 +127,6 @@ def _with_warnings(s, dd):
             "eigenvalue clustering ambiguous: smallest inter-cluster gap %.3e "
             "is within 10x of tolerance %.3e" % (s.min_gap, s.cluster_tol)
         )
-    return s
-
-
-def eigenvalue_spectrum(g, cluster_tol=None, dd=None):
-    """eigvalsh alone, clustered (cluster_spectrum), with warnings; dd computed when not given."""
-    if dd is None:
-        dd = distance_data(g)
-    return _with_warnings(cluster_spectrum(_eigensolve(np.linalg.eigvalsh, g), cluster_tol), dd)
-
-
-def spectrum(g, cluster_tol=None, dd=None):
-    """Clustered eigenvalues of the adjacency matrix (cluster_spectrum), with warnings.
-
-    dd is g's DistanceData, computed when not given.  A graph that meets the
-    prefilter (meets_prefilter) gets one eigh, and its local multiplicities
-    are the row sums of U_i^2 over each eigenvalue block, under the guards of
-    idempotents; every other graph gets eigenvalue_spectrum, eigvalsh alone.
-    It is the float oracle of the exact spectrum: verify_theorem calls
-    eigenvalue_spectrum on every graph that does not meet the hypothesis.
-    """
-    if dd is None:
-        dd = distance_data(g)
-    if not meets_prefilter(dd):
-        return eigenvalue_spectrum(g, cluster_tol, dd)
-    raw, U = _eigensolve(np.linalg.eigh, g)
-    s = _with_warnings(cluster_spectrum(raw, cluster_tol), dd)
-    U = np.square(_eigenspace_columns(s, raw, U))
-    starts = np.concatenate(([0], np.cumsum(s.mults)[:-1]))
-    s.local_mults = np.add.reduceat(U, starts, axis=1)
     return s
 
 
@@ -189,12 +166,14 @@ def jacobi_spectrum(a, b, n, cluster_tol=None):
                     min_gap=min_gap, ambiguous=False)
 
 
-def _eigenspace_columns(s, raw, U):
-    """eigh's ascending (raw, U) as eigenvector columns in the clusters' descending order.
+def idempotents(g, s):
+    """Principal idempotents E_i = U_i U_i^T, eigh's columns split by the multiplicities.
 
-    Raises ValueError when two of s's distinct values lie within
-    s.cluster_tol, and NumericalError when a raw eigenvalue lies more than
-    s.cluster_tol from its cluster's value.
+    Any orthonormal basis U_i of an eigenspace gives the same E_i, so eigh's
+    choice inside a multiplicity > 1 eigenspace does not matter.  Raises
+    ValueError when two of s's distinct values lie within s.cluster_tol, and
+    NumericalError when a raw eigenvalue lies more than s.cluster_tol from
+    its cluster's value.
     """
     vals = s.values
     if len(vals) >= 2:
@@ -203,7 +182,8 @@ def _eigenspace_columns(s, raw, U):
             raise ValueError(
                 "degenerate spectrum: distinct eigenvalues separated by %.3e" % sep
             )
-    raw, U = raw[::-1], U[:, ::-1]
+    raw, U = _eigensolve(np.linalg.eigh, g)
+    raw, U = raw[::-1], U[:, ::-1]  # the clusters' descending order
     off = np.abs(raw - np.repeat(vals, s.mults))
     worst = int(np.argmax(off))
     if off[worst] > s.cluster_tol:
@@ -211,21 +191,6 @@ def _eigenspace_columns(s, raw, U):
             "eigenvalue %.12g lies %.3e from its cluster value, beyond tolerance %.3e"
             % (raw[worst], off[worst], s.cluster_tol)
         )
-    return U
-
-
-def idempotents(g, s):
-    """Principal idempotents E_i = U_i U_i^T, eigh's columns split by the multiplicities.
-
-    Any orthonormal basis U_i of an eigenspace gives the same E_i, so eigh's
-    choice inside a multiplicity > 1 eigenspace does not matter.  Each raw
-    eigenvalue must lie within s.cluster_tol of its cluster's value.
-    """
-    try:
-        raw, U = np.linalg.eigh(g.adj.astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigensolver failed: %s" % exc)
-    U = _eigenspace_columns(s, raw, U)
     return [Ui @ Ui.T for Ui in np.split(U, np.cumsum(s.mults)[:-1], axis=1)]
 
 

@@ -15,9 +15,9 @@ every certificate is exact, the report's spectrum comes from the Jacobi
 matrix, and nothing n x n is solved or evaluated beyond the powers, unless
 the intersection array disagrees with the exact recurrence: then the p_i(A)
 pass (check_polynomial_identities) names the first level that breaks.  Every
-other graph gets eigvalsh for its report.  The float certificates below
-(vandermonde_certificate, check_walk_regular on local multiplicities, ...)
-are the exact path's oracles.
+other graph gets spectral.spectrum, a clustered eigvalsh, for its report.
+The float certificates below (vandermonde_certificate, check_walk_regular on
+local multiplicities, ...) are the exact path's oracles.
 """
 
 import math
@@ -43,11 +43,21 @@ class Tolerances:
     cluster=None resolves to spectral.cluster_breaks' 1e-8 * n * max(1, |lambda|max),
     which also bounds each raw eigenvalue's distance from its cluster value.
     It clusters the spectrum of a graph that does not meet the hypothesis; a
-    met graph's d is exact and nothing of it is clustered.
+    met graph's d is exact and nothing of it is clustered.  certificate must
+    be finite and >= 0, cluster None or finite and > 0; anything else is a
+    ValueError.
     """
 
     cluster: float = None
     certificate: float = 1e-6
+
+    def __post_init__(self):
+        if not (math.isfinite(self.certificate) and self.certificate >= 0):
+            raise ValueError(
+                "certificate tolerance must be finite and >= 0, got %r" % self.certificate
+            )
+        if self.cluster is not None and not (math.isfinite(self.cluster) and self.cluster > 0):
+            raise ValueError("cluster tolerance must be finite and > 0, got %r" % self.cluster)
 
 
 @dataclass
@@ -570,8 +580,8 @@ def verify_theorem(g, tolerances=None, input_label=None):
     every certificate (exact_certificates) must pass and the brute-force
     check must find an intersection array; any failure is a counterexample
     alarm.  When it does not hold the conclusion is not-applicable (None),
-    no certificates are computed, and the report's spectrum is eigvalsh's,
-    clustered; a graph has at least D+1 distinct eigenvalues, and a prefilter
+    no certificates are computed, and the report's spectrum is
+    spectral.spectrum's, eigvalsh clustered; a graph has at least D+1 distinct eigenvalues, and a prefilter
     graph whose walk counts did not fix d at least L+1, so a clustering that
     finds fewer raises NumericalError.
     """
@@ -588,7 +598,7 @@ def verify_theorem(g, tolerances=None, input_label=None):
         s = spectral.jacobi_spectrum([float(x) for x in recurrence.a],
                                      [float(x) for x in recurrence.b], g.n, tols.cluster)
     else:
-        s = spectral.eigenvalue_spectrum(g, tols.cluster, dd)
+        s = spectral.spectrum(g, tols.cluster, dd)
         floor = dd.diameter if recurrence is None else len(recurrence.norms) - 1
         if s.d < floor:
             raise spectral.NumericalError(

@@ -15,7 +15,7 @@ import pytest
 
 import oddgirth as og
 from oddgirth import cli, scan
-from oddgirth.graphs import mask_blocks, mask_distances
+from oddgirth.graphs import adjacency_batch, mask_blocks, mask_distances
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -189,14 +189,14 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
         for lo, connected, free, flagged in mask_blocks(n, 0, total):
             keep = connected & free
             masks = lo + np.flatnonzero(keep)
-            layer = mask_distances(n, masks)
-            bipartite = np.isinf(layer.odd_girth)
+            _, girth = mask_distances(n, masks)
+            bipartite = np.isinf(girth)
             # the table test the screen uses agrees with the distance layer
             for mask in masks[flagged[keep] != bipartite]:
                 bad.append("n=%d mask=%d: mask_blocks' bipartite flag disagrees with odd girth"
                            % (n, mask))
             # the batch's eigenvalues at once, each row clustered as spectrum() does
-            raw = np.linalg.eigvalsh(layer.adj[bipartite])
+            raw = np.linalg.eigvalsh(adjacency_batch(n, masks[bipartite]))
             for mask, values in zip(masks[bipartite], raw):
                 found += 1
                 cert = check_eigenvalue_symmetry(og.cluster_spectrum(values))

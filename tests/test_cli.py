@@ -126,6 +126,27 @@ def test_analyze_tol_flag(tmp_path, petersen, capsys):
     assert doc["tolerances"]["certificate"] == 1e-4
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_analyze_rejects_a_bad_tol(tmp_path, petersen, capsys, tol):
+    # a NaN tolerance would print "certificate": NaN, which is not JSON
+    path = _write(tmp_path, "g.g6", og.encode_graph6(petersen).decode())
+    assert cli.main(["analyze", path, "--tol=" + tol, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certificate tolerance must be finite and >= 0" in captured.err
+
+
+def test_tolerances_reject_bad_values():
+    assert og.Tolerances(certificate=0.0).certificate == 0.0
+    assert og.Tolerances(cluster=1e-9).cluster == 1e-9
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="certificate tolerance"):
+            og.Tolerances(certificate=bad)
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="cluster tolerance"):
+            og.Tolerances(cluster=bad)
+
+
 def test_analyze_error_paths(tmp_path, capsys):
     bad = _write(tmp_path, "bad.g6", "B\x01w\n")
     assert cli.main(["analyze", bad]) == 1

@@ -1,9 +1,11 @@
 """The exact met path: walk counts, the Chebyshev recurrence, the Jacobi spectrum.
 
 Each exact result is checked against a float oracle that computes the same
-quantity another way: spectrum() and predistance_polynomials for d, the
-spectrum and the recurrence, matrix powers or closed forms for the walk
-counts, and a clustered eigvalsh for the reflection test.
+quantity another way: spectrum()'s clustered eigvalsh and
+predistance_polynomials for d, the spectrum and the recurrence, the
+idempotents' diagonals for the local multiplicities, matrix powers or
+closed forms for the walk counts, and a clustered eigvalsh for the
+reflection test.
 """
 
 import itertools
@@ -70,9 +72,10 @@ def _check_against_float_oracles(g, label):
     assert reflection_free(rec.integer_polynomials()[d + 1])
     assert og.check_eigenvalue_symmetry(s).passed
     assert max(int(w.max() - w.min()) for w in walks[: d + 1]) == 0, label
-    assert og.check_walk_regular(g, s.local_mults).passed, label
+    lm = og.local_multiplicities(og.idempotents(g, s))
+    assert og.check_walk_regular(g, lm).passed, label
     assert not any(w.any() for w in walks[1:2 * d:2]), label
-    assert og.vandermonde_certificate(s, s.local_mults).passed, label
+    assert og.vandermonde_certificate(s, lm).passed, label
 
 
 def test_exact_recurrence_matches_float_oracles(family_suite):

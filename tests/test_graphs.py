@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oddgirth as og
 from oddgirth.graphs import (
     _table,
+    adjacency_batch,
     mask_bipartite,
     mask_blocks,
     mask_connected,
@@ -534,21 +535,41 @@ def test_mask_round_trip():
 
 def test_mask_distances_match_distance_data(mask_oracle):
     masks = np.arange(1 << 10)
-    layer = mask_distances(5, masks)
+    diameter, girth = mask_distances(5, masks)
     assert mask_connected(5, masks).tolist() == mask_oracle[5]["connected"]
-    assert layer.diameter.tolist() == mask_oracle[5]["diameter"]
-    assert layer.odd_girth.tolist() == mask_oracle[5]["odd_girth"]
+    assert diameter.tolist() == mask_oracle[5]["diameter"]
+    assert girth.tolist() == mask_oracle[5]["odd_girth"]
 
 
-def test_mask_distances_compaction_matches_distance_data(mask_oracle):
+def test_mask_distances_mixed_levels_match_distance_data(mask_oracle):
     # 6-vertex batches mix diameters 0..5 with disconnected graphs, so rows
-    # leave the expansion at different levels
+    # run out of levels while others are still expanding
     masks = np.arange(1 << 15)
-    layer = mask_distances(6, masks)
-    assert sorted(set(layer.diameter.tolist())) == [0, 1, 2, 3, 4, 5]
+    diameter, girth = mask_distances(6, masks)
+    assert sorted(set(diameter.tolist())) == [0, 1, 2, 3, 4, 5]
     assert mask_connected(6, masks).tolist() == mask_oracle[6]["connected"]
-    assert layer.diameter.tolist() == mask_oracle[6]["diameter"]
-    assert layer.odd_girth.tolist() == mask_oracle[6]["odd_girth"]
+    assert diameter.tolist() == mask_oracle[6]["diameter"]
+    assert girth.tolist() == mask_oracle[6]["odd_girth"]
+
+
+def test_mask_distances_on_expanded_seven_vertex_masks():
+    # every eighth of the 25,981 masks the n = 7 screen expands: connected,
+    # triangle-free or complete, not bipartite, as scan.screen_range keeps them
+    complete = (1 << 21) - 1
+    kept = []
+    for lo, connected, free, bipartite in mask_blocks(7, 0, 1 << 21):
+        keep = connected & free
+        if lo <= complete < lo + len(keep):
+            keep[complete - lo] = True
+        kept.append(lo + np.flatnonzero(keep & ~bipartite))
+    expanded = np.concatenate(kept)
+    assert len(expanded) == 25981
+    masks = expanded[::8]
+    diameter, girth = mask_distances(7, masks)
+    want = [og.distance_data(og.graph_from_mask(7, int(m))) for m in masks]
+    assert diameter.tolist() == [dd.diameter for dd in want]
+    assert girth.tolist() == [dd.odd_girth for dd in want]
+    assert sorted(set(diameter.tolist())) == [2, 3, 4]  # K_7, of diameter 1, is not sampled
 
 
 def test_mask_distances_seven_vertex_batch():
@@ -563,24 +584,22 @@ def test_mask_distances_seven_vertex_batch():
         (k34, True, 2, math.inf, True),
     ]
     masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
-    layer = mask_distances(7, masks)
-    assert np.array_equal(layer.adj, np.array([g.adj for g, *_ in cases]))
+    diameter, girth = mask_distances(7, masks)
+    assert np.array_equal(adjacency_batch(7, masks), np.array([g.adj for g, *_ in cases]))
     assert mask_connected(7, masks).tolist() == [c[1] for c in cases]
     assert mask_triangle_free(7, masks).tolist() == [c[4] for c in cases]
     assert mask_bipartite(7, masks).tolist() == [math.isinf(c[3]) for c in cases]
-    for row, (g, connected, diameter, girth, _) in enumerate(cases):
+    for row, (g, connected, want_diameter, want_girth, _) in enumerate(cases):
         dd = og.distance_data(g)
         assert dd.connected == connected, row
-        assert layer.diameter[row] == dd.diameter == diameter, row
-        assert layer.odd_girth[row] == dd.odd_girth == girth, row
+        assert diameter[row] == dd.diameter == want_diameter, row
+        assert girth[row] == dd.odd_girth == want_girth, row
 
 
 def test_mask_distances_empty_batch():
     for n in (1, 2, 5, 7):
         empty = np.empty(0, dtype=np.int64)
-        layer = mask_distances(n, empty)
-        assert layer.adj.shape == (0, n, n)
-        for values in (layer.diameter, layer.odd_girth):
+        for values in mask_distances(n, empty):
             assert values.shape == (0,)
         for fn in (mask_connected, mask_triangle_free, mask_bipartite):
             values = fn(n, empty)

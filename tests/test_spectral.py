@@ -128,8 +128,7 @@ def test_idempotents_reject_eigenvalue_off_cluster(c5):
 def test_cluster_breaks_batched_matches_spectrum():
     # one call on a stack of ascending eigenvalue rows gives every graph the
     # distinct-value count and tolerance the clustering finds for its row
-    # alone, and the count spectrum() finds (which solves by eigh where the
-    # prefilter holds, so its eigenvalues may differ in the last bits)
+    # alone, and the count spectrum() finds
     graphs = list(og.enumerate_connected(5))
     raw = np.linalg.eigvalsh(np.stack([g.adj.astype(float) for g in graphs]))
     tol, breaks = cluster_breaks(raw)
@@ -137,19 +136,6 @@ def test_cluster_breaks_batched_matches_spectrum():
         s = og.cluster_spectrum(values)
         assert row.sum() == s.d == og.spectrum(g).d
         assert t == s.cluster_tol
-
-
-def test_met_path_local_multiplicities_match_idempotents(family_suite):
-    # the row sums of U_i^2 from spectrum's one eigh against the idempotent
-    # diagonals; K_2 is bipartite, so it gets eigvalsh and no eigenvectors
-    for label, g in family_suite:
-        s = og.spectrum(g)
-        if label == "complete_2":
-            assert s.local_mults is None
-            continue
-        want = og.local_multiplicities(og.idempotents(g, s))
-        assert s.local_mults.shape == want.shape, label
-        assert np.abs(s.local_mults - want).max() < 1e-12, label
 
 
 def test_met_path_spectrum_matches_eigvalsh(family_suite):
@@ -165,7 +151,7 @@ def test_met_path_spectrum_matches_eigvalsh(family_suite):
             assert g.n == 2  # K_2, bipartite
             continue
         s = report.spectrum
-        assert s.local_mults is None and not s.ambiguous, g.n
+        assert not s.ambiguous, g.n
         ref = og.cluster_spectrum(np.linalg.eigvalsh(g.adj.astype(float)))
         assert s.d == ref.d and list(s.mults) == list(ref.mults), g.n
         assert np.abs(s.values - ref.values).max() <= 1e-9, g.n
