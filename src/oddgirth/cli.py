@@ -208,6 +208,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,9 +38,8 @@ joined to S (_extend), the graph is connected iff the components of S's
 vertices and j cover every vertex; triangle-free iff it was and no edge lies
 inside S; bipartite iff it was and S meets each component in one colour
 class.  mask_blocks walks a range of masks in blocks of one S, a slice of
-the table each; mask_connected, mask_triangle_free and mask_bipartite index
-the flags it gives every mask on n vertices.  The eigenvalue machinery lives
-in the sibling modules.
+the table each, and gives every mask in the range its three flags.  The
+eigenvalue machinery lives in the sibling modules.
 """
 
 import functools
@@ -540,15 +539,6 @@ def _mask_range_error(n, mask):
     )
 
 
-def _checked_masks(n, masks):
-    """masks as an int64 array, each in [0, 2^(n(n-1)/2)); GraphError names one that is not."""
-    masks = np.asarray(masks, dtype=np.int64)
-    outside = (masks >> (n * (n - 1) // 2)) != 0  # a negative mask shifts to -1
-    if outside.any():
-        raise _mask_range_error(n, int(masks[outside.argmax()]))
-    return masks
-
-
 def graph_from_mask(n, mask):
     """Graph from an edge bitmask on 1 <= n <= 11 vertices; bit b is the edge edge_pairs(n)[b]."""
     if not 1 <= n <= 11:
@@ -662,11 +652,6 @@ def _table(m):
     return table
 
 
-def _check_table_n(n):
-    if not 1 <= n <= 7:
-        raise GraphError("mask tables support 1 <= n <= 7, got %d" % n)
-
-
 def mask_blocks(n, start, stop):
     """Yield (lo, connected, triangle_free, bipartite) for the masks [start, stop) on n vertices.
 
@@ -675,7 +660,8 @@ def mask_blocks(n, start, stop):
     of the table of n - 1 vertices extended by S (_extend), so a block is
     2^((n-1)(n-2)/2) masks, less where it meets start or stop.
     """
-    _check_table_n(n)
+    if not 1 <= n <= 7:
+        raise GraphError("mask tables support 1 <= n <= 7, got %d" % n)
     if not 0 <= start <= stop <= 1 << (n * (n - 1) // 2):
         raise GraphError("mask range [%d, %d) is outside [0, 2^%d) for n=%d"
                          % (start, stop, n * (n - 1) // 2, n))
@@ -688,32 +674,6 @@ def mask_blocks(n, start, stop):
         index = slice(max(start - base, 0), min(stop - base, size))
         reach, _, triangle_free, bipartite = _extend(table.rows(index), S)
         yield base + index.start, reach == (1 << n) - 1, triangle_free, bipartite
-
-
-def _mask_flags(n, masks):
-    """(3, B) bool array: connected, triangle_free and bipartite of each edge bitmask.
-
-    Read off the flags mask_blocks gives every mask on n vertices.
-    """
-    _check_table_n(n)
-    masks = _checked_masks(n, masks)
-    blocks = mask_blocks(n, 0, 1 << (n * (n - 1) // 2))
-    return np.concatenate([np.stack(flags) for _, *flags in blocks], axis=1)[:, masks]
-
-
-def mask_connected(n, masks):
-    """Connectivity of each edge bitmask in an int64 array, 1 <= n <= 7."""
-    return _mask_flags(n, masks)[0]
-
-
-def mask_triangle_free(n, masks):
-    """Whether each edge bitmask in an int64 array, 1 <= n <= 7, holds no triangle."""
-    return _mask_flags(n, masks)[1]
-
-
-def mask_bipartite(n, masks):
-    """Whether each edge bitmask in an int64 array, 1 <= n <= 7, is bipartite (K_1 is)."""
-    return _mask_flags(n, masks)[2]
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,10 @@ runs the Chebyshev algorithm on them in exact arithmetic (Gautschi,
 eigenvalues, found with no eigensolve.  Normalized so that
 ||p_i||^2 = p_i(lambda_0), the pi_i are the predistance polynomials; for
 distance-regular graphs these are the distance polynomials, p_i(A) = A_i.
+The met path needs no normalization for that: it compares the monic
+recurrence (a_i, b_i) with the intersection array directly
+(verify.exact_certificates), and only the alarm path builds the normalized
+system (WalkRecurrence.predistance_system).
 
 predistance_polynomials is the float counterpart, the Stieltjes procedure on
 a clustered spectrum's distinct eigenvalues; with matrix_values, which
@@ -19,6 +23,7 @@ the alarm path's way of naming the first level i where p_i(A) != A_i.
 Polynomials are coefficient vectors, index = degree.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,7 +283,7 @@ class WalkRecurrence:
     def d(self):
         return len(self.norms) - 2 if not self.norms[-1] else None
 
-    @property
+    @functools.cached_property
     def b(self):
         """b_1..b_d, the recurrence's positive coefficients (b_0 multiplies pi_{-1} = 0)."""
         return [self.norms[k] / self.norms[k - 1] for k in range(1, self.d + 1)]
@@ -307,39 +312,31 @@ class WalkRecurrence:
             prev = cur
         return polys
 
-    def distance_recurrence(self, lam0):
-        """Exact (alpha, beta, gamma) of p_i = s_i pi_i at the exact top eigenvalue lam0.
+    def predistance_system(self, lam0, spectrum):
+        """The exact predistance system at lam0, rounded to a float PredistanceSystem.
 
-        s_i = pi_i(lam0) / ||pi_i||^2 makes ||p_i||^2 = p_i(lam0), and then
-        x p_i = beta_{i-1} p_{i-1} + alpha_i p_i + gamma_{i+1} p_{i+1} with
-        alpha_i = a_i, beta_{i-1} = b_i s_i / s_{i-1} and
-        gamma_{i+1} = s_i / s_{i+1}, indexed as on PredistanceSystem.  On a
-        connected regular graph lam0 is the degree.
+        p_i = s_i pi_i with s_i = pi_i(lam0) / ||pi_i||^2 makes
+        ||p_i||^2 = p_i(lam0), and then x p_i = beta_{i-1} p_{i-1}
+        + alpha_i p_i + gamma_{i+1} p_{i+1} with alpha_i = a_i,
+        beta_{i-1} = b_i s_i / s_{i-1} and gamma_{i+1} = s_i / s_{i+1},
+        indexed as on PredistanceSystem, each exact before it is rounded.  On
+        a connected regular graph lam0 is the degree.  Its recurrence
+        residuals are zero: the coefficients come from the exact recurrence
+        itself.
         """
         d, a, b = self.d, self.a, [0] + self.b
         at = [Fraction(1), lam0 - a[0]]  # pi_i(lam0); pi_1 = x - a_0
         for i in range(1, d):
             at.append((lam0 - a[i]) * at[i] - b[i] * at[i - 1])
         scale = [self.n * at[i] / self.norms[i] for i in range(d + 1)]
-        beta = [b[i + 1] * scale[i + 1] / scale[i] for i in range(d)] + [Fraction(0)]
-        gamma = [Fraction(0)] + [scale[i - 1] / scale[i] for i in range(1, d + 1)]
-        return list(a[: d + 1]), beta, gamma, scale
-
-    def predistance_system(self, lam0, spectrum):
-        """The exact predistance system at lam0, rounded to a float PredistanceSystem.
-
-        Its recurrence residuals are zero: the coefficients come from the
-        exact recurrence itself.
-        """
-        alpha, beta, gamma, scale = self.distance_recurrence(lam0)
         polys = [np.array([float(s * Fraction(c, Q[-1])) for c in Q])
                  for s, Q in zip(scale, self.integer_polynomials())]
         return PredistanceSystem(
             polys=polys,
-            alpha=np.array([float(x) for x in alpha]),
-            beta=np.array([float(x) for x in beta]),
-            gamma=np.array([float(x) for x in gamma]),
-            recurrence_residuals=np.zeros(self.d + 1),
+            alpha=np.array([float(x) for x in a]),
+            beta=np.array([float(b[i + 1] * scale[i + 1] / scale[i]) for i in range(d)] + [0.0]),
+            gamma=np.array([0.0] + [float(scale[i - 1] / scale[i]) for i in range(1, d + 1)]),
+            recurrence_residuals=np.zeros(d + 1),
             spectrum=spectrum,
         )
 
@@ -435,8 +432,8 @@ class ParityReport:
     Checks: alpha_i vanishes for i < d, alpha_d does not, and p_i has no
     coefficient of parity opposite to i.  Not applicable (applicable=False)
     unless the graph has finite odd girth >= 2d+1.  check_parity fills it
-    from a float system under tol; the exact met path decides it on the
-    exact a_i, with tol 0.0 and max_offparity_coeff None.
+    from a float system under tol; the exact met path decides parity on the
+    exact a_i (verify.exact_certificates).
     """
 
     applicable: bool

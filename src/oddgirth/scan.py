@@ -264,17 +264,18 @@ def _verify_line(args):
     """(report, parse_error, verify_error) of one corpus line: a bad line fails alone.
 
     The line is parsed here, in whichever process verifies it, so no list
-    of parsed graphs is built before the verification starts.
+    of parsed graphs is built before the verification starts.  A graph too
+    large for memory, in its parse or its verify, is a verify error.
     """
     lineno, data = args
     try:
-        g = parse_graph6(data)  # the bytes as read, so a bad byte is named as analyze names it
-    except GraphError as exc:
-        return None, "line %d: %s" % (lineno, exc), None
-    try:
+        try:
+            g = parse_graph6(data)  # the bytes as read, so a bad byte is named as analyze names it
+        except GraphError as exc:
+            return None, "line %d: %s" % (lineno, exc), None
         report = verify_theorem(g, input_label=data.decode("ascii"))  # a parsed line is ASCII
-    except (PredistanceError, NumericalError) as exc:
-        return None, None, "line %d: %s" % (lineno, exc)
+    except (PredistanceError, NumericalError, MemoryError) as exc:
+        return None, None, "line %d: %s" % (lineno, str(exc) or "out of memory")
     return report, None, None
 
 
@@ -282,8 +283,9 @@ def scan_corpus(path, jobs=1):
     """Verify every graph6 line in a file.
 
     Parse failures and graphs whose verification broke down numerically
-    (PredistanceError, NumericalError) are counted and reported by line
-    number, not fatal: the other lines are still verified.
+    (PredistanceError, NumericalError) or ran out of memory (MemoryError)
+    are counted and reported by line number, not fatal: the other lines are
+    still verified.
     """
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()

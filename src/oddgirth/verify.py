@@ -13,8 +13,10 @@ off the powers of A, and the Chebyshev algorithm on them finds d exactly
 pi_L, L = (og + 1) / 2, so no tolerance enters the verdict.  On that met path
 every certificate is exact, the report's spectrum comes from the Jacobi
 matrix, and nothing n x n is solved or evaluated beyond the powers, unless
-the intersection array disagrees with the exact recurrence: then the p_i(A)
-pass (check_polynomial_identities) names the first level that breaks.  Every
+the intersection array disagrees with the exact recurrence (its rows must sum
+to k, and the monic recurrence (a_i, b_{i-1} c_i) of its distance polynomials
+must be the walk recurrence's (a_i, b_i)): then the p_i(A) pass
+(check_polynomial_identities) names the first level that breaks.  Every
 other graph gets spectral.spectrum, a clustered eigvalsh, for its report.
 The float certificates below (vandermonde_certificate, check_walk_regular on
 local multiplicities, ...) are the exact path's oracles.
@@ -299,8 +301,7 @@ class VandermondeCertificate:
     multiplicities must equal proportionality / sum(proportionality).
     det_value is prod(lambda_i) * prod_{i>j}(lambda_i^2 - lambda_j^2) over
     i, j >= 1, the system's determinant.  condition is that of the system
-    actually solved, in the rows T_{2l-1}(lambda / lambda_0); None on the
-    exact path, which solves nothing (exact_certificates).
+    actually solved, in the rows T_{2l-1}(lambda / lambda_0).
     """
 
     det_value: float
@@ -427,16 +428,20 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
     - parity: a_i = 0 for i < d and a_d != 0 (residual: max |a_i|, i < d).
       For i <= d, pi_i has the parity of i iff a_0..a_{i-1} vanish, so
       coefficient parity is the first condition.
-    - hoffman and distance_polynomial: on a regular graph lambda_0 = k, so
-      the recurrence of the p_i is exact (WalkRecurrence.distance_recurrence).
-      If ia is an array of diameter d whose (a_i, b_{i-1}, c_{i+1}) equal
-      (alpha_i, beta_{i-1}, gamma_{i+1}), then p_0 = 1 and the shared
-      recurrence make p_i the distance polynomial of the array, so
-      p_i(A) = A_i at every level and H(A) = J.  Otherwise the p_i(A) pass
-      (check_polynomial_identities) on the exact recurrence, rounded to
-      floats, measures the residuals (0 when the recurrences match) and
-      names the first broken level.
-      Both are not applicable if g is irregular.
+    - hoffman and distance_polynomial: on a regular graph lambda_0 = k, and
+      the distance polynomials v_i of an array whose rows sum to k
+      (a_i + b_i + c_i = k, c_0 = b_D = 0) satisfy
+      x v_i = b_{i-1} v_{i-1} + a_i v_i + c_{i+1} v_{i+1}, so the monic
+      c_1...c_i v_i have the recurrence (a_i, b_{i-1} c_i).  Given the row
+      sums, the a_i and the products P_i = b_{i-1} c_i fix the array
+      (b_0 = k - a_0, c_i = P_i / b_{i-1}, b_i = k - a_i - c_i).  So if ia is
+      an array whose rows sum to k, with the recurrence's a_0..a_d and its
+      b_i = b_{i-1} c_i, the monic pi_i are the c_1...c_i v_i and the
+      normalized p_i are the v_i: p_i(A) = A_i at every level and H(A) = J.
+      Otherwise the p_i(A) pass (check_polynomial_identities) on the exact
+      recurrence (WalkRecurrence.predistance_system), rounded to floats,
+      measures the residuals (0 when the recurrences match) and names the
+      first broken level.  Both are not applicable if g is irregular.
     """
     d, a = recurrence.d, recurrence.a
     free = predistance.reflection_free(recurrence.integer_polynomials()[d + 1])
@@ -444,14 +449,6 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
     symmetry.passed = free
 
     odd = max((int(np.abs(w).max()) for w in walks[1:2 * d:2]), default=0)
-    vandermonde = VandermondeCertificate(
-        det_value=_moment_determinant(s.values),
-        proportionality=s.mults / s.mults[0],
-        residual=float(odd),
-        condition=None,
-        ill_conditioned=False,
-    )
-
     spread = max(int(w.max() - w.min()) for w in walks[: d + 1])
     walk_regular = _walk_regular(g, spread, not spread, tol)
 
@@ -460,9 +457,10 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
         distance_polynomial = Certificate(name="distance_polynomial", tol=tol)
     else:
         k = int(g.degrees()[0])
-        alpha, beta, gamma, _ = recurrence.distance_recurrence(k)
-        if (isinstance(ia, IntersectionArray) and ia.D == d and alpha == ia.a
-                and beta[:d] == ia.b and gamma[1:] == ia.c):
+        if (isinstance(ia, IntersectionArray)
+                and all(x + y + z == k for x, y, z in zip(ia.a, ia.b + [0], [0] + ia.c))
+                and a == ia.a
+                and recurrence.b == [y * z for y, z in zip(ia.b, ia.c)]):
             hoffman = Certificate(name="hoffman", passed=True, residual=0.0, tol=tol)
             distance_polynomial = Certificate(name="distance_polynomial", passed=True,
                                               residual=0.0, tol=tol)
@@ -472,23 +470,14 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
             )
 
     interior = max((abs(x) for x in a[:d]), default=0)
-    parity = predistance.ParityReport(
-        applicable=True,
-        interior_alpha_zero=not interior,
-        top_alpha_nonzero=bool(a[d]),
-        coefficient_parity=not interior,
-        tol=0.0,
-        max_interior_alpha=float(interior),
-        top_alpha=float(a[d]),
-    )
     return {
         "eigenvalue_symmetry": symmetry,
         "vandermonde": Certificate(name="vandermonde", passed=not odd and free,
-                                   residual=float(odd), tol=tol, witness=vandermonde),
+                                   residual=float(odd), tol=tol),
         "walk_regular": walk_regular,
         "hoffman": hoffman,
-        "parity": Certificate(name="parity", passed=parity.passed,
-                              residual=float(interior), tol=0.0, witness=parity),
+        "parity": Certificate(name="parity", passed=not interior and bool(a[d]),
+                              residual=float(interior), tol=0.0),
         "distance_polynomial": distance_polynomial,
     }
 

@@ -160,6 +160,22 @@ def test_analyze_error_paths(tmp_path, capsys):
     assert "one graph" in capsys.readouterr().err
 
 
+def test_analyze_reports_a_graph_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError for an n x n adjacency of n = 10^9 is an error
+    # line and exit 1, not a traceback; raised on purpose, so nothing large
+    # is allocated
+    huge = "Unable to allocate 6.94 EiB for an array with shape (1000000000, 1000000000)"
+    path = _write(tmp_path, "big.txt", "1000000000\n")
+    for exc, message in ((MemoryError(huge), huge), (MemoryError(), "out of memory")):
+        def parse(text, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "parse_edge_list", parse)
+        assert cli.main(["analyze", path, "--format", "edges"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: %s\n" % message and captured.out == ""
+
+
 @pytest.mark.parametrize("space", [" ", "\t"])
 def test_analyze_and_scan_strip_a_line_alike(tmp_path, capsys, space):
     # Petersen with surrounding whitespace: both commands strip the line

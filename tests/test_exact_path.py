@@ -57,16 +57,20 @@ def _check_against_float_oracles(g, label):
     exact = jacobi_spectrum([float(x) for x in rec.a], [float(x) for x in rec.b], g.n)
     assert list(exact.mults) == list(s.mults), label
     assert np.abs(exact.values - s.values).max() <= 1e-9, label
+    # the normalized exact recurrence is the intersection array, entry for entry
+    d, ia = rec.d, og.intersection_array(g, dd)
+    normalized = rec.predistance_system(int(g.degrees()[0]), s)
+    assert normalized.alpha.tolist() == ia.a, label
+    assert normalized.beta[:d].tolist() == ia.b and normalized.gamma[1:].tolist() == ia.c, label
     if g.n == 101:  # the float Stieltjes procedure stops at its conditioning guard
         return
     system = og.predistance_polynomials(s)
-    d = rec.d
     assert np.abs(np.array([float(x) for x in rec.a]) - system.alpha).max() <= 1e-9, label
     b = np.array([float(x) for x in rec.b])
     assert np.abs(b - system.beta[:d] * system.gamma[1:]).max() <= 1e-9 * max(1, b.max()), label
-    alpha, beta, gamma, _ = rec.distance_recurrence(int(g.degrees()[0]))
-    for got, want in zip((alpha, beta, gamma), (system.alpha, system.beta, system.gamma)):
-        assert np.abs(np.array([float(x) for x in got]) - want).max() <= 1e-9, label
+    for name in ("alpha", "beta", "gamma"):
+        got, want = getattr(normalized, name), getattr(system, name)
+        assert np.abs(got - want).max() <= 1e-9, (label, name)
     # the float oracles of each certificate agree with the exact verdicts
     assert og.check_parity(system, dd.odd_girth).passed
     assert reflection_free(rec.integer_polynomials()[d + 1])
@@ -219,34 +223,99 @@ def test_jacobi_spectrum_requires_integer_multiplicities():
         jacobi_spectrum([0.0, 0.0], [1.0], 3)
 
 
-def test_alarm_path_names_the_first_broken_level(monkeypatch):
-    # a recurrence that disagrees with the intersection array sends the
-    # certificates to the p_i(A) pass, once, fed with that recurrence: a
-    # perturbed beta_j breaks level j + 2 first, as on the float path
-    g = og.generate_family("odd", [4])
-    real = predistance.WalkRecurrence.distance_recurrence
+def _met_inputs(g):
+    """(dd, walks, recurrence, spectrum, intersection array) as verify_theorem hands them on."""
+    dd = og.distance_data(g)
+    walks, rec = _exact(g)
+    s = jacobi_spectrum([float(x) for x in rec.a], [float(x) for x in rec.b], g.n)
+    return dd, walks, rec, s, og.intersection_array(g, dd)
+
+
+def _counted_passes(monkeypatch):
+    """A list that gets one entry per predistance.matrix_values call: one p_i(A) pass each."""
     passes = []
-    real_values = predistance.matrix_values
+    real = predistance.matrix_values
 
     def counted(*args):
         passes.append(1)
-        return real_values(*args)
+        return real(*args)
 
     monkeypatch.setattr(og.predistance, "matrix_values", counted)
-    for j in range(2):
-        def perturbed(self, lam0, j=j):
-            alpha, beta, gamma, scale = real(self, lam0)
-            beta = list(beta)
-            beta[j] += 1
-            return alpha, beta, gamma, scale
+    return passes
 
-        monkeypatch.setattr(predistance.WalkRecurrence, "distance_recurrence", perturbed)
+
+def _perturbed(ia, field, i, delta):
+    rows = {name: list(getattr(ia, name)) for name in ("a", "b", "c")}
+    rows[field][i] += delta
+    return og.IntersectionArray(D=ia.D, **rows)
+
+
+def test_met_path_compares_the_array_with_the_recurrence(monkeypatch):
+    # the true array certifies with no p_i(A) pass; every single +-1 change of
+    # one a_i, b_i or c_i sends the certificates to exactly one pass, which
+    # measures the residuals on the exact recurrence: 0 up to rounding, since
+    # these graphs are distance-regular
+    passes = _counted_passes(monkeypatch)
+    for g in (og.generate_family("petersen"), og.generate_family("odd", [4]),
+              og.generate_family("folded_cube", [7]), og.generate_family("cycle", [9])):
+        dd, walks, rec, s, ia = _met_inputs(g)
+        passes.clear()
+        certs = og.verify.exact_certificates(g, dd, walks, rec, s, ia)
+        assert not passes and certs["distance_polynomial"].residual == 0.0, g.n
+        assert certs["hoffman"].passed and certs["hoffman"].residual == 0.0, g.n
+        for field in ("a", "b", "c"):
+            for i in range(len(getattr(ia, field))):
+                for delta in (-1, 1):
+                    passes.clear()
+                    certs = og.verify.exact_certificates(
+                        g, dd, walks, rec, s, _perturbed(ia, field, i, delta))
+                    assert len(passes) == 1, (g.n, field, i, delta)
+                    assert certs["distance_polynomial"].passed, (g.n, field, i, delta)
+                    assert certs["hoffman"].passed, (g.n, field, i, delta)
+
+
+def test_met_path_needs_every_clause_of_the_comparison(monkeypatch, petersen):
+    # Petersen's {3, 2; 1, 1}, a = (0, 0, 2), against three arrays that each
+    # break one clause only: {1, 2; 3, 1} keeps every a_i and every product
+    # b_{i-1} c_i, but its rows do not sum to 3; {3, 1; 1, 2} with
+    # a = (0, 1, 1) keeps the row sums and the products; {3, 1; 2, 1} keeps
+    # the row sums and the a_i.  Each goes to the p_i(A) pass
+    passes = _counted_passes(monkeypatch)
+    dd, walks, rec, s, ia = _met_inputs(petersen)
+    assert (ia.b, ia.c, ia.a) == ([3, 2], [1, 1], [0, 0, 2])
+    for b, c, a in (([1, 2], [3, 1], [0, 0, 2]),
+                    ([3, 1], [1, 2], [0, 1, 1]),
+                    ([3, 1], [2, 1], [0, 0, 2])):
+        passes.clear()
+        certs = og.verify.exact_certificates(
+            petersen, dd, walks, rec, s, og.IntersectionArray(b=b, c=c, a=a, D=2))
+        assert len(passes) == 1, (b, c, a)
+        assert certs["distance_polynomial"].passed and certs["hoffman"].passed, (b, c, a)
+
+
+def test_alarm_path_names_the_first_broken_level(monkeypatch):
+    # an array that disagrees with the recurrence sends the certificates to
+    # the p_i(A) pass, once, fed with the normalized exact recurrence: a
+    # perturbed beta_j breaks level j + 2 first, as on the float path
+    g = og.generate_family("odd", [4])
+    real = predistance.WalkRecurrence.predistance_system
+    real_array = og.verify.intersection_array
+    passes = _counted_passes(monkeypatch)
+    monkeypatch.setattr(og.verify, "intersection_array",
+                        lambda *args: _perturbed(real_array(*args), "a", 0, 1))
+    for j in range(2):
+        def perturbed(self, lam0, spectrum, j=j):
+            system = real(self, lam0, spectrum)
+            system.beta[j] += 1
+            return system
+
+        monkeypatch.setattr(predistance.WalkRecurrence, "predistance_system", perturbed)
         passes.clear()
         rep = og.verify_theorem(g)
         cert = rep.certificates["distance_polynomial"]
         assert rep.alarm and cert.passed is False and cert.witness == j + 2, j
         assert rep.certificates["hoffman"].passed is False and len(passes) == 1
-    monkeypatch.setattr(predistance.WalkRecurrence, "distance_recurrence", real)
+    monkeypatch.setattr(og.verify, "intersection_array", real_array)
     passes.clear()
     rep = og.verify_theorem(g)
     assert not rep.alarm and not passes

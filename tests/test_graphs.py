@@ -11,11 +11,8 @@ import oddgirth as og
 from oddgirth.graphs import (
     _table,
     adjacency_batch,
-    mask_bipartite,
     mask_blocks,
-    mask_connected,
     mask_distances,
-    mask_triangle_free,
 )
 
 from conftest import cut_oracle, cut_patterns, graph6_oracle_encode, graph6_oracle_parse
@@ -30,6 +27,16 @@ def floyd_warshall(g):
     for k in range(n):
         d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
     return np.where(d >= INF, og.UNREACHABLE, d)
+
+
+def mask_flags(n, start=0, stop=None):
+    """(3, stop - start) bool: connected, triangle-free and bipartite of masks [start, stop).
+
+    Read off mask_blocks, whose blocks the range may start or end inside.
+    """
+    if stop is None:
+        stop = 1 << (n * (n - 1) // 2)
+    return np.concatenate([np.stack(flags) for _, *flags in mask_blocks(n, start, stop)], axis=1)
 
 
 def odd_girth_by_traces(g):
@@ -536,7 +543,7 @@ def test_mask_round_trip():
 def test_mask_distances_match_distance_data(mask_oracle):
     masks = np.arange(1 << 10)
     diameter, girth = mask_distances(5, masks)
-    assert mask_connected(5, masks).tolist() == mask_oracle[5]["connected"]
+    assert mask_flags(5)[0].tolist() == mask_oracle[5]["connected"]
     assert diameter.tolist() == mask_oracle[5]["diameter"]
     assert girth.tolist() == mask_oracle[5]["odd_girth"]
 
@@ -547,7 +554,7 @@ def test_mask_distances_mixed_levels_match_distance_data(mask_oracle):
     masks = np.arange(1 << 15)
     diameter, girth = mask_distances(6, masks)
     assert sorted(set(diameter.tolist())) == [0, 1, 2, 3, 4, 5]
-    assert mask_connected(6, masks).tolist() == mask_oracle[6]["connected"]
+    assert mask_flags(6)[0].tolist() == mask_oracle[6]["connected"]
     assert diameter.tolist() == mask_oracle[6]["diameter"]
     assert girth.tolist() == mask_oracle[6]["odd_girth"]
 
@@ -586,9 +593,10 @@ def test_mask_distances_seven_vertex_batch():
     masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
     diameter, girth = mask_distances(7, masks)
     assert np.array_equal(adjacency_batch(7, masks), np.array([g.adj for g, *_ in cases]))
-    assert mask_connected(7, masks).tolist() == [c[1] for c in cases]
-    assert mask_triangle_free(7, masks).tolist() == [c[4] for c in cases]
-    assert mask_bipartite(7, masks).tolist() == [math.isinf(c[3]) for c in cases]
+    connected, free, bipartite = np.concatenate([mask_flags(7, m, m + 1) for m in masks], axis=1)
+    assert connected.tolist() == [c[1] for c in cases]
+    assert free.tolist() == [c[4] for c in cases]
+    assert bipartite.tolist() == [math.isinf(c[3]) for c in cases]
     for row, (g, connected, want_diameter, want_girth, _) in enumerate(cases):
         dd = og.distance_data(g)
         assert dd.connected == connected, row
@@ -601,9 +609,6 @@ def test_mask_distances_empty_batch():
         empty = np.empty(0, dtype=np.int64)
         for values in mask_distances(n, empty):
             assert values.shape == (0,)
-        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
-            values = fn(n, empty)
-            assert values.shape == (0,) and values.dtype == bool
 
 
 def test_mask_patterns_exhaustive(mask_oracle):
@@ -611,17 +616,15 @@ def test_mask_patterns_exhaustive(mask_oracle):
     # triangles against trace(A^3) and bipartiteness against an infinite odd
     # girth (no odd closed walk)
     for n in range(1, 7):
-        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        assert mask_connected(n, masks).tolist() == mask_oracle[n]["connected"], n
-        assert mask_triangle_free(n, masks).tolist() == mask_oracle[n]["triangle_free"], n
-        bipartite = [math.isinf(g) for g in mask_oracle[n]["odd_girth"]]
-        assert mask_bipartite(n, masks).tolist() == bipartite, n
+        connected, free, bipartite = mask_flags(n)
+        assert connected.tolist() == mask_oracle[n]["connected"], n
+        assert free.tolist() == mask_oracle[n]["triangle_free"], n
+        assert bipartite.tolist() == [math.isinf(g) for g in mask_oracle[n]["odd_girth"]], n
 
 
 def test_mask_flags_match_cut_oracle():
-    # all 2,131,019 masks on n <= 7 vertices, by blocks and as arbitrary
-    # masks in a shuffled order, against the cut and triangle tables
-    rng = np.random.default_rng(15)
+    # all 2,131,019 masks on n <= 7 vertices, by blocks, against the cut and
+    # triangle tables
     for n in range(1, 8):
         total = 1 << (n * (n - 1) // 2)
         want = np.stack(cut_oracle(n, np.arange(total, dtype=np.int64)))
@@ -629,10 +632,6 @@ def test_mask_flags_match_cut_oracle():
         assert [lo for lo, *_ in blocks] == list(range(0, total, total >> (n - 1))), n
         got = np.concatenate([np.stack(flags) for _, *flags in blocks], axis=1)
         assert np.array_equal(got, want), n
-        masks = rng.permutation(total)
-        predicates = (mask_connected, mask_triangle_free, mask_bipartite)
-        got = np.stack([fn(n, masks) for fn in predicates])
-        assert np.array_equal(got, want[:, masks]), n
 
 
 def test_mask_tables():
@@ -660,12 +659,8 @@ def test_mask_tables():
                 joined = (table.comp[u] >> v) & 1 == 1
                 assert (table.comp[v][joined] == table.comp[u][joined]).all(), (m, u, v)
     # n = 1 has no cut and n <= 2 no triangle: every mask passes; K_1 is bipartite
-    assert mask_connected(1, [0]).tolist() == [True]
-    assert mask_triangle_free(1, [0]).tolist() == [True]
-    assert mask_bipartite(1, [0]).tolist() == [True]
-    assert mask_connected(2, [0, 1]).tolist() == [False, True]
-    assert mask_triangle_free(2, [0, 1]).tolist() == [True, True]
-    assert mask_bipartite(2, [0, 1]).tolist() == [True, True]
+    assert mask_flags(1).tolist() == [[True], [True], [True]]
+    assert mask_flags(2).tolist() == [[False, True], [True, True], [True, True]]
 
 
 def test_mask_pattern_tables():
@@ -690,9 +685,6 @@ def test_mask_pattern_tables():
 def test_mask_patterns_reject_wide_masks():
     # the tables cover n <= 7; n = 12 would need 66 bits, more than an int64 mask holds
     for n in (0, 8, 12):
-        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
-            with pytest.raises(og.GraphError):
-                fn(n, np.zeros(1, dtype=np.int64))
         with pytest.raises(og.GraphError):
             next(mask_blocks(n, 0, 1))
 
@@ -703,11 +695,10 @@ def test_masks_out_of_range_rejected():
     for mask in (8, 15, -1, 1 << 40):
         with pytest.raises(og.GraphError, match=r"edge bitmask %d .*n=3" % mask):
             og.graph_from_mask(3, mask)
-        for fn in (mask_connected, mask_triangle_free, mask_bipartite):
-            with pytest.raises(og.GraphError, match=r"edge bitmask %d .*n=3" % mask):
-                fn(3, [7, mask, 0])
     with pytest.raises(og.GraphError, match="n=1"):
-        mask_connected(1, [1])
+        og.graph_from_mask(1, 1)
+    with pytest.raises(og.GraphError, match="n=1"):
+        next(mask_blocks(1, 0, 2))
     assert og.graph_from_mask(3, 7) == og.generate_family("complete", [3])
     with pytest.raises(og.GraphError, match="outside"):
         next(mask_blocks(3, 0, 9))

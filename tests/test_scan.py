@@ -196,6 +196,35 @@ def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5, br
     assert docs[0]["verify_errors"][0].startswith("line 4: eigensolver failed")
 
 
+def test_scan_corpus_reports_a_graph_too_large_for_memory(tmp_path, monkeypatch, petersen):
+    # a MemoryError in one line's parse (line 2) or verify (line 4) is that
+    # line's verify error, and Petersen on lines 1 and 3 is still certified;
+    # the errors are raised on purpose, so nothing large is allocated
+    c7, c9 = og.generate_family("cycle", [7]), og.generate_family("cycle", [9])
+    huge = "Unable to allocate 1.68 GiB for an array with shape (15000, 15000)"
+    real_parse, real_verify = scan.parse_graph6, scan.verify_theorem
+
+    def parse(data):
+        if data == og.encode_graph6(c7):
+            raise MemoryError()
+        return real_parse(data)
+
+    def verify(g, *args, **kwargs):
+        if g == c9:
+            raise MemoryError(huge)
+        return real_verify(g, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "parse_graph6", parse)
+    monkeypatch.setattr(scan, "verify_theorem", verify)
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (petersen, c7, petersen, c9)))
+    for jobs in (1, 2):
+        summary = scan.scan_corpus(path, jobs=jobs)
+        assert summary.verify_errors == ["line 2: out of memory", "line 4: " + huge], jobs
+        assert summary.parse_failures == 0 and summary.examined == 4, jobs
+        assert summary.certified == 2 and summary.alarms == 0, jobs
+
+
 def test_jobs_capped_at_affinity(tmp_path, petersen):
     cpus = len(os.sched_getaffinity(0))
     # n <= 4 never forks, whatever the worker count

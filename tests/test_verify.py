@@ -277,7 +277,8 @@ def _c5_with_a_hat():
 
 def test_verify_computes_each_quantity_once(monkeypatch, prism):
     # a met graph: no eigensolve of an n x n matrix (one eigh of the small
-    # Jacobi matrix), none of the float pipeline, and one neighbour table; a
+    # Jacobi matrix), none of the float pipeline or its witnesses, and one
+    # neighbour table; a
     # rejected graph, whether it fails the prefilter or only the exact count
     # of its eigenvalues: one eigvalsh of A and no eigh
     calls = {}
@@ -303,7 +304,9 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
     for name in ("idempotents", "spectrum"):
         monkeypatch.setattr(og.spectral, name, forbidden)
     monkeypatch.setattr(og.predistance, "predistance_polynomials", forbidden)
-    monkeypatch.setattr(og.verify, "vandermonde_certificate", forbidden)
+    for name in ("vandermonde_certificate", "VandermondeCertificate", "_moment_determinant"):
+        monkeypatch.setattr(og.verify, name, forbidden)
+    monkeypatch.setattr(og.predistance, "ParityReport", forbidden)
     folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
     assert og.graphs.neighbour_table(folded.adj) is not None
     for current in (_relabeled(og.generate_family("odd", [4]), 5),
@@ -466,7 +469,6 @@ def test_verify_theorem_long_odd_cycles(k):
         name: c.residual for name, c in rep.certificates.items() if not c.passed
     }
     assert rep.conclusion.distance_regular and rep.conclusion.generalized_odd_graph
-    assert not rep.certificates["vandermonde"].witness.ill_conditioned
 
 
 def _c67_with_a_hat():
