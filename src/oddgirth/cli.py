@@ -160,7 +160,7 @@ def cmd_scan(args):
         print("elapsed: %.2f s" % summary.elapsed_s)
         if summary.funnel:
             print("funnel (masks -> connected -> triangle-free -> expanded -> prefilter survivors "
-                  "-> hits):")
+                  "-> hits -> classes):")
             for n, counts in sorted(summary.funnel.items()):
                 stages = (str(counts[stage]) for stage in scan_mod.FUNNEL_STAGES)
                 print("  n=%d: %s" % (n, " -> ".join(stages)))

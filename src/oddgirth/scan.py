@@ -1,12 +1,12 @@
-"""Counterexample scan: screen every small graph, fully verify the survivors.
+"""Counterexample scan: screen every small graph, fully verify one hit per class.
 
 The screen computes exactly the theorem hypothesis (connected, finite odd
 girth >= 2d+1 where d+1 is the clustered distinct-eigenvalue count) for every
 edge bitmask; the full certificate pipeline then runs on the handful of
-hypothesis-met graphs.  A connected graph of diameter D has at least D+1
-distinct eigenvalues, so d >= D and every hit has odd girth >= 2D+1.  A graph
-with a triangle has odd girth 3, so it can be a hit only if D = 1, which
-makes it the complete graph K_n.
+hypothesis-met graphs, once per isomorphism class.  A connected graph of
+diameter D has at least D+1 distinct eigenvalues, so d >= D and every hit
+has odd girth >= 2D+1.  A graph with a triangle has odd girth 3, so it can
+be a hit only if D = 1, which makes it the complete graph K_n.
 
 The hypothesis needs a finite odd girth, so a bipartite graph, which has no
 odd cycle, is never a hit.
@@ -19,12 +19,21 @@ smaller graph's table.  Only the connected masks that are triangle-free or
 complete and not bipartite go to the distance layer, which tests odd girth
 >= 2D+1; only those that pass have an adjacency matrix built and their
 eigenvalues solved for.
+
+The screen is labeled, so one graph is a hit once per labeling, n!/|Aut G|
+times: the 377 hits on n <= 7 vertices are 7 graphs, K_3..K_7, C_5 (12
+labelings) and C_7 (360).  Every quantity the pipeline certifies is
+invariant under relabeling, so a hit is verified only if its mask is in the
+orbit under S_n (graphs.mask_orbit) of no earlier hit; otherwise it shares
+that representative's report.  The orbits partition the masks into the
+isomorphism classes, the labeled/unlabeled relation of McKay ("Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).
 """
 
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -36,6 +45,7 @@ from .graphs import (
     graph_from_mask,
     mask_blocks,
     mask_distances,
+    mask_orbit,
     parse_graph6,
 )
 from .predistance import PredistanceError
@@ -54,11 +64,14 @@ _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instant
 # eigensolve
 _DISTANCE_SPAN_BITS = 15
 
-# per-n screen counts, each a subset of the one before: triangle_free counts
+# per-n scan counts, each a subset of the one before: triangle_free counts
 # the connected masks that are triangle-free or complete, the expanded ones
 # (those of them not bipartite) go through the distance layer, and every
-# survivor of its exact prefilter costs one eigensolve
-FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits")
+# survivor of its exact prefilter costs one eigensolve.  The screen counts
+# every stage up to hits; classes, the hits verified in full, one per
+# isomorphism class, is scan_enumerated's
+FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits",
+                 "classes")
 
 
 @dataclass
@@ -142,10 +155,11 @@ def screen_range(n, start, stop, funnel=None):
     Returns (examined, hits): examined counts connected graphs, hits is the
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
-    by FUNNEL_STAGES, the range's counts are added to it.  The range is
-    screened one block of mask_blocks at a time, and may start or end
-    inside a block; the distance layer takes the blocks of a span of
-    2^_DISTANCE_SPAN_BITS masks at once.
+    by FUNNEL_STAGES, the range's counts of the screen's stages, all but
+    classes, are added to it.  The range is screened one block of
+    mask_blocks at a time, and may start or end inside a block; the
+    distance layer takes the blocks of a span of 2^_DISTANCE_SPAN_BITS masks
+    at once.
     """
     examined = triangle_free = expanded = survivors = 0
     hits = []
@@ -176,7 +190,7 @@ def screen_range(n, start, stop, funnel=None):
             hits.append((int(m), int(dd), int(og)))
     if funnel is not None:
         counts = (stop - start, examined, triangle_free, expanded, survivors, len(hits))
-        for stage, count in zip(FUNNEL_STAGES, counts):
+        for stage, count in zip(FUNNEL_STAGES[:-1], counts):
             funnel[stage] += count
     return examined, hits
 
@@ -214,9 +228,16 @@ def _map(fn, items, jobs):
 def scan_enumerated(n_max, jobs=1):
     """Scan all labeled connected graphs on 1..n_max vertices (n_max <= 7).
 
-    Every hypothesis-met graph found by the screen is re-verified with the
-    full pipeline; a screen/pipeline disagreement raises, since it would mean
-    the scan's fast path diverged from the thing it is supposed to scan for.
+    The hypothesis-met graphs found by the screen are re-verified with the
+    full pipeline once per isomorphism class: a hit whose mask lies in the
+    orbit (mask_orbit) of an earlier hit on as many vertices shares that
+    representative's report, with its own graph6 as the input label;
+    otherwise it is verified and becomes a new class, counted in its funnel
+    row's classes stage.  Every quantity the report certifies is invariant
+    under relabeling; a vertex named in a witness is the representative's.
+    Each hit's screen (d, odd girth) is compared with its report, and a
+    screen/pipeline disagreement raises, since it would mean the scan's fast
+    path diverged from the thing it is supposed to scan for.
     """
     if not 1 <= n_max <= 7:
         raise GraphError("scan supports 1 <= n <= 7, got %d" % n_max)
@@ -236,10 +257,19 @@ def scan_enumerated(n_max, jobs=1):
             screened.extend((n, m, d, og) for m, d, og in hits)
 
     hits = []
+    classes = {}  # n -> [(orbit, report)] of each verified class representative
     for n, mask, d, og in screened:
         g = graph_from_mask(n, mask)
         g6 = encode_graph6(g).decode("ascii")
-        report = verify_theorem(g, input_label=g6)
+        for orbit, rep in classes.setdefault(n, []):
+            i = np.searchsorted(orbit, mask)
+            if i < len(orbit) and orbit[i] == mask:
+                report = replace(rep, input=g6)
+                break
+        else:
+            report = verify_theorem(g, input_label=g6)
+            classes[n].append((mask_orbit(n, mask), report))
+            funnel[n]["classes"] += 1
         if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
             raise RuntimeError(
                 "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "

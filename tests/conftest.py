@@ -9,7 +9,7 @@ numerical pipeline.
 
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -130,6 +130,20 @@ def cut_oracle(n, masks):
     for triangle in triangles:
         free &= np.bitwise_and(masks, triangle, out=anded) != triangle
     return connected, free, bipartite
+
+
+def orbit_oracle(n, mask):
+    """Sorted edge bitmasks of every relabeling of mask's graph on n vertices, by brute force.
+
+    The reference for graphs.mask_orbit: the adjacency, built pair by pair
+    from edge_pairs, is permuted by each of the n! permutations p, A[p][:, p],
+    and each relabeled graph's mask is read back by graph_mask.
+    """
+    adj = np.zeros((n, n), dtype=np.int64)
+    for b, (u, v) in enumerate(edge_pairs(n)):
+        adj[u, v] = adj[v, u] = (mask >> b) & 1
+    return sorted({og.graph_mask(og.Graph(n, adj[np.ix_(p, p)]))
+                   for p in permutations(range(n))})
 
 
 def graph6_oracle_parse(text):

@@ -67,7 +67,7 @@ SCAN_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["n", "masks", "connected", "triangle_free", "expanded",
-                             "survivors", "hits"],
+                             "survivors", "hits", "classes"],
             },
         },
         "hits": {
@@ -244,7 +244,7 @@ def test_scan_n3_json(capsys):
     assert doc["hits"][0]["generalized_odd_graph"] is True
     assert [row["masks"] for row in doc["funnel"]] == [1, 2, 8]
     assert doc["funnel"][-1] == {"n": 3, "masks": 8, "connected": 4, "triangle_free": 4,
-                                 "expanded": 1, "survivors": 1, "hits": 1}
+                                 "expanded": 1, "survivors": 1, "hits": 1, "classes": 1}
 
 
 def test_scan_text_output(capsys):
@@ -254,7 +254,7 @@ def test_scan_text_output(capsys):
     assert "hypothesis met: 2" in out
     assert "alarms: 0" in out
     assert "elapsed: " in out
-    assert "  n=4: 64 -> 38 -> 20 -> 1 -> 1 -> 1" in out.splitlines()
+    assert "  n=4: 64 -> 38 -> 20 -> 1 -> 1 -> 1 -> 1" in out.splitlines()
 
 
 def test_scan_corpus_cli(tmp_path, petersen, capsys):

@@ -15,7 +15,13 @@ from oddgirth.graphs import (
     mask_distances,
 )
 
-from conftest import cut_oracle, cut_patterns, graph6_oracle_encode, graph6_oracle_parse
+from conftest import (
+    cut_oracle,
+    cut_patterns,
+    graph6_oracle_encode,
+    graph6_oracle_parse,
+    orbit_oracle,
+)
 
 
 def floyd_warshall(g):
@@ -705,3 +711,49 @@ def test_masks_out_of_range_rejected():
     with pytest.raises(og.GraphError, match="outside"):
         next(mask_blocks(3, 5, 4))
     assert list(mask_blocks(3, 4, 4)) == []
+
+
+def test_mask_orbit_matches_permutation_oracle():
+    # every mask for n <= 4; a seeded sample for n = 5..7, where the oracle
+    # permutes the adjacency up to 7! = 5040 times per mask
+    for n in range(1, 5):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert og.mask_orbit(n, mask).tolist() == orbit_oracle(n, mask), (n, mask)
+    rng = np.random.default_rng(18)
+    for n, count in ((5, 24), (6, 8), (7, 3)):
+        for mask in rng.integers(0, 1 << (n * (n - 1) // 2), size=count).tolist():
+            assert og.mask_orbit(n, mask).tolist() == orbit_oracle(n, mask), (n, mask)
+
+
+def test_mask_orbits_partition_masks_into_isomorphism_classes():
+    # the orbits are disjoint and cover every mask, one per unlabeled graph:
+    # 1, 2, 4, 11, 34 and 156 for n = 1..6 (OEIS A000088)
+    for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
+        count = 0
+        for mask in range(len(seen)):
+            if not seen[mask]:
+                orbit = og.mask_orbit(n, mask)
+                assert mask in orbit and not seen[orbit].any(), (n, mask)
+                seen[orbit] = True
+                count += 1
+        assert count == classes, n
+
+
+def test_mask_orbit_sizes():
+    # n!/|Aut G|: 5!/10 labelings of C_5, 7!/14 of C_7, 8!/16 of C_8, one of
+    # K_n and of the empty graph
+    for k, size in ((5, 12), (7, 360), (8, 2520)):
+        mask = og.graph_mask(og.generate_family("cycle", [k]))
+        orbit = og.mask_orbit(k, mask)
+        assert len(orbit) == size and mask in orbit and orbit.dtype == np.int64
+    for n in range(1, 9):
+        full = (1 << (n * (n - 1) // 2)) - 1
+        assert og.mask_orbit(n, full).tolist() == [full]
+        assert og.mask_orbit(n, 0).tolist() == [0]
+    for n in (0, 9):
+        with pytest.raises(og.GraphError, match="orbits support"):
+            og.mask_orbit(n, 0)
+    for mask in (8, -1):
+        with pytest.raises(og.GraphError, match="outside"):
+            og.mask_orbit(3, mask)

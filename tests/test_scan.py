@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_scan_funnel_totals(monkeypatch):
     doc = serial.to_dict()
     assert doc["funnel"][-1] == {"n": 6, "masks": 32768, "connected": 26704,
                                  "triangle_free": 3572, "expanded": 541,
-                                 "survivors": 181, "hits": 1}
+                                 "survivors": 181, "hits": 1, "classes": 1}
     # the forked path sums the funnel over its chunks
     monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
     forked = scan.scan_enumerated(6, jobs=2)
@@ -121,6 +123,77 @@ def test_scan_enumerated_five():
     assert doc["hypothesis_met"] == 15 and len(doc["hits"]) == 15
     assert {"graph6", "n", "d", "odd_girth", "distance_regular",
             "generalized_odd_graph", "alarm"} == set(doc["hits"][0])
+
+
+def test_scan_verifies_one_hit_per_class(monkeypatch):
+    # the 377 labeled hits of n <= 7 are 7 graphs, K_3..K_7, C_5 and C_7:
+    # verify_theorem runs once per class, and each hit's report, shared with
+    # its class representative, is what the pipeline gives that labeling
+    calls = []
+    real_verify = scan.verify_theorem
+
+    def verify(g, *args, **kwargs):
+        calls.append(g.n)
+        return real_verify(g, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "verify_theorem", verify)
+    summary = scan.scan_enumerated(7)
+    assert calls == [3, 4, 5, 5, 6, 7, 7]
+    assert [row["classes"] for row in summary.to_dict()["funnel"]] == [0, 0, 1, 1, 2, 1, 2]
+    assert summary.funnel[5]["hits"] == 13 and summary.funnel[7]["hits"] == 361
+    assert summary.hypothesis_met == summary.certified == 377
+    for hit in summary.hits:
+        report = real_verify(og.graph_from_mask(hit.n, hit.mask), input_label=hit.graph6)
+        assert report.to_dict() == hit.report.to_dict(), (hit.n, hit.mask)
+        assert hit.report.input == hit.graph6
+
+
+def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
+    # the last C_7 labeling in mask order is not its class's representative,
+    # the first: it shares the representative's report, yet its own screen
+    # (d, odd girth) is still compared with it, so a wrong d from the screen
+    # raises, naming that mask
+    real_screen = scan.screen_range
+    bad = []
+
+    def screen(n, start, stop, funnel=None):
+        examined, hits = real_screen(n, start, stop, funnel)
+        cycles = [m for m, d, _ in hits if n == 7 and d == 3]
+        if cycles:
+            assert len(cycles) == 360  # one call screens every n = 7 mask
+            bad.append(max(cycles))
+            hits = [(m, d + (m == bad[0]), girth) for m, d, girth in hits]
+        return examined, hits
+
+    monkeypatch.setattr(scan, "screen_range", screen)
+    with pytest.raises(RuntimeError) as excinfo:
+        scan.scan_enumerated(7)
+    assert "disagreement on n=7 mask=%d: screen (d=4, og=7)" % bad[0] in str(excinfo.value)
+
+
+def test_orbit_tables_built_on_first_use():
+    # importing the package builds no orbit table, and scan_enumerated(5),
+    # the benchmark's warm-up, builds those of its hits' n alone: n = 7's is
+    # built in the first n <= 7 scan, not at set-up.  In a fresh process,
+    # since this one may have built any
+    probe = (
+        "from oddgirth import graphs, scan\n"
+        "info = graphs._orbit_table.cache_info\n"
+        "assert info().currsize == 0\n"
+        "scan.scan_enumerated(5)\n"
+        "cached = []\n"
+        "for n in range(1, 9):\n"
+        "    misses = info().misses\n"
+        "    graphs._orbit_table(n)\n"
+        "    if info().misses == misses:\n"
+        "        cached.append(n)\n"
+        "print(cached)\n"
+    )
+    src = os.path.dirname(os.path.dirname(og.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[3, 4, 5]"
 
 
 def test_scan_enumerated_rejects_bad_n():
