@@ -22,6 +22,7 @@ from .graphs import (
     graph_from_edges,
     graph_from_mask,
     graph_mask,
+    mask_graph6,
     mask_orbit,
     odd_girth,
     parse_edge_list,

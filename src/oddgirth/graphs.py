@@ -7,23 +7,24 @@ mask places every decoded bit in the adjacency matrix (parse_graph6) or reads
 every bit off it (encode_graph6): the codec is a few whole-array operations,
 with no step per bit.
 
-The distance layer is one breadth-first search, _expand, run level by level
-from every vertex of a stack of graphs: a single graph for distance_data, a
-batch of edge bitmasks for mask_distances.  Each level is one product with
-the adjacency matrix A whose entries are counts of at most the largest
-degree; distance_data keeps them as the level counts the intersection
-numbers are read from.  The batch expands until no graph in it has a
-non-empty level.  A has only k nonzeros per row, so on a large sparse graph
-(neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices and more than
-NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is a sum of k row
-gathers (neighbour_sum), O(k n^2): in uint8 for the expansion, in the
-smallest unsigned type that holds them for the walk counts
+The distance layer of a lone graph is one breadth-first search, _expand,
+run level by level from every vertex at once (distance_data).  Each level is
+one product with the adjacency matrix A whose entries are counts of at most
+the largest degree; distance_data keeps them as the level counts the
+intersection numbers are read from.  A has only k nonzeros per row, so on a
+large sparse graph (neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices
+and more than NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is
+a sum of k row gathers (neighbour_sum), O(k n^2): in uint8 for the
+expansion, in the smallest unsigned type that holds them for the walk counts
 (predistance.closed_walks; in Python integers on any graph whose walk counts
 outgrow float64, with the table of neighbour_rows), in float64 for
 predistance.matrix_values.
 distance_data builds that table once and hands it on in its DistanceData.
-Smaller or denser graphs, and every batch, keep the dense product, O(n^3)
-but in BLAS.
+Smaller or denser graphs keep the dense product, O(n^3) but in BLAS.  A
+batch of edge bitmasks on n <= 8 vertices takes no matrix at all
+(mask_distances): each vertex's neighbours are one uint8 bitmask, and a
+table of the union of the neighbour sets of every vertex set makes one BFS
+level of every source of every mask a single gather.
 
 Connectivity, triangles and bipartiteness of an edge bitmask on n <= 7
 vertices need no adjacency matrix, only a table per graph on fewer
@@ -66,6 +67,7 @@ _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # a 6-bit group, high bit first
 _G6_WEIGHTS.setflags(write=False)
+_G6_REVERSED = bytes(63 + int("{:06b}".format(g)[::-1], 2) for g in range(64))  # 6 bits reversed, + 63
 
 
 class GraphError(ValueError):
@@ -457,20 +459,19 @@ class DistanceData:
 
 
 def _expand(A, table=None):
-    """Level-synchronous BFS from every vertex of a (B, n, n) stack of adjacency matrices.
+    """Level-synchronous BFS from every vertex of one graph, its (n, n) adjacency matrix A.
 
-    Yields (frontier, reach, counts) for levels k = 0, 1, ...: frontier[j, u]
-    marks the vertices at distance k from u in graph j (none once graph j's
-    search has ended), counts[j] = F_k A, so counts[j, u, v] is the number of
-    neighbours of v at distance k from u, and reach[j] = counts[j] > 0 marks
-    the neighbours of the level.
+    Yields (frontier, reach, counts) for levels k = 0, 1, ...: frontier[u]
+    marks the vertices at distance k from u, counts = F_k A, so counts[u, v]
+    is the number of neighbours of v at distance k from u, and reach =
+    counts > 0 marks the neighbours of the level.
 
     Level 0 is the identity, so its counts are A itself, with no product.  Each
-    later level is one batched float32 product whose entries count paths of at
-    most n < 2^24, so they are exact and the > 0 test is too.  The expansion
-    ends after the last level at which some graph of the stack is not empty.
+    later level is one float32 product whose entries count paths of at most
+    n < 2^24, so they are exact and the > 0 test is too.  The expansion ends
+    after the last non-empty level.
 
-    A lone graph passed with its neighbour_table takes no dense product.  F_k is
+    A graph passed with its neighbour_table takes no dense product.  F_k is
     symmetric, so F_k A = (A F_k)^T, and A F_k is a neighbour_sum of the rows
     of F_k, held with the table's zero row below them.  The counts are a
     contiguous copy of that sum's transpose, in the smallest unsigned dtype
@@ -478,8 +479,8 @@ def _expand(A, table=None):
     one layout, where a transposed view mixed with row-major operands made
     each several times slower.
     """
-    n = A.shape[-1]
-    frontier = np.eye(n, dtype=bool)[None].repeat(len(A), axis=0)
+    n = len(A)
+    frontier = np.eye(n, dtype=bool)
     seen = frontier.copy()
     if table is None:
         A = counts = np.asarray(A, dtype=np.float32)
@@ -492,13 +493,13 @@ def _expand(A, table=None):
             frontier = reach > seen  # reach & ~seen
         else:
             padded = np.zeros((n + 1, n), dtype=bool)  # row n is the table's zero row
-            frontier = np.greater(reach, seen, out=padded[None, :n])
+            frontier = np.greater(reach, seen, out=padded[:n])
         if not frontier.any():
             return
         seen |= reach
         if table is not None:
             sums = neighbour_sum(table, padded.view(np.uint8), counts.dtype)
-            counts = np.ascontiguousarray(sums[None, :n].transpose(0, 2, 1))
+            counts = np.ascontiguousarray(sums[:n].T)
             continue
         counts = frontier.astype(np.float32) @ A
 
@@ -506,11 +507,11 @@ def _expand(A, table=None):
 def distance_data(g):
     """Exact distances, diameter, connectivity, odd girth and level counts from one expansion.
 
-    All n sources expand together, as a batch of one graph (with its
-    neighbour_table, kept in the result), and each level's
-    product F_k A is kept as level_counts[k].  An edge inside level k of some
-    source (reach & frontier) closes an odd walk of length 2k+1, so it holds
-    an odd cycle of at most that length; conversely a shortest odd cycle of
+    All n sources expand together (with the graph's neighbour_table, kept
+    in the result), and each level's product F_k A is kept as
+    level_counts[k].  An edge inside level k of some source
+    (reach & frontier) closes an odd walk of length 2k+1, so it holds an
+    odd cycle of at most that length; conversely a shortest odd cycle of
     length 2k+1 is isometric, so from any of its vertices the edge opposite
     lies inside level k.  The odd girth is therefore 2k+1 for the first such
     level, for disconnected graphs too.
@@ -520,9 +521,9 @@ def distance_data(g):
     girth = math.inf
     levels = []
     table = neighbour_table(g.adj)
-    for k, (frontier, reach, counts) in enumerate(_expand(g.adj[None], table)):
-        np.putmask(dist, frontier[0], k)  # a quarter faster than dist[frontier[0]] = k
-        levels.append(counts[0])
+    for k, (frontier, reach, counts) in enumerate(_expand(g.adj, table)):
+        np.putmask(dist, frontier, k)  # a quarter faster than dist[frontier] = k
+        levels.append(counts)
         if girth == math.inf and (reach & frontier).any():
             girth = 2 * k + 1
     return DistanceData(
@@ -708,25 +709,78 @@ def adjacency_batch(n, masks):
     return bits[:, _pair_bits(n)].astype(np.float64)
 
 
+def _union_table(n, masks):
+    """(2^n, B) uint8 table of an int64 array of B edge bitmasks on n <= 8 vertices.
+
+    Entry (F, i) is the union of the neighbour sets of the vertices in F in
+    mask i's graph, all as vertex bitmasks.  Vertex v's neighbours u < v are
+    the contiguous bits v(v-1)/2 .. v(v-1)/2 + v - 1 of the mask, and each
+    u > v is bit u(u-1)/2 + v.  The table doubles n times: the sets holding
+    v are those without it, ORed with v's neighbours.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    table = np.zeros((1 << n, len(masks)), dtype=np.uint8)
+    for v in range(n):
+        row = (masks >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        for u in range(v + 1, n):
+            row |= ((masks >> (u * (u - 1) // 2 + v)) & 1) << u
+        np.bitwise_or(table[:1 << v], row.astype(np.uint8), out=table[1 << v:2 << v])
+    return table
+
+
 def mask_distances(n, masks):
-    """(diameter, odd_girth) of every edge bitmask on n vertices: one batched expansion.
+    """(diameter, odd_girth) of every edge bitmask on 1 <= n <= 8 vertices: one bitset BFS.
 
     Both are what distance_data reports for the mask's graph; odd_girth is a
-    float array, inf where there is no odd cycle.  A mask's diameter is the
-    last level k at which its frontier is not empty, and its odd girth 2k+1
-    at the first level k with an edge inside the level.  Connectivity comes
-    from mask_blocks.
+    float array, inf where there is no odd cycle.  Every source of every
+    mask expands at once, its frontier F a vertex bitmask, eight to a uint64
+    (a vertex past n has an empty frontier).  One level is one gather from
+    the union table (_union_table): T[F] is the set of neighbours of F, the
+    next frontier is T[F] less the vertices seen, and an edge lies inside
+    the level iff T[F] & F is not empty.  A mask's diameter is the last
+    level k at which a frontier is not empty, and its odd girth 2k+1 at the
+    first level k with an edge inside it, distance_data's definitions.
+    Connectivity comes from mask_blocks.
     """
-    diameter = np.zeros(len(masks), dtype=np.int64)
-    girth = np.full(len(masks), math.inf)
-    # a matrix-vector product is several times faster than any() over the
-    # short rows of a (B, n * n) array
-    ones = np.ones(n * n, dtype=np.float32)
-    for k, (frontier, reach, _) in enumerate(_expand(adjacency_batch(n, masks))):
-        diameter[frontier.reshape(len(masks), n * n) @ ones > 0.5] = k
-        closed = (reach & frontier).reshape(len(masks), n * n) @ ones > 0.5
-        girth[closed] = np.minimum(girth[closed], 2 * k + 1)
+    if not 1 <= n <= 8:
+        raise GraphError("bitset distances support 1 <= n <= 8, got %d" % n)
+    count = len(masks)
+    table = _union_table(n, masks).ravel()
+    column = np.arange(count, dtype=np.intp)[:, None]  # T[F] of mask i is entry F * count + i
+    frontier = np.zeros((count, 8), dtype=np.uint8)
+    frontier[:, :n] = 1 << np.arange(n, dtype=np.uint8)
+    frontier = frontier.view(np.uint64).ravel()
+    seen = frontier.copy()
+    diameter = np.zeros(count, dtype=np.int64)
+    girth = np.full(count, math.inf)
+    index = np.empty((count, 8), dtype=np.intp)
+    for k in range(n):
+        np.multiply(frontier.view(np.uint8).reshape(count, 8), np.intp(count), out=index)
+        index += column
+        reach = table.take(index).view(np.uint64).ravel()
+        girth[((reach & frontier) != 0) & (girth == math.inf)] = 2 * k + 1
+        frontier = reach & ~seen
+        if not frontier.any():
+            break
+        seen |= reach
+        diameter[frontier != 0] = k + 1
     return diameter, girth
+
+
+def mask_graph6(n, mask):
+    """graph6 line (bytes) of an edge bitmask on 1 <= n <= 62 vertices, read off its bits.
+
+    graph6 numbers the pairs in the order of the mask's bits, so its body is
+    the mask cut into groups of 6 bits from bit 0, each group reversed (the
+    first pair is a byte's high bit) plus 63; bits past n(n-1)/2 are 0.
+    Equal to encode_graph6(graph_from_mask(n, mask)), with no Graph built.
+    """
+    if not 1 <= n <= _G6_MAX_SHORT:
+        raise GraphError("mask graph6 supports 1 <= n <= %d, got %d" % (_G6_MAX_SHORT, n))
+    nbits = n * (n - 1) // 2
+    if not 0 <= mask < 1 << nbits:
+        raise _mask_range_error(n, mask)
+    return bytes([63 + n] + [_G6_REVERSED[mask >> lo & 63] for lo in range(0, nbits, 6)])
 
 
 @functools.lru_cache(maxsize=None)

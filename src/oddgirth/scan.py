@@ -1,9 +1,10 @@
 """Counterexample scan: screen every small graph, fully verify one hit per class.
 
 The screen computes exactly the theorem hypothesis (connected, finite odd
-girth >= 2d+1 where d+1 is the clustered distinct-eigenvalue count) for every
-edge bitmask; the full certificate pipeline then runs on the handful of
-hypothesis-met graphs, once per isomorphism class.  A connected graph of
+girth >= 2d+1 where d+1 is the distinct-eigenvalue count) for every edge
+bitmask, with no eigenvalue solved for and no tolerance; the full
+certificate pipeline then runs on the handful of hypothesis-met graphs, once
+per isomorphism class.  A connected graph of
 diameter D has at least D+1 distinct eigenvalues, so d >= D and every hit
 has odd girth >= 2D+1.  A graph with a triangle has odd girth 3, so it can
 be a hit only if D = 1, which makes it the complete graph K_n.
@@ -16,9 +17,14 @@ triangles and bipartiteness come from graphs.mask_blocks: the masks with one
 neighbour set S of the last vertex are one block, a graph on one vertex
 fewer extended by S, and the three properties are read off a slice of that
 smaller graph's table.  Only the connected masks that are triangle-free or
-complete and not bipartite go to the distance layer, which tests odd girth
->= 2D+1; only those that pass have an adjacency matrix built and their
-eigenvalues solved for.
+complete and not bipartite go to the distance layer, a bitset BFS
+(graphs.mask_distances), which tests odd girth >= 2D+1.  A connected graph
+that is not bipartite has a shortest odd cycle that is isometric, so its
+odd girth is at most 2D+1: a survivor has odd girth exactly 2D+1, and is a
+hit iff d <= D, that is iff d = D.  That is an integer test, the last step
+(_d_is_diameter): d = D iff A^(D+1) is an integer combination of
+I, A, ..., A^D, whose coefficients are solved for from one row of the
+powers and then checked on every entry.
 
 The screen is labeled, so one graph is a hit once per labeling, n!/|Aut G|
 times: the 377 hits on n <= 7 vertices are 7 graphs, K_3..K_7, C_5 (12
@@ -41,15 +47,15 @@ import numpy as np
 from .graphs import (
     GraphError,
     adjacency_batch,
-    encode_graph6,
     graph_from_mask,
     mask_blocks,
     mask_distances,
+    mask_graph6,
     mask_orbit,
     parse_graph6,
 )
 from .predistance import PredistanceError
-from .spectral import NumericalError, cluster_breaks
+from .spectral import NumericalError
 from .verify import verify_theorem
 
 # one screen; perfbench/run.py records this constant in its environment line
@@ -57,19 +63,21 @@ BACKEND = "python"
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
-# the distance layer takes the masks kept from every block of mask_blocks in
-# one aligned span of 2^15 masks: one block at n = 7 (some 400 masks kept),
-# all 32 blocks at n = 6.  A call per block at n <= 6 made the n = 6 screen
-# take 8-11 ms instead of 2.3-3.6 ms, the fixed cost of each expansion and
-# eigensolve
-_DISTANCE_SPAN_BITS = 15
+# the distance layer and the exact verdict take the masks kept from every
+# block of mask_blocks in one aligned span of 2^18 masks: 8 blocks at n = 7
+# (some 3,250 masks kept), every mask at n <= 6.  The n = 7 screen, one BLAS
+# thread, 2-core Xeon VM, medians of 20 interleaved runs: 66 ms in spans of
+# 2^15, 49 ms of 2^16, 32 ms of 2^18 and 32 ms in one span of 2^21, whose
+# larger arrays raised the peak RSS that scan_enumerated(7) adds from 2.0
+# to 7.5 MB
+_DISTANCE_SPAN_BITS = 18
 
 # per-n scan counts, each a subset of the one before: triangle_free counts
 # the connected masks that are triangle-free or complete, the expanded ones
 # (those of them not bipartite) go through the distance layer, and every
-# survivor of its exact prefilter costs one eigensolve.  The screen counts
-# every stage up to hits; classes, the hits verified in full, one per
-# isomorphism class, is scan_enumerated's
+# survivor of its exact prefilter through the exact test of d = D.  The
+# screen counts every stage up to hits; classes, the hits verified in full,
+# one per isomorphism class, is scan_enumerated's
 FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits",
                  "classes")
 
@@ -149,8 +157,64 @@ class ScanSummary:
         }
 
 
+def _power_recurrence(n, masks, D):
+    """(powers, c, exact) for masks on n vertices whose graphs are connected of diameter D >= 1.
+
+    powers[:, j] is A^j, j = 0..D+1, in float32.  c[:, j], in int64, solves
+    sum_{j<=D} c_j (A^j)_{s v_i} = (A^(D+1))_{s v_i} for a vertex s of
+    eccentricity D and a vertex v_i at each distance i <= D from s, the
+    first of each in vertex order.  (A^j)_{s v_i} is 0 for j < i and
+    positive for j = i, so the system is triangular and back-substitution
+    solves it from c_D down, with floor quotients; exact marks the masks
+    whose every quotient was an integer.  The powers are float32 BLAS
+    products of 0/1 matrices, whose entries, at most M = (n-1)^(D+1), are
+    integers below 2^24, so every partial sum is exact; each c_j is at
+    most M (1+M)^D, so no sum of c_j (A^j)_uv nears 2^63.
+    """
+    M = (n - 1) ** (D + 1)
+    assert M < 2 ** 24 and M * (M + 1) ** (D + 1) < 2 ** 63, (n, D)
+    count = len(masks)
+    powers = np.empty((count, D + 2, n, n), dtype=np.float32)
+    powers[:, 0] = np.eye(n)
+    powers[:, 1] = adjacency_batch(n, masks)
+    for j in range(2, D + 2):
+        np.matmul(powers[:, j - 1], powers[:, 1], out=powers[:, j])
+    near = powers[:, :D].sum(axis=1)  # walks shorter than D: a zero entry is a pair at distance D
+    s = (near == 0).any(axis=2).argmax(axis=1)
+    rows = powers[np.arange(count), :, s]  # (B, D + 2, n): row s of each power
+    dist = (np.cumsum(rows[:, :D], axis=1) == 0).sum(axis=1)  # each vertex's distance from s
+    far = (dist[:, None, :] == np.arange(D + 1)[:, None]).argmax(axis=2)  # v_0 .. v_D
+    at = np.take_along_axis(rows, far[:, None, :], axis=2).astype(np.int64)  # at[:, j, i] = (A^j)_{s v_i}
+    c = np.zeros((count, D + 1), dtype=np.int64)
+    exact = np.ones(count, dtype=bool)
+    for i in range(D, -1, -1):
+        rest = at[:, D + 1, i] - (c[:, i + 1:] * at[:, i + 1:D + 1, i]).sum(axis=1)
+        c[:, i], remainder = np.divmod(rest, at[:, i, i])
+        exact &= remainder == 0
+    return powers, c, exact
+
+
+def _d_is_diameter(n, masks, D):
+    """Whether each mask's graph, connected of diameter D >= 1, has exactly D + 1 distinct eigenvalues.
+
+    A connected graph of diameter D has at least D + 1, and exactly D + 1
+    iff its minimal polynomial has degree D + 1: iff A^(D+1) = sum_{j<=D}
+    c_j A^j.  The c_j are then unique, since I, A, ..., A^D are
+    independent, and integers, since the minimal polynomial of an integer
+    matrix is monic in Z[x] (Gauss's lemma).  So they are the solution of
+    _power_recurrence's triangular system: a graph whose quotients there
+    are not all integers is rejected, and one whose are is met iff every
+    entry of A^(D+1) - sum c_j A^j is 0.  Both tests are exact, in int64.
+    """
+    powers, c, exact = _power_recurrence(n, masks, D)
+    residue = powers[:, D + 1].astype(np.int64)
+    for j in range(D + 1):
+        residue -= c[:, j, None, None] * powers[:, j].astype(np.int64)
+    return exact & ~residue.any(axis=(1, 2))
+
+
 def screen_range(n, start, stop, funnel=None):
-    """Screen masks [start, stop) on n vertices.
+    """Screen masks [start, stop) on n vertices; no eigenvalue is solved for.
 
     Returns (examined, hits): examined counts connected graphs, hits is the
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
@@ -159,7 +223,10 @@ def screen_range(n, start, stop, funnel=None):
     classes, are added to it.  The range is screened one block of
     mask_blocks at a time, and may start or end inside a block; the
     distance layer takes the blocks of a span of 2^_DISTANCE_SPAN_BITS masks
-    at once.
+    at once.  A survivor of its prefilter, odd girth >= 2D+1 for diameter D,
+    has odd girth exactly 2D+1, since a shortest odd cycle is isometric, and
+    d >= D; so it is a hit iff d = D, the exact test _d_is_diameter, run on
+    the survivors of one D at a time.
     """
     examined = triangle_free = expanded = survivors = 0
     hits = []
@@ -182,12 +249,13 @@ def screen_range(n, start, stop, funnel=None):
         survivors += int(keep.sum())
         if not keep.any():
             continue
-        masks, girth = masks[keep], girth[keep]
-        _, breaks = cluster_breaks(np.linalg.eigvalsh(adjacency_batch(n, masks)))
-        d = breaks.sum(axis=1)
-        met = girth >= 2 * d + 1
-        for m, dd, og in zip(masks[met], d[met], girth[met]):
-            hits.append((int(m), int(dd), int(og)))
+        masks, diameter, girth = masks[keep], diameter[keep], girth[keep]
+        met = np.zeros(len(masks), dtype=bool)
+        for D in np.unique(diameter):
+            group = diameter == D
+            met[group] = _d_is_diameter(n, masks[group], int(D))
+        for m, d, og in zip(masks[met], diameter[met], girth[met]):
+            hits.append((int(m), int(d), int(og)))
     if funnel is not None:
         counts = (stop - start, examined, triangle_free, expanded, survivors, len(hits))
         for stage, count in zip(FUNNEL_STAGES[:-1], counts):
@@ -233,8 +301,10 @@ def scan_enumerated(n_max, jobs=1):
     orbit (mask_orbit) of an earlier hit on as many vertices shares that
     representative's report, with its own graph6 as the input label;
     otherwise it is verified and becomes a new class, counted in its funnel
-    row's classes stage.  Every quantity the report certifies is invariant
-    under relabeling; a vertex named in a witness is the representative's.
+    row's classes stage.  Each label is read off the mask's bits
+    (mask_graph6); only a class representative has a Graph built.  Every
+    quantity the report certifies is invariant under relabeling; a vertex
+    named in a witness is the representative's.
     Each hit's screen (d, odd girth) is compared with its report, and a
     screen/pipeline disagreement raises, since it would mean the scan's fast
     path diverged from the thing it is supposed to scan for.
@@ -259,15 +329,14 @@ def scan_enumerated(n_max, jobs=1):
     hits = []
     classes = {}  # n -> [(orbit, report)] of each verified class representative
     for n, mask, d, og in screened:
-        g = graph_from_mask(n, mask)
-        g6 = encode_graph6(g).decode("ascii")
+        g6 = mask_graph6(n, mask).decode("ascii")
         for orbit, rep in classes.setdefault(n, []):
             i = np.searchsorted(orbit, mask)
             if i < len(orbit) and orbit[i] == mask:
                 report = replace(rep, input=g6)
                 break
         else:
-            report = verify_theorem(g, input_label=g6)
+            report = verify_theorem(graph_from_mask(n, mask), input_label=g6)
             classes[n].append((mask_orbit(n, mask), report))
             funnel[n]["classes"] += 1
         if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:

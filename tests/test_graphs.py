@@ -205,6 +205,24 @@ def test_graph6_matches_oracle_on_every_small_mask():
             _assert_graph6_matches_oracle(og.graph_from_mask(n, mask))
 
 
+def test_mask_graph6_is_encode_graph6_of_the_mask():
+    # every mask on n <= 5 vertices, a seeded sample on n = 6..8
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert og.mask_graph6(n, mask) == og.encode_graph6(og.graph_from_mask(n, mask)), (n, mask)
+    rng = np.random.default_rng(21)
+    for n in (6, 7, 8):
+        full = (1 << (n * (n - 1) // 2)) - 1
+        for mask in [0, full] + rng.integers(0, full + 1, size=200).tolist():
+            assert og.mask_graph6(n, mask) == og.encode_graph6(og.graph_from_mask(n, mask)), (n, mask)
+    for n in (0, 63):
+        with pytest.raises(og.GraphError, match="mask graph6 supports"):
+            og.mask_graph6(n, 0)
+    for mask in (8, -1):
+        with pytest.raises(og.GraphError, match="outside"):
+            og.mask_graph6(3, mask)
+
+
 def test_graph6_matches_oracle_on_family_suite(family_suite):
     for _, g in family_suite:
         _assert_graph6_matches_oracle(g)
@@ -608,6 +626,37 @@ def test_mask_distances_seven_vertex_batch():
         assert dd.connected == connected, row
         assert diameter[row] == dd.diameter == want_diameter, row
         assert girth[row] == dd.odd_girth == want_girth, row
+
+
+def test_mask_distances_eight_vertex_sample():
+    # n = 8 fills the uint8 neighbour rows: a seeded sample at edge densities
+    # from sparse (long paths, many components) to dense, and graphs whose
+    # diameter (P_8: 7) or odd girth (C_7 with a pendant vertex: 7) reaches
+    # the last levels
+    rng = np.random.default_rng(19)
+    masks = [og.graph_mask(g) for g in (
+        og.generate_family("path", [8]),
+        og.generate_family("cycle", [8]),
+        og.generate_family("complete", [8]),
+        og.graph_from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7)]),
+    )] + [0]
+    for density in (0.15, 0.25, 0.35, 0.5):
+        bits = rng.random((40, 28)) < density
+        masks += (bits.astype(np.int64) << np.arange(28)).sum(axis=1).tolist()
+    masks = np.array(masks, dtype=np.int64)
+    diameter, girth = mask_distances(8, masks)
+    want = [og.distance_data(og.graph_from_mask(8, int(m))) for m in masks]
+    assert diameter.tolist() == [dd.diameter for dd in want]
+    assert girth.tolist() == [dd.odd_girth for dd in want]
+    assert diameter[:5].tolist() == [7, 4, 1, 4, 0] and girth[:5].tolist() == [math.inf, math.inf, 3, 7, math.inf]
+    assert {5, 7} <= set(girth.tolist()) and len(set(diameter.tolist())) >= 5
+
+
+def test_mask_distances_reject_n_outside_bitset_rows():
+    # a vertex bitmask is one uint8, so n <= 8
+    for n in (0, 9):
+        with pytest.raises(og.GraphError, match="bitset distances support"):
+            mask_distances(n, np.zeros(1, dtype=np.int64))
 
 
 def test_mask_distances_empty_batch():

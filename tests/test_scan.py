@@ -10,6 +10,7 @@ import pytest
 
 import oddgirth as og
 from oddgirth import scan
+from oddgirth.graphs import adjacency_batch, mask_blocks, mask_distances
 from oddgirth.spectral import cluster_breaks
 
 from conftest import screen_regular_range
@@ -24,7 +25,7 @@ def test_screen_counts_small():
 def test_screen_matches_pipeline_exhaustively(mask_oracle):
     # for every connected graph on <= 6 vertices the screen's hypothesis
     # verdict, eigenvalue count and odd girth must match the full pipeline;
-    # at n = 6 the screen solves for eigenvalues of only 181 of 26,704.  The
+    # at n = 6 the screen tests d = D on only 181 of 26,704.  The
     # pipeline's eigenvalue counts are solved for all graphs of an n at once
     # and split by cluster_breaks, the rule spectrum() applies to each graph;
     # its odd girths are distance_data's, held per mask by mask_oracle
@@ -65,6 +66,94 @@ def test_screen_range_split_anywhere():
     assert scan.screen_range(7, total - 1, total)[1] == [(total - 1, 1, 3)]  # K_7
 
 
+def _survivors(n):
+    """(masks, diameter, odd girth) of the masks the n-vertex screen hands its exact test.
+
+    The screen's prefilter, restated: connected, triangle-free or complete,
+    not bipartite, and odd girth >= 2D+1.
+    """
+    complete = (1 << (n * (n - 1) // 2)) - 1
+    kept = []
+    for lo, connected, free, bipartite in mask_blocks(n, 0, complete + 1):
+        keep = connected & free
+        if lo <= complete < lo + len(keep):
+            keep[complete - lo] = True
+        kept.append(lo + np.flatnonzero(keep & ~bipartite))
+    masks = np.concatenate(kept)
+    diameter, girth = mask_distances(n, masks)
+    keep = girth >= 2 * diameter + 1
+    return masks[keep], diameter[keep], girth[keep]
+
+
+def test_exact_verdict_matches_eigenvalue_oracle_on_every_survivor():
+    # every survivor of the n <= 7 prefilter has odd girth exactly 2D+1, and
+    # the screen's exact d = D verdict is the clustered eigvalsh count's on
+    # each: 2,237 survivors (1 + 1 + 13 + 181 + 2,041), of which 377 are met
+    total = met_total = 0
+    for n in range(1, 8):
+        masks, diameter, girth = _survivors(n)
+        assert (girth == 2 * diameter + 1).all(), n
+        _, breaks = cluster_breaks(np.linalg.eigvalsh(adjacency_batch(n, masks)))
+        d = breaks.sum(axis=1)
+        assert (d >= diameter).all(), n
+        met = np.zeros(len(masks), dtype=bool)
+        for D in np.unique(diameter):
+            group = diameter == D
+            met[group] = scan._d_is_diameter(n, masks[group], int(D))
+        assert met.tolist() == (d == diameter).tolist(), n
+        hits = [(int(m), int(D), int(og)) for m, D, og in zip(masks[met], diameter[met], girth[met])]
+        assert scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))[1] == hits, n
+        total += len(masks)
+        met_total += int(met.sum())
+    assert (total, met_total) == (2237, 377)
+
+
+def _residue(powers, c):
+    """A^(D+1) - sum_j c_j A^j of each mask, in int64."""
+    powers = powers.astype(np.int64)
+    return powers[:, -1] - np.einsum("bj,bjuv->buv", c, powers[:, :-1])
+
+
+def test_exact_verdict_needs_both_clauses():
+    # C_5 with a sixth vertex joined to two opposite cycle vertices: D = 2,
+    # odd girth 5, yet six distinct eigenvalues (d = 5).  Labeled as mask
+    # 3308 its triangular system has a non-integer quotient; as mask 3436
+    # (an isomorphic labeling, so another s and other v_i) its c_j are
+    # integers and only the full comparison A^3 = sum c_j A^j rejects it.
+    # Over all n <= 7 survivors of diameter 2, none met, each clause is the
+    # first to reject some
+    theta = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 2)]
+    assert og.graph_mask(og.graph_from_edges(6, theta)) in og.mask_orbit(6, 3308)
+    masks = np.array([3308, 3436], dtype=np.int64)
+    diameter, girth = mask_distances(6, masks)
+    assert diameter.tolist() == [2, 2] and girth.tolist() == [5, 5]
+    assert [og.spectrum(og.graph_from_mask(6, int(m))).d for m in masks] == [5, 5]
+    assert scan._d_is_diameter(6, masks, 2).tolist() == [False, False]
+    powers, c, exact = scan._power_recurrence(6, masks, 2)
+    assert exact.tolist() == [False, True]
+    assert _residue(powers, c)[1].any()
+    inexact = only_comparison = 0
+    for n in (6, 7):
+        masks, diameter, _ = _survivors(n)
+        powers, c, exact = scan._power_recurrence(n, masks[diameter == 2], 2)
+        inexact += int((~exact).sum())
+        only_comparison += int((exact & _residue(powers, c).any(axis=(1, 2))).sum())
+        assert not scan._d_is_diameter(n, masks[diameter == 2], 2).any()
+    assert inexact > 0 and only_comparison > 0
+
+
+def test_screen_solves_no_eigenvalues(monkeypatch):
+    # the n = 7 screen finds its 361 hits with numpy's eigensolvers disabled
+    def refuse(*args, **kwargs):
+        raise AssertionError("the screen called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    examined, hits = scan.screen_range(7, 0, 2**21)
+    assert examined == 1866256 and len(hits) == 361
+    assert sorted({(d, og) for _, d, og in hits}) == [(1, 3), (3, 7)]
+
+
 def test_screen_regular_range_counts():
     # connected regular graphs on n labeled vertices
     want = {1: 1, 2: 1, 3: 1, 4: 4, 5: 13, 6: 146}
@@ -92,7 +181,7 @@ def test_scan_funnel_totals(monkeypatch):
     assert totals["hits"] == serial.hypothesis_met == 16
     assert totals["triangle_free"] == 3806  # connected and triangle-free, or complete
     assert totals["expanded"] == 556  # of those, not bipartite: 0, 0, 1, 1, 13, 541
-    assert totals["survivors"] == 196  # eigensolves: 0, 0, 1, 1, 13, 181
+    assert totals["survivors"] == 196  # exact tests of d = D: 0, 0, 1, 1, 13, 181
     for counts in serial.funnel.values():
         values = [counts[stage] for stage in scan.FUNNEL_STAGES]
         assert values == sorted(values, reverse=True)
@@ -136,9 +225,17 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
         calls.append(g.n)
         return real_verify(g, *args, **kwargs)
 
+    built = []
+    real_graph = scan.graph_from_mask
+
+    def graph(n, mask):
+        built.append(n)
+        return real_graph(n, mask)
+
     monkeypatch.setattr(scan, "verify_theorem", verify)
+    monkeypatch.setattr(scan, "graph_from_mask", graph)
     summary = scan.scan_enumerated(7)
-    assert calls == [3, 4, 5, 5, 6, 7, 7]
+    assert calls == built == [3, 4, 5, 5, 6, 7, 7]  # the other 370 hits build no Graph
     assert [row["classes"] for row in summary.to_dict()["funnel"]] == [0, 0, 1, 1, 2, 1, 2]
     assert summary.funnel[5]["hits"] == 13 and summary.funnel[7]["hits"] == 361
     assert summary.hypothesis_met == summary.certified == 377
