@@ -57,6 +57,7 @@ from .spectral import (
 )
 from .verify import (
     Certificate,
+    Hypothesis,
     IntersectionArray,
     NotDistanceRegular,
     TheoremReport,
@@ -64,11 +65,13 @@ from .verify import (
     check_distance_polynomial,
     check_eigenvalue_symmetry,
     check_hoffman,
+    check_hypothesis,
     check_polynomial_identities,
     check_walk_regular,
     distance_matrices,
     excess_comparison,
     intersection_array,
+    theorem_report,
     vandermonde_certificate,
     verify_theorem,
 )

@@ -34,6 +34,12 @@ orbit under S_n (graphs.mask_orbit) of no earlier hit; otherwise it shares
 that representative's report.  The orbits partition the masks into the
 isomorphism classes, the labeled/unlabeled relation of McKay ("Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).
+
+A corpus scan has the same shape on graph6 lines: each line's hypothesis is
+decided exactly (verify.check_hypothesis, one BFS and, on a prefilter graph,
+its walk counts), and only a line that meets it gets its report
+(verify.theorem_report, from the same record), so a rejected line is never
+eigensolved.
 """
 
 import itertools
@@ -56,7 +62,7 @@ from .graphs import (
 )
 from .predistance import PredistanceError
 from .spectral import NumericalError
-from .verify import verify_theorem
+from .verify import check_hypothesis, theorem_report, verify_theorem
 
 # one screen; perfbench/run.py records this constant in its environment line
 BACKEND = "python"
@@ -363,8 +369,13 @@ def _verify_line(args):
     """(report, parse_error, verify_error) of one corpus line: a bad line fails alone.
 
     The line is parsed here, in whichever process verifies it, so no list
-    of parsed graphs is built before the verification starts.  A graph too
-    large for memory, in its parse or its verify, is a verify error.
+    of parsed graphs is built before the verification starts.  The
+    hypothesis is decided exactly (check_hypothesis); a line that does not
+    meet it gets no report, and one that does gets theorem_report on the
+    same record, so each line has one BFS and one walk count and a rejected
+    line no eigensolve.  A graph too large for memory, in either step or
+    its parse, is a verify error, as is a numerical breakdown in either
+    step.
     """
     lineno, data = args
     try:
@@ -372,19 +383,25 @@ def _verify_line(args):
             g = parse_graph6(data)  # the bytes as read, so a bad byte is named as analyze names it
         except GraphError as exc:
             return None, "line %d: %s" % (lineno, exc), None
-        report = verify_theorem(g, input_label=data.decode("ascii"))  # a parsed line is ASCII
+        hypothesis = check_hypothesis(g)
+        if not hypothesis.met:
+            return None, None, None
+        report = theorem_report(g, hypothesis, input_label=data.decode("ascii"))  # a parsed line is ASCII
     except (PredistanceError, NumericalError, MemoryError) as exc:
         return None, None, "line %d: %s" % (lineno, str(exc) or "out of memory")
     return report, None, None
 
 
 def scan_corpus(path, jobs=1):
-    """Verify every graph6 line in a file.
+    """Screen each graph6 line of a file exactly; verify in full those that meet the hypothesis.
 
-    Parse failures and graphs whose verification broke down numerically
-    (PredistanceError, NumericalError) or ran out of memory (MemoryError)
-    are counted and reported by line number, not fatal: the other lines are
-    still verified.
+    Only hits are kept, so a line that does not meet the hypothesis gets no
+    report (_verify_line).  Parse failures and graphs whose screen or
+    report broke down numerically (PredistanceError, NumericalError) or ran
+    out of memory (MemoryError) are counted and reported by line number, not
+    fatal: the other lines are still verified.  The screen has no
+    tolerance, so a NumericalError can come only from the report of a line
+    that meets the hypothesis.
     """
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()
@@ -401,7 +418,7 @@ def scan_corpus(path, jobs=1):
             parse_errors.append(parse_error)
         elif verify_error is not None:
             verify_errors.append(verify_error)
-        elif report.hypothesis_met:
+        elif report is not None:
             hits.append(ScanHit(n=report.n, mask=None, graph6=report.input, report=report))
 
     return ScanSummary(

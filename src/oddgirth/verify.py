@@ -6,6 +6,14 @@ graph, diameter d with odd girth 2d+1).  Each step of the argument becomes a
 certificate; the brute-force intersection-array check is the independent
 oracle at the end.
 
+verify_theorem runs it in two steps.  check_hypothesis decides the
+hypothesis exactly, with one distance_data call and, on a prefilter graph,
+the walk counts and their recurrence; no eigenvalue is solved for.
+theorem_report builds the report from that record: the spectrum, and on a
+met graph the certificates and the conclusion.  A caller that keeps only
+the met graphs (scan_corpus) runs the first step on every graph and the
+second on the met ones.
+
 A graph that meets the distance layer's exact prefilter (connected, odd girth
 og finite and og >= 2D+1) has its walk counts tr(A^ell), ell <= og + 1, read
 off the powers of A, and the Chebyshev algorithm on them finds d exactly
@@ -23,7 +31,8 @@ local multiplicities, ...) are the exact path's oracles.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -559,29 +568,53 @@ class TheoremReport:
         }
 
 
-def verify_theorem(g, tolerances=None, input_label=None):
-    """Run the whole pipeline on one graph and assemble the report.
+class Hypothesis(NamedTuple):
+    """What check_hypothesis decided about one graph, exactly.
 
-    Hypotheses: connected, d+1 distinct eigenvalues, finite odd girth >= 2d+1.
-    A graph that meets the prefilter (spectral.meets_prefilter) has its d
-    decided exactly from its walk counts up to tr(A^(og+1)) (see the module
-    docstring); the hypothesis holds iff d <= (og - 1) / 2.  When it holds,
-    every certificate (exact_certificates) must pass and the brute-force
-    check must find an intersection array; any failure is a counterexample
-    alarm.  When it does not hold the conclusion is not-applicable (None),
-    no certificates are computed, and the report's spectrum is
-    spectral.spectrum's, eigvalsh clustered; a graph has at least D+1 distinct eigenvalues, and a prefilter
-    graph whose walk counts did not fix d at least L+1, so a clustering that
-    finds fewer raises NumericalError.
+    dd is the graph's distance_data.  walks (predistance.closed_walks'
+    diagonals) and recurrence (its WalkRecurrence) are None unless the graph
+    meets the prefilter, and met is whether the hypothesis holds.
     """
-    tols = tolerances if tolerances is not None else Tolerances()
+
+    dd: object
+    walks: list
+    recurrence: object
+    met: bool
+
+
+def check_hypothesis(g):
+    """Decide the theorem's hypothesis exactly: one BFS, and walk counts on a prefilter graph.
+
+    A graph that meets the prefilter (spectral.meets_prefilter: connected,
+    finite odd girth og >= 2D+1) has its d decided exactly from its walk
+    counts up to tr(A^(og+1)) (see the module docstring), and the hypothesis
+    holds iff d <= (og - 1) / 2.  No eigenvalue is solved for and no
+    tolerance enters.
+    """
     dd = distance_data(g)
-    og = dd.odd_girth
     walks = recurrence = None
     if spectral.meets_prefilter(dd):
-        walks = predistance.closed_walks(g.adj, dd.neighbour_table, (og + 1) // 2)
+        walks = predistance.closed_walks(g.adj, dd.neighbour_table, (dd.odd_girth + 1) // 2)
         recurrence = predistance.walk_recurrence(predistance.closed_walk_total(walks))
     met = recurrence is not None and recurrence.d is not None
+    return Hypothesis(dd, walks, recurrence, met)
+
+
+def theorem_report(g, hypothesis, tolerances=None, input_label=None):
+    """The report of g from its check_hypothesis record.
+
+    When the hypothesis holds, every certificate (exact_certificates) must
+    pass and the brute-force check must find an intersection array; any
+    failure is a counterexample alarm.  When it does not hold the conclusion
+    is not-applicable (None), no certificates are computed, and the report's
+    spectrum is spectral.spectrum's, eigvalsh clustered; a graph has at
+    least D+1 distinct eigenvalues, and a prefilter graph whose walk counts
+    did not fix d at least L+1, so a clustering that finds fewer raises
+    NumericalError.
+    """
+    tols = tolerances if tolerances is not None else Tolerances()
+    dd, walks, recurrence, met = hypothesis
+    og = dd.odd_girth
 
     if met:
         s = spectral.jacobi_spectrum([float(x) for x in recurrence.a],
@@ -629,3 +662,13 @@ def verify_theorem(g, tolerances=None, input_label=None):
         warnings=warnings,
         tolerances=tols,
     )
+
+
+def verify_theorem(g, tolerances=None, input_label=None):
+    """Run the whole pipeline on one graph and assemble the report.
+
+    Hypotheses: connected, d+1 distinct eigenvalues, finite odd girth >= 2d+1.
+    check_hypothesis decides them exactly, and theorem_report builds the
+    report from its record; see both.
+    """
+    return theorem_report(g, check_hypothesis(g), tolerances, input_label)

@@ -322,19 +322,21 @@ def c5():
 
 @pytest.fixture
 def break_verify(monkeypatch):
-    """break_verify(g): the corpus scan's verify of g raises a numerical breakdown.
+    """break_verify(g): the corpus scan's report of g raises a numerical breakdown.
 
     Exact arithmetic leaves no natural graph whose verify breaks down, so the
-    per-line error handling is exercised by making one graph's fail.  A fork
-    pool inherits the patch.
+    per-line error handling is exercised by making one graph's fail.  The
+    fault is raised in the report step (theorem_report), which a corpus line
+    reaches only if it meets the hypothesis, so g must meet it.  A fork pool
+    inherits the patch.
     """
     def fail_on(bad):
-        real = og.scan.verify_theorem
+        real = og.scan.theorem_report
 
-        def verify(g, *args, **kwargs):
+        def report(g, *args, **kwargs):
             if g == bad:
                 raise og.NumericalError("eigensolver failed: broken on purpose")
             return real(g, *args, **kwargs)
 
-        monkeypatch.setattr(og.scan, "verify_theorem", verify)
+        monkeypatch.setattr(og.scan, "theorem_report", report)
     return fail_on

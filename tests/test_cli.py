@@ -291,16 +291,16 @@ def test_scan_corpus_verify_failure_exit_codes(tmp_path, petersen, capsys, monke
     from oddgirth import scan
     from oddgirth.verify import Certificate
 
-    real = scan.verify_theorem
+    real = scan.theorem_report
 
-    def sabotaged(g, tolerances=None, input_label=None):
-        report = real(g, tolerances, input_label=input_label)
+    def sabotaged(g, hypothesis, tolerances=None, input_label=None):
+        report = real(g, hypothesis, tolerances, input_label=input_label)
         report.certificates["walk_regular"] = Certificate(
             name="walk_regular", passed=False, residual=1.0, tol=1e-6
         )
         return report
 
-    monkeypatch.setattr(scan, "verify_theorem", sabotaged)
+    monkeypatch.setattr(scan, "theorem_report", sabotaged)
     assert cli.main(["scan", "--corpus", path]) == 2
     capsys.readouterr()
 

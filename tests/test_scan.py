@@ -367,25 +367,26 @@ def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5, br
 
 
 def test_scan_corpus_reports_a_graph_too_large_for_memory(tmp_path, monkeypatch, petersen):
-    # a MemoryError in one line's parse (line 2) or verify (line 4) is that
-    # line's verify error, and Petersen on lines 1 and 3 is still certified;
-    # the errors are raised on purpose, so nothing large is allocated
+    # a MemoryError in one line's parse (line 2) or distance layer (line 4)
+    # is that line's verify error, and Petersen on lines 1 and 3 is still
+    # certified; the errors are raised on purpose, so nothing large is
+    # allocated
     c7, c9 = og.generate_family("cycle", [7]), og.generate_family("cycle", [9])
     huge = "Unable to allocate 1.68 GiB for an array with shape (15000, 15000)"
-    real_parse, real_verify = scan.parse_graph6, scan.verify_theorem
+    real_parse, real_check = scan.parse_graph6, scan.check_hypothesis
 
     def parse(data):
         if data == og.encode_graph6(c7):
             raise MemoryError()
         return real_parse(data)
 
-    def verify(g, *args, **kwargs):
+    def check(g):
         if g == c9:
             raise MemoryError(huge)
-        return real_verify(g, *args, **kwargs)
+        return real_check(g)
 
     monkeypatch.setattr(scan, "parse_graph6", parse)
-    monkeypatch.setattr(scan, "verify_theorem", verify)
+    monkeypatch.setattr(scan, "check_hypothesis", check)
     path = tmp_path / "corpus.g6"
     path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (petersen, c7, petersen, c9)))
     for jobs in (1, 2):
@@ -426,25 +427,168 @@ def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, pris
 
 
 def test_scan_corpus_streams_lines(tmp_path, monkeypatch, petersen, prism):
-    # in one process each line is parsed and verified before the next is
-    # parsed: no list of every parsed graph is held first
+    # in one process each line is parsed, screened and, if it meets the
+    # hypothesis, reported before the next is parsed: no list of every
+    # parsed graph is held first, and the prism, rejected, gets no report
     path = tmp_path / "corpus.g6"
     path.write_bytes(b"\n".join([og.encode_graph6(petersen), b"!bad", og.encode_graph6(prism)]))
     steps = []
-    real_parse, real_verify = scan.parse_graph6, scan.verify_theorem
+    real_parse, real_check, real_report = (scan.parse_graph6, scan.check_hypothesis,
+                                           scan.theorem_report)
 
     def parse(text):
         steps.append("parse")
         return real_parse(text)
 
-    def verify(g, *args, **kwargs):
-        steps.append("verify")
-        return real_verify(g, *args, **kwargs)
+    def check(g):
+        steps.append("screen")
+        return real_check(g)
+
+    def report(g, *args, **kwargs):
+        steps.append("report")
+        return real_report(g, *args, **kwargs)
 
     monkeypatch.setattr(scan, "parse_graph6", parse)
-    monkeypatch.setattr(scan, "verify_theorem", verify)
+    monkeypatch.setattr(scan, "check_hypothesis", check)
+    monkeypatch.setattr(scan, "theorem_report", report)
     summary = scan.scan_corpus(path)
-    assert steps == ["parse", "verify", "parse", "parse", "verify"]
+    assert steps == ["parse", "screen", "report", "parse", "parse", "screen"]
     assert summary.examined == 2 and summary.hypothesis_met == 1
     assert [e[:7] for e in summary.parse_errors] == ["line 2:"]
+
+
+@pytest.mark.parametrize("fault", [MemoryError("out of room on purpose"),
+                                   og.PredistanceError("recurrence broken on purpose"),
+                                   og.NumericalError("screen broken on purpose")],
+                         ids=lambda exc: type(exc).__name__)
+def test_scan_corpus_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen, c5, fault):
+    # a fault raised while C_9's hypothesis is decided is line 2's verify
+    # error; C_5 and Petersen on the lines around it are still certified
+    c9 = og.generate_family("cycle", [9])
+    real_check = scan.check_hypothesis
+
+    def check(g):
+        if g == c9:
+            raise fault
+        return real_check(g)
+
+    monkeypatch.setattr(scan, "check_hypothesis", check)
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (c5, c9, petersen)))
+    for jobs in (1, 2):
+        summary = scan.scan_corpus(path, jobs=jobs)
+        assert summary.verify_errors == ["line 2: %s" % fault], jobs
+        assert summary.examined == 3 and summary.parse_failures == 0, jobs
+        assert summary.certified == 2 and summary.alarms == 0, jobs
+        assert [h.graph6 for h in summary.hits] == [og.encode_graph6(g).decode()
+                                                    for g in (c5, petersen)], jobs
+
+
+def test_scan_corpus_rejected_lines_solve_no_eigenvalue(tmp_path, monkeypatch, petersen, prism):
+    # a line that fails the hypothesis gets no report, so no spectrum: with
+    # every eigensolve of a matrix the size of a corpus graph refused, the
+    # four rejected lines and Petersen still scan; Petersen's report solves
+    # only its 3 x 3 Jacobi matrix
+    cube = og.graph_from_edges(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3)
+                                   if u < u ^ (1 << b)])  # bipartite
+    paw = og.graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])  # a triangle, not complete
+    z = np.zeros_like(petersen.adj)
+    union = og.Graph(20, np.block([[petersen.adj, z], [z, petersen.adj]]))  # disconnected
+    graphs = (cube, paw, union, prism, petersen)
+    sizes = {g.n for g in graphs}
+
+    def refuse(solver):
+        def solve(a, *args, **kwargs):
+            if len(a) in sizes:
+                raise AssertionError("a %d x %d matrix was eigensolved" % (len(a), len(a)))
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", refuse(np.linalg.eigh))
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(b"\n".join(og.encode_graph6(g) for g in graphs))
+    summary = scan.scan_corpus(path)
+    assert summary.examined == 5 and summary.hypothesis_met == 1
+    assert summary.certified == 1 and summary.alarms == 0
+    assert summary.verify_failures == 0 and summary.parse_failures == 0
+    assert summary.hits[0].graph6 == og.encode_graph6(petersen).decode()
+
+
+def _mixed_corpus(seed):
+    """A seeded graph6 corpus: family members, disjoint unions, random bipartite graphs and
+    random graphs with a triangle, each relabeled."""
+    rng = np.random.default_rng(seed)
+
+    def relabel(adj):
+        perm = rng.permutation(len(adj))
+        return og.Graph(len(adj), adj[np.ix_(perm, perm)])
+
+    def random_graph(n, bipartite):
+        pairs = ([(u, v) for u in range(n // 2) for v in range(n // 2, n)] if bipartite
+                 else [(u, v) for v in range(1, n) for u in range(v)])
+        adj = np.zeros((n, n), dtype=np.int64)
+        for i in rng.choice(len(pairs), size=2 * n, replace=False):
+            u, v = pairs[i]
+            adj[u, v] = adj[v, u] = 1
+        if not bipartite:
+            adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = adj[0, 2] = adj[2, 0] = 1
+        return relabel(adj)
+
+    families = [("petersen", ()), ("odd", (4,)), ("folded_cube", (5,)), ("cycle", (9,)),
+                ("cycle", (21,)), ("complete", (6,)), ("prism", ())]
+    graphs = [relabel(og.generate_family(f, p).adj) for f, p in families]
+    # C_5 with a vertex on 0 and 2: it meets the prefilter (odd girth 5 = 2D + 1)
+    # and has its walks counted, but d = 5
+    graphs.append(relabel(og.graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)]
+                                              + [(5, 0), (5, 2)]).adj))
+    for f, p in (("petersen", ()), ("cycle", (9,))):
+        a = og.generate_family(f, p).adj
+        z = np.zeros_like(a)
+        graphs.append(relabel(np.block([[a, z], [z, a]])))
+    for n in (10, 14, 18, 22, 26, 30):
+        graphs.append(random_graph(n, bipartite=True))
+        graphs.append(random_graph(n, bipartite=False))
+    return [graphs[i] for i in rng.permutation(len(graphs))]
+
+
+def test_scan_corpus_fast_path_matches_verify_theorem(tmp_path, monkeypatch):
+    # the corpus scan's exact screen agrees with verify_theorem's verdict on
+    # every line, each hit's report is verify_theorem's, and no line pays
+    # for a second BFS or walk count
+    graphs = _mixed_corpus(20)
+    lines = [og.encode_graph6(g).decode() for g in graphs]
+    met = [og.check_hypothesis(g).met for g in graphs]
+    assert met == [og.verify_theorem(g).hypothesis_met for g in graphs]
+    assert 0 < sum(met) < len(met)
+
+    counts = []  # per line: calls of distance_data and closed_walks
+    real_parse = scan.parse_graph6
+
+    def parse(data):
+        counts.append({"distance_data": 0, "closed_walks": 0})
+        return real_parse(data)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[-1][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scan, "parse_graph6", parse)
+    monkeypatch.setattr(og.verify, "distance_data", counted("distance_data", og.verify.distance_data))
+    monkeypatch.setattr(og.predistance, "closed_walks",
+                        counted("closed_walks", og.predistance.closed_walks))
+    path = tmp_path / "corpus.g6"
+    path.write_text("\n".join(lines) + "\n")
+    summary = scan.scan_corpus(path)
+    monkeypatch.undo()
+
+    assert len(counts) == len(lines) and summary.examined == len(lines)
+    assert all(c["distance_data"] == 1 and c["closed_walks"] <= 1 for c in counts), counts
+    assert summary.verify_failures == 0 and summary.alarms == 0
+    assert [h.graph6 for h in summary.hits] == [ln for ln, m in zip(lines, met) if m]
+    for hit in summary.hits:
+        g = og.parse_graph6(hit.graph6.encode())
+        assert hit.report.to_dict() == og.verify_theorem(g, input_label=hit.graph6).to_dict()
 
