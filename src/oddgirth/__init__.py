@@ -27,6 +27,7 @@ from .graphs import (
     odd_girth,
     parse_edge_list,
     parse_graph6,
+    quick_reject,
 )
 from .predistance import (
     PredistanceError,

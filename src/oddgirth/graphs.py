@@ -20,11 +20,13 @@ expansion, in the smallest unsigned type that holds them for the walk counts
 outgrow float64, with the table of neighbour_rows), in float64 for
 predistance.matrix_values.
 distance_data builds that table once and hands it on in its DistanceData.
-Smaller or denser graphs keep the dense product, O(n^3) but in BLAS.  A
-batch of edge bitmasks on n <= 8 vertices takes no matrix at all
-(mask_distances): each vertex's neighbours are one uint8 bitmask, and a
-table of the union of the neighbour sets of every vertex set makes one BFS
-level of every source of every mask a single gather.
+Smaller or denser graphs keep the dense product, O(n^3) but in BLAS.  Most
+graphs that cannot meet the theorem's hypothesis are told without the
+distance layer, from one BFS from vertex 0 and a triangle test
+(quick_reject).  A batch of edge bitmasks on n <= 8 vertices takes no
+matrix at all (mask_distances): each vertex's neighbours are one uint8
+bitmask, and a table of the union of the neighbour sets of every vertex set
+makes one BFS level of every source of every mask a single gather.
 
 Connectivity, triangles and bipartiteness of an edge bitmask on n <= 7
 vertices need no adjacency matrix, only a table per graph on fewer
@@ -539,6 +541,42 @@ def distance_data(g):
 def odd_girth(g):
     """Length of a shortest odd cycle; math.inf iff the graph is bipartite."""
     return distance_data(g).odd_girth
+
+
+def quick_reject(g):
+    """True only if g cannot meet the theorem's hypothesis, decided without distance_data.
+
+    The hypothesis needs g connected with finite odd girth og >= 2d+1 >=
+    2D+1, for d+1 distinct eigenvalues and diameter D <= d.  One BFS from
+    vertex 0 goes a level at a time.  An edge inside level j closes an odd
+    walk of length 2j+1 through vertex 0, so og <= 2j+1; if the BFS goes on
+    to level j+1, then ecc(0) > j and og < 2 ecc(0)+1 <= 2D+1, and g is
+    rejected at once.  A BFS that ends is rejected if it missed a vertex
+    (disconnected) or, connected, had no edge inside any level (bipartite:
+    og is infinite).  Otherwise a graph that is not complete, so D >= 2, is
+    rejected if it has a triangle (og = 3 < 5): some entry of (A A) * A is
+    non-zero, float32 counts of at most n - 1 < 2^24, so exact.  Every test
+    is exact; False does not mean g meets the hypothesis.
+    """
+    A = g.adj.astype(bool)
+    frontier = np.zeros(g.n, dtype=bool)
+    frontier[0] = True
+    seen = frontier.copy()
+    while True:
+        rows = A[frontier]
+        inner = rows[:, frontier].any()  # an edge inside this level
+        frontier = rows.any(axis=0) & ~seen
+        if not frontier.any():
+            break
+        if inner:
+            return True
+        seen |= frontier
+    if not inner or not seen.all():
+        return True
+    if np.count_nonzero(A) == g.n * (g.n - 1):  # complete: its triangles leave D = 1
+        return False
+    A = A.astype(np.float32)
+    return bool(((A @ A) * A).any())
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,15 @@ that representative's report.  The orbits partition the masks into the
 isomorphism classes, the labeled/unlabeled relation of McKay ("Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).
 
-A corpus scan has the same shape on graph6 lines: each line's hypothesis is
-decided exactly (verify.check_hypothesis, one BFS and, on a prefilter graph,
-its walk counts), and only a line that meets it gets its report
-(verify.theorem_report, from the same record), so a rejected line is never
-eigensolved.
+A corpus scan has the same shape on graph6 lines.  A line is first
+pre-screened by one BFS from vertex 0 and, on a non-complete graph, a
+triangle test (graphs.quick_reject), which rejects it on the facts the sweep
+rejects on: disconnected, bipartite, an edge inside a BFS level nearer than
+the farthest, or a triangle.  The hypothesis of a line that passes is
+decided exactly (verify.check_hypothesis, one all-sources expansion and, on
+a prefilter graph, its walk counts), and only a line that meets it gets its
+report (verify.theorem_report, from the same record), so a rejected line is
+never eigensolved.
 """
 
 import itertools
@@ -59,6 +63,7 @@ from .graphs import (
     mask_graph6,
     mask_orbit,
     parse_graph6,
+    quick_reject,
 )
 from .predistance import PredistanceError
 from .spectral import NumericalError
@@ -369,13 +374,15 @@ def _verify_line(args):
     """(report, parse_error, verify_error) of one corpus line: a bad line fails alone.
 
     The line is parsed here, in whichever process verifies it, so no list
-    of parsed graphs is built before the verification starts.  The
-    hypothesis is decided exactly (check_hypothesis); a line that does not
-    meet it gets no report, and one that does gets theorem_report on the
-    same record, so each line has one BFS and one walk count and a rejected
-    line no eigensolve.  A graph too large for memory, in either step or
-    its parse, is a verify error, as is a numerical breakdown in either
-    step.
+    of parsed graphs is built before the verification starts.  A line that
+    quick_reject rejects gets no report and no all-sources distances.  The
+    hypothesis of any other line is decided exactly (check_hypothesis); a
+    line that does not meet it gets no report, and one that does gets
+    theorem_report on the same record, so no line has more than one
+    all-sources expansion and one walk count, and a rejected line no
+    eigensolve.  A graph too large for memory, in any step or its parse, is
+    a verify error, as is a numerical breakdown in either step after the
+    pre-screen.
     """
     lineno, data = args
     try:
@@ -383,6 +390,8 @@ def _verify_line(args):
             g = parse_graph6(data)  # the bytes as read, so a bad byte is named as analyze names it
         except GraphError as exc:
             return None, "line %d: %s" % (lineno, exc), None
+        if quick_reject(g):
+            return None, None, None
         hypothesis = check_hypothesis(g)
         if not hypothesis.met:
             return None, None, None
@@ -396,12 +405,13 @@ def scan_corpus(path, jobs=1):
     """Screen each graph6 line of a file exactly; verify in full those that meet the hypothesis.
 
     Only hits are kept, so a line that does not meet the hypothesis gets no
-    report (_verify_line).  Parse failures and graphs whose screen or
-    report broke down numerically (PredistanceError, NumericalError) or ran
-    out of memory (MemoryError) are counted and reported by line number, not
-    fatal: the other lines are still verified.  The screen has no
-    tolerance, so a NumericalError can come only from the report of a line
-    that meets the hypothesis.
+    report, and one the pre-screen rejects (quick_reject) not even its
+    all-sources distances (_verify_line).  Parse failures and graphs whose
+    screen or report broke down numerically (PredistanceError,
+    NumericalError) or ran out of memory (MemoryError) are counted and
+    reported by line number, not fatal: the other lines are still verified.
+    The screen has no tolerance, so a NumericalError can come only from the
+    report of a line that meets the hypothesis.
     """
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()

@@ -583,7 +583,7 @@ class Hypothesis(NamedTuple):
 
 
 def check_hypothesis(g):
-    """Decide the theorem's hypothesis exactly: one BFS, and walk counts on a prefilter graph.
+    """Decide the hypothesis exactly: one all-sources expansion, and walk counts on a prefilter graph.
 
     A graph that meets the prefilter (spectral.meets_prefilter: connected,
     finite odd girth og >= 2D+1) has its d decided exactly from its walk

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgirth as og
+from oddgirth import scan
 from oddgirth.graphs import (
     _table,
     adjacency_batch,
@@ -510,6 +511,54 @@ def test_odd_girth_is_odd_or_infinite(n, seed):
     assert value == math.inf or (value % 2 == 1 and 3 <= value <= n)
     # triangle characterization: odd girth 3 iff trace(A^3) > 0
     assert (value == 3) == (np.trace(g.adj @ g.adj @ g.adj) > 0)
+
+
+# ---------------------------------------------------------------------------
+# pre-screen
+
+def test_quick_reject_passes_every_met_graph(petersen, prism):
+    # the 377 hits of the n <= 7 sweep are every labeled graph on <= 7
+    # vertices that meets the hypothesis (test_screen_matches_pipeline_exhaustively
+    # and criterion 1); the families are the met members of the suite's kinds
+    hits = scan.scan_enumerated(7).hits
+    assert len(hits) == 377
+    assert not any(og.quick_reject(og.graph_from_mask(h.n, h.mask)) for h in hits)
+    met = ([("odd", (k,)) for k in (4, 5)] + [("folded_cube", (m,)) for m in (5, 7, 9)]
+           + [("cycle", (k,)) for k in (9, 21)] + [("complete", (k,)) for k in range(3, 13)])
+    assert not og.quick_reject(petersen)
+    for family, params in met:
+        assert not og.quick_reject(og.generate_family(family, params)), (family, params)
+    # K_1 and K_2 are bipartite; the prism (odd girth 3, diameter 2) has an
+    # edge inside level 1 of every vertex, whose eccentricity is 2
+    for g in (og.generate_family("complete", (1,)), og.generate_family("complete", (2,)), prism):
+        assert og.quick_reject(g), g.n
+
+
+def test_quick_reject_settles_what_mask_blocks_flags():
+    # quick_reject rejects every mask that mask_blocks flags as disconnected,
+    # bipartite, or with a triangle and not complete, and no mask it rejects
+    # is a screen hit: every mask on n <= 5 vertices, and at n = 6 and 7
+    # seeded samples of all masks and of those the screen sends to its
+    # distance layer (connected, triangle-free or complete, not bipartite),
+    # which only the level rule can reject
+    rng = np.random.default_rng(21)
+    beyond = 0  # rejections by the level rule alone
+    for n in range(1, 8):
+        total = 1 << (n * (n - 1) // 2)
+        connected, free, bipartite = mask_flags(n)
+        free[-1] = True  # K_n: its triangles leave D = 1
+        flagged = ~connected | bipartite | ~free
+        hits = {m for m, _, _ in scan.screen_range(n, 0, total)[1]}
+        masks = range(total)
+        if n > 5:
+            masks = np.concatenate([rng.choice(total, 1500, replace=False),
+                                    rng.choice(np.flatnonzero(~flagged), 400, replace=False)])
+        for m in map(int, masks):
+            rejected = og.quick_reject(og.graph_from_mask(n, m))
+            assert rejected or not flagged[m], (n, m)
+            assert not (rejected and m in hits), (n, m)
+            beyond += rejected and not flagged[m]
+    assert beyond > 0
 
 
 # ---------------------------------------------------------------------------

@@ -427,18 +427,23 @@ def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, pris
 
 
 def test_scan_corpus_streams_lines(tmp_path, monkeypatch, petersen, prism):
-    # in one process each line is parsed, screened and, if it meets the
-    # hypothesis, reported before the next is parsed: no list of every
-    # parsed graph is held first, and the prism, rejected, gets no report
+    # in one process each line is parsed, pre-screened, screened and, if it
+    # meets the hypothesis, reported before the next is parsed: no list of
+    # every parsed graph is held first, and the prism, rejected by the
+    # pre-screen, gets neither the screen nor a report
     path = tmp_path / "corpus.g6"
     path.write_bytes(b"\n".join([og.encode_graph6(petersen), b"!bad", og.encode_graph6(prism)]))
     steps = []
-    real_parse, real_check, real_report = (scan.parse_graph6, scan.check_hypothesis,
-                                           scan.theorem_report)
+    real_parse, real_reject, real_check, real_report = (
+        scan.parse_graph6, scan.quick_reject, scan.check_hypothesis, scan.theorem_report)
 
     def parse(text):
         steps.append("parse")
         return real_parse(text)
+
+    def reject(g):
+        steps.append("pre-screen")
+        return real_reject(g)
 
     def check(g):
         steps.append("screen")
@@ -449,10 +454,11 @@ def test_scan_corpus_streams_lines(tmp_path, monkeypatch, petersen, prism):
         return real_report(g, *args, **kwargs)
 
     monkeypatch.setattr(scan, "parse_graph6", parse)
+    monkeypatch.setattr(scan, "quick_reject", reject)
     monkeypatch.setattr(scan, "check_hypothesis", check)
     monkeypatch.setattr(scan, "theorem_report", report)
     summary = scan.scan_corpus(path)
-    assert steps == ["parse", "screen", "report", "parse", "parse", "screen"]
+    assert steps == ["parse", "pre-screen", "screen", "report", "parse", "parse", "pre-screen"]
     assert summary.examined == 2 and summary.hypothesis_met == 1
     assert [e[:7] for e in summary.parse_errors] == ["line 2:"]
 
@@ -473,6 +479,26 @@ def test_scan_corpus_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen
         return real_check(g)
 
     monkeypatch.setattr(scan, "check_hypothesis", check)
+    _assert_line_2_fails_alone(tmp_path, petersen, c5, c9, fault)
+
+
+def test_scan_corpus_pre_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen, c5):
+    # a graph too large for memory in the pre-screen of C_9 (quick_reject)
+    # is line 2's verify error alone, as in the screen after it
+    c9 = og.generate_family("cycle", [9])
+    fault = MemoryError("out of room in the pre-screen on purpose")
+    real_reject = scan.quick_reject
+
+    def reject(g):
+        if g == c9:
+            raise fault
+        return real_reject(g)
+
+    monkeypatch.setattr(scan, "quick_reject", reject)
+    _assert_line_2_fails_alone(tmp_path, petersen, c5, c9, fault)
+
+
+def _assert_line_2_fails_alone(tmp_path, petersen, c5, c9, fault):
     path = tmp_path / "corpus.g6"
     path.write_bytes(b"\n".join(og.encode_graph6(g) for g in (c5, c9, petersen)))
     for jobs in (1, 2):
@@ -554,13 +580,19 @@ def _mixed_corpus(seed):
 
 def test_scan_corpus_fast_path_matches_verify_theorem(tmp_path, monkeypatch):
     # the corpus scan's exact screen agrees with verify_theorem's verdict on
-    # every line, each hit's report is verify_theorem's, and no line pays
-    # for a second BFS or walk count
+    # every line, each hit's report is verify_theorem's, a line the
+    # pre-screen rejects pays for no all-sources BFS and no other line for
+    # a second BFS or walk count.  Every met line passes the pre-screen, and
+    # of the others only C_5 with a vertex on 0 and 2 (odd girth 5 = 2D + 1)
+    # passes it too
     graphs = _mixed_corpus(20)
     lines = [og.encode_graph6(g).decode() for g in graphs]
     met = [og.check_hypothesis(g).met for g in graphs]
     assert met == [og.verify_theorem(g).hypothesis_met for g in graphs]
     assert 0 < sum(met) < len(met)
+    screened = [not og.quick_reject(g) for g in graphs]
+    assert all(s for s, m in zip(screened, met) if m)
+    assert sum(screened) == sum(met) + 1
 
     counts = []  # per line: calls of distance_data and closed_walks
     real_parse = scan.parse_graph6
@@ -585,7 +617,8 @@ def test_scan_corpus_fast_path_matches_verify_theorem(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     assert len(counts) == len(lines) and summary.examined == len(lines)
-    assert all(c["distance_data"] == 1 and c["closed_walks"] <= 1 for c in counts), counts
+    assert [c["distance_data"] for c in counts] == [int(s) for s in screened], counts
+    assert all(c["closed_walks"] <= c["distance_data"] for c in counts), counts
     assert summary.verify_failures == 0 and summary.alarms == 0
     assert [h.graph6 for h in summary.hits] == [ln for ln, m in zip(lines, met) if m]
     for hit in summary.hits:
