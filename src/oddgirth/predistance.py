@@ -230,7 +230,8 @@ def closed_walks(adj, table, length):
     Python integers in the second case.
     """
     n = len(adj)
-    k = int(np.count_nonzero(adj, axis=1).max())
+    # a neighbour table is as wide as the largest degree
+    k = table.shape[1] if table is not None else int(np.count_nonzero(adj, axis=1).max())
     if k ** (2 * length) < EXACT_FLOAT:
         def dots(X, Y):
             return np.einsum("ij,ij->i", X, Y, dtype=np.float64, casting="unsafe").astype(np.int64)

@@ -456,6 +456,27 @@ def test_distance_data_large_relabeled():
         assert dd.odd_girth == og.odd_girth(g) == 9, family
 
 
+def test_distance_data_at_the_dtype_boundaries():
+    # dist is int8 up to n = 128 and int16 beyond, and is built by adding
+    # k F_k per level: P_128's last level, k = 127, is the largest int8 value
+    c101 = og.generate_family("cycle", [101])
+    cases = (
+        # graph, dtype, neighbour table, diameter, connected, odd girth
+        (og.generate_family("path", [128]), np.int8, False, 127, True, math.inf),
+        (og.generate_family("path", [129]), np.int16, True, 128, True, math.inf),
+        (disjoint_union(c101, c101), np.int16, True, 50, False, 101),
+        (relabeled(og.generate_family("odd", [6]), 6), np.int16, True, 5, True, 11),
+    )
+    for g, dtype, table, diameter, connected, girth in cases:
+        dd = og.distance_data(g)
+        assert np.array_equal(dd.dist, floyd_warshall(g)), g.n
+        assert dd.dist.dtype == dtype, g.n
+        assert (dd.neighbour_table is not None) == table, g.n
+        assert dd.diameter == diameter, g.n
+        assert dd.connected == connected, g.n
+        assert dd.odd_girth == girth, g.n
+
+
 def test_distance_invariants():
     for seed in range(5):
         g = random_graph(7, seed)
