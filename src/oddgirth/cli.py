@@ -15,7 +15,14 @@ import numpy as np
 
 from . import scan as scan_mod
 from . import spectral
-from .graphs import GraphError, encode_graph6, generate_family, parse_edge_list, parse_graph6
+from .graphs import (
+    GraphError,
+    encode_graph6,
+    generate_family,
+    graph6_lines,
+    parse_edge_list,
+    parse_graph6,
+)
 from .predistance import PredistanceError
 from .verify import Tolerances, verify_theorem
 
@@ -119,13 +126,12 @@ def cmd_analyze(args):
     with open(args.path, "rb") as fh:
         raw = fh.read()
     if args.format == "graph6":
-        lines = [ln.strip() for ln in raw.splitlines()]  # as scan_corpus reads a line
-        lines = [ln for ln in lines if ln]
+        lines = graph6_lines(raw)  # as scan_corpus reads the file
         if len(lines) != 1:
             raise GraphError(
                 "expected exactly one graph6 line in %s, found %d" % (args.path, len(lines))
             )
-        g = parse_graph6(lines[0])
+        g = parse_graph6(lines[0][1])
     else:
         g = parse_edge_list(raw.decode("utf-8", errors="replace"))
     tols = Tolerances() if args.tol is None else Tolerances(certificate=args.tol)

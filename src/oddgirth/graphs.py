@@ -51,8 +51,8 @@ n(n-1)/2 pairs moves to, in uint8.  The orbit of a mask under S_n
 (mask_orbit), the masks of every graph isomorphic to its graph, is then the
 OR of one table column shifted into place per set bit: n!/|Aut G| distinct
 masks once sorted, the labeled/unlabeled relation of the same paper.  The
-scan verifies one hit per orbit.  The eigenvalue machinery lives in the
-sibling modules.
+scan decides d once per orbit of its survivors and verifies one hit per
+orbit.  The eigenvalue machinery lives in the sibling modules.
 """
 
 import functools
@@ -65,6 +65,7 @@ import numpy as np
 
 UNREACHABLE = -1  # sentinel for unreachable pairs in distance matrices
 
+_G6_HEADER = b">>graph6<<"  # optional, at the start of a file
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # a 6-bit group, high bit first
@@ -197,6 +198,19 @@ def parse_graph6(text):
     # adj.T[lower] is the upper triangle in the same pair order: no n x n temporary
     adj[lower] = adj.T[lower] = bits[:nbits]
     return Graph(n, adj)
+
+
+def graph6_lines(raw):
+    """[(lineno, line)] of the non-blank lines of a graph6 file's bytes, each stripped.
+
+    Lines are numbered from 1, blank ones included.  The optional header
+    >>graph6<< of nauty's format is dropped from the start of the file only;
+    on any later line it is data, and parse_graph6 names its first byte.
+    """
+    if raw.startswith(_G6_HEADER):
+        raw = raw[len(_G6_HEADER):]
+    lines = (ln.strip() for ln in raw.splitlines())
+    return [(i, ln) for i, ln in enumerate(lines, 1) if ln]
 
 
 def encode_graph6(g):
@@ -743,7 +757,7 @@ def _pair_bits(n):
 
 
 def adjacency_batch(n, masks):
-    """(B, n, n) float64 adjacency matrices of an int64 array of non-negative edge bitmasks.
+    """(B, n, n) uint8 0/1 adjacency matrices of an int64 array of non-negative edge bitmasks.
 
     One gather: the masks' 64 bits are unpacked, least significant first, and
     entry (u, v), u < v, reads bit v(v-1)/2 + u, the index of the pair in
@@ -752,7 +766,7 @@ def adjacency_batch(n, masks):
     """
     raw = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(raw, axis=1, bitorder="little")
-    return bits[:, _pair_bits(n)].astype(np.float64)
+    return bits[:, _pair_bits(n)]
 
 
 def _union_table(n, masks):
@@ -872,7 +886,7 @@ def enumerate_connected(n):
 
     Labeled means isomorphic duplicates appear once per labeling, n!/|Aut G|
     times: the screen needs every labeling.  The scan does its isomorph
-    rejection after the screen, on the hits alone (mask_orbit).
+    rejection on the screen's survivors and hits alone (mask_orbit).
     """
     if not 1 <= n <= 7:
         raise GraphError("enumeration supports 1 <= n <= 7, got %d" % n)

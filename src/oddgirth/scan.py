@@ -21,19 +21,20 @@ complete and not bipartite go to the distance layer, a bitset BFS
 (graphs.mask_distances), which tests odd girth >= 2D+1.  A connected graph
 that is not bipartite has a shortest odd cycle that is isometric, so its
 odd girth is at most 2D+1: a survivor has odd girth exactly 2D+1, and is a
-hit iff d <= D, that is iff d = D.  That is an integer test, the last step
-(_d_is_diameter): d = D iff A^(D+1) is an integer combination of
-I, A, ..., A^D, whose coefficients are solved for from one row of the
-powers and then checked on every entry.
+hit iff d <= D, that is iff d = D.  d is an isomorphism invariant, so the
+last step decides it once per class of the survivors, on the first survivor
+of each orbit under S_n (graphs.mask_orbit): verify.check_hypothesis, the
+exact walk-count recurrence that the corpus scan and analyze decide d with.
+The n <= 7 survivors, 2,237, are 11 classes.
 
 The screen is labeled, so one graph is a hit once per labeling, n!/|Aut G|
 times: the 377 hits on n <= 7 vertices are 7 graphs, K_3..K_7, C_5 (12
 labelings) and C_7 (360).  Every quantity the pipeline certifies is
 invariant under relabeling, so a hit is verified only if its mask is in the
-orbit under S_n (graphs.mask_orbit) of no earlier hit; otherwise it shares
-that representative's report.  The orbits partition the masks into the
-isomorphism classes, the labeled/unlabeled relation of McKay ("Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).
+orbit of no earlier hit; otherwise it shares that representative's report.
+The orbits partition the masks into the isomorphism classes, the
+labeled/unlabeled relation of McKay ("Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).
 
 A corpus scan has the same shape on graph6 lines.  A line is first
 pre-screened by one BFS from vertex 0 and, on a non-complete graph, a
@@ -56,7 +57,7 @@ import numpy as np
 
 from .graphs import (
     GraphError,
-    adjacency_batch,
+    graph6_lines,
     graph_from_mask,
     mask_blocks,
     mask_distances,
@@ -74,7 +75,7 @@ BACKEND = "python"
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
-# the distance layer and the exact verdict take the masks kept from every
+# the distance layer takes the masks kept from every
 # block of mask_blocks in one aligned span of 2^18 masks: 8 blocks at n = 7
 # (some 3,250 masks kept), every mask at n <= 6.  The n = 7 screen, one BLAS
 # thread, 2-core Xeon VM, medians of 20 interleaved runs: 66 ms in spans of
@@ -85,10 +86,10 @@ _DISTANCE_SPAN_BITS = 18
 
 # per-n scan counts, each a subset of the one before: triangle_free counts
 # the connected masks that are triangle-free or complete, the expanded ones
-# (those of them not bipartite) go through the distance layer, and every
-# survivor of its exact prefilter through the exact test of d = D.  The
-# screen counts every stage up to hits; classes, the hits verified in full,
-# one per isomorphism class, is scan_enumerated's
+# (those of them not bipartite) go through the distance layer, and the
+# survivors of its exact prefilter have d = D decided once per isomorphism
+# class.  The screen counts every stage up to hits; classes, the hit classes
+# verified in full, is scan_enumerated's
 FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits",
                  "classes")
 
@@ -168,60 +169,18 @@ class ScanSummary:
         }
 
 
-def _power_recurrence(n, masks, D):
-    """(powers, c, exact) for masks on n vertices whose graphs are connected of diameter D >= 1.
+def _classes(n, masks):
+    """(first mask, members) of each S_n orbit among masks on n vertices.
 
-    powers[:, j] is A^j, j = 0..D+1, in float32.  c[:, j], in int64, solves
-    sum_{j<=D} c_j (A^j)_{s v_i} = (A^(D+1))_{s v_i} for a vertex s of
-    eccentricity D and a vertex v_i at each distance i <= D from s, the
-    first of each in vertex order.  (A^j)_{s v_i} is 0 for j < i and
-    positive for j = i, so the system is triangular and back-substitution
-    solves it from c_D down, with floor quotients; exact marks the masks
-    whose every quotient was an integer.  The powers are float32 BLAS
-    products of 0/1 matrices, whose entries, at most M = (n-1)^(D+1), are
-    integers below 2^24, so every partial sum is exact; each c_j is at
-    most M (1+M)^D, so no sum of c_j (A^j)_uv nears 2^63.
+    members is a bool array marking the masks in that mask's orbit
+    (mask_orbit); the orbits come in the order of their first masks.
     """
-    M = (n - 1) ** (D + 1)
-    assert M < 2 ** 24 and M * (M + 1) ** (D + 1) < 2 ** 63, (n, D)
-    count = len(masks)
-    powers = np.empty((count, D + 2, n, n), dtype=np.float32)
-    powers[:, 0] = np.eye(n)
-    powers[:, 1] = adjacency_batch(n, masks)
-    for j in range(2, D + 2):
-        np.matmul(powers[:, j - 1], powers[:, 1], out=powers[:, j])
-    near = powers[:, :D].sum(axis=1)  # walks shorter than D: a zero entry is a pair at distance D
-    s = (near == 0).any(axis=2).argmax(axis=1)
-    rows = powers[np.arange(count), :, s]  # (B, D + 2, n): row s of each power
-    dist = (np.cumsum(rows[:, :D], axis=1) == 0).sum(axis=1)  # each vertex's distance from s
-    far = (dist[:, None, :] == np.arange(D + 1)[:, None]).argmax(axis=2)  # v_0 .. v_D
-    at = np.take_along_axis(rows, far[:, None, :], axis=2).astype(np.int64)  # at[:, j, i] = (A^j)_{s v_i}
-    c = np.zeros((count, D + 1), dtype=np.int64)
-    exact = np.ones(count, dtype=bool)
-    for i in range(D, -1, -1):
-        rest = at[:, D + 1, i] - (c[:, i + 1:] * at[:, i + 1:D + 1, i]).sum(axis=1)
-        c[:, i], remainder = np.divmod(rest, at[:, i, i])
-        exact &= remainder == 0
-    return powers, c, exact
-
-
-def _d_is_diameter(n, masks, D):
-    """Whether each mask's graph, connected of diameter D >= 1, has exactly D + 1 distinct eigenvalues.
-
-    A connected graph of diameter D has at least D + 1, and exactly D + 1
-    iff its minimal polynomial has degree D + 1: iff A^(D+1) = sum_{j<=D}
-    c_j A^j.  The c_j are then unique, since I, A, ..., A^D are
-    independent, and integers, since the minimal polynomial of an integer
-    matrix is monic in Z[x] (Gauss's lemma).  So they are the solution of
-    _power_recurrence's triangular system: a graph whose quotients there
-    are not all integers is rejected, and one whose are is met iff every
-    entry of A^(D+1) - sum c_j A^j is 0.  Both tests are exact, in int64.
-    """
-    powers, c, exact = _power_recurrence(n, masks, D)
-    residue = powers[:, D + 1].astype(np.int64)
-    for j in range(D + 1):
-        residue -= c[:, j, None, None] * powers[:, j].astype(np.int64)
-    return exact & ~residue.any(axis=(1, 2))
+    left = np.ones(len(masks), dtype=bool)
+    while left.any():
+        first = int(masks[left.argmax()])
+        members = np.isin(masks, mask_orbit(n, first))
+        left &= ~members
+        yield first, members
 
 
 def screen_range(n, start, stop, funnel=None):
@@ -236,11 +195,12 @@ def screen_range(n, start, stop, funnel=None):
     distance layer takes the blocks of a span of 2^_DISTANCE_SPAN_BITS masks
     at once.  A survivor of its prefilter, odd girth >= 2D+1 for diameter D,
     has odd girth exactly 2D+1, since a shortest odd cycle is isometric, and
-    d >= D; so it is a hit iff d = D, the exact test _d_is_diameter, run on
-    the survivors of one D at a time.
+    d >= D; so it is a hit iff d = D.  That is decided once per isomorphism
+    class of the range's survivors (_classes): check_hypothesis on the
+    class's first survivor is the verdict of every survivor in its orbit.
     """
-    examined = triangle_free = expanded = survivors = 0
-    hits = []
+    examined = triangle_free = expanded = 0
+    survivors = []  # (mask, D, odd girth), in mask order
     complete = (1 << (n * (n - 1) // 2)) - 1
     blocks = mask_blocks(n, start, stop)
     for _, span in itertools.groupby(blocks, key=lambda block: block[0] >> _DISTANCE_SPAN_BITS):
@@ -257,18 +217,15 @@ def screen_range(n, start, stop, funnel=None):
         masks = np.concatenate(kept)
         diameter, girth = mask_distances(n, masks)
         keep = girth >= 2 * diameter + 1  # no mask left is bipartite: girth is finite
-        survivors += int(keep.sum())
-        if not keep.any():
-            continue
-        masks, diameter, girth = masks[keep], diameter[keep], girth[keep]
-        met = np.zeros(len(masks), dtype=bool)
-        for D in np.unique(diameter):
-            group = diameter == D
-            met[group] = _d_is_diameter(n, masks[group], int(D))
-        for m, d, og in zip(masks[met], diameter[met], girth[met]):
-            hits.append((int(m), int(d), int(og)))
+        survivors.extend(zip(masks[keep].tolist(), diameter[keep].tolist(),
+                             girth[keep].astype(np.int64).tolist()))
+    met = np.zeros(len(survivors), dtype=bool)
+    for first, members in _classes(n, np.array([m for m, _, _ in survivors], dtype=np.int64)):
+        if check_hypothesis(graph_from_mask(n, first)).met:
+            met |= members
+    hits = [s for s, m in zip(survivors, met) if m]
     if funnel is not None:
-        counts = (stop - start, examined, triangle_free, expanded, survivors, len(hits))
+        counts = (stop - start, examined, triangle_free, expanded, len(survivors), len(hits))
         for stage, count in zip(FUNNEL_STAGES[:-1], counts):
             funnel[stage] += count
     return examined, hits
@@ -308,14 +265,14 @@ def scan_enumerated(n_max, jobs=1):
     """Scan all labeled connected graphs on 1..n_max vertices (n_max <= 7).
 
     The hypothesis-met graphs found by the screen are re-verified with the
-    full pipeline once per isomorphism class: a hit whose mask lies in the
-    orbit (mask_orbit) of an earlier hit on as many vertices shares that
-    representative's report, with its own graph6 as the input label;
-    otherwise it is verified and becomes a new class, counted in its funnel
-    row's classes stage.  Each label is read off the mask's bits
-    (mask_graph6); only a class representative has a Graph built.  Every
-    quantity the report certifies is invariant under relabeling; a vertex
-    named in a witness is the representative's.
+    full pipeline once per isomorphism class of each n's hits (_classes):
+    the first hit of each orbit is verified, counted in its funnel row's
+    classes stage, and every hit in the orbit shares its report, with its
+    own graph6 as the input label.  Each label is read off the mask's bits
+    (mask_graph6); only a class representative has a Graph built, here and
+    in the screen, which decides each survivor class on its first survivor.
+    Every quantity the report certifies is invariant under relabeling; a
+    vertex named in a witness is the representative's.
     Each hit's screen (d, odd girth) is compared with its report, and a
     screen/pipeline disagreement raises, since it would mean the scan's fast
     path diverged from the thing it is supposed to scan for.
@@ -326,38 +283,37 @@ def scan_enumerated(n_max, jobs=1):
     started = time.perf_counter()
 
     funnel = {}
-    screened = []  # (n, mask, d, og), ordered by (n, mask)
+    screened = {}  # n -> [(mask, d, og)], ordered by mask
     for n in range(1, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
         pieces = jobs * 8 if jobs > 1 and total >= _PARALLEL_FLOOR else 1
         counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
+        found = screened[n] = []
         work = [(n, lo, hi) for lo, hi in _chunks(total, pieces)]
         for part, hits in _map(_screen_chunk, work, jobs):
             for stage in FUNNEL_STAGES:
                 counts[stage] += part[stage]
-            screened.extend((n, m, d, og) for m, d, og in hits)
+            found.extend(hits)
 
     hits = []
-    classes = {}  # n -> [(orbit, report)] of each verified class representative
-    for n, mask, d, og in screened:
-        g6 = mask_graph6(n, mask).decode("ascii")
-        for orbit, rep in classes.setdefault(n, []):
-            i = np.searchsorted(orbit, mask)
-            if i < len(orbit) and orbit[i] == mask:
-                report = replace(rep, input=g6)
-                break
-        else:
-            report = verify_theorem(graph_from_mask(n, mask), input_label=g6)
-            classes[n].append((mask_orbit(n, mask), report))
+    for n, found in screened.items():
+        reports = [None] * len(found)
+        for first, members in _classes(n, np.array([m for m, _, _ in found], dtype=np.int64)):
+            report = verify_theorem(graph_from_mask(n, first))
             funnel[n]["classes"] += 1
-        if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
-            raise RuntimeError(
-                "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
-                "pipeline (met=%s, d=%d, og=%s)"
-                % (n, mask, d, og, report.hypothesis_met, report.spectrum.d,
-                   report.odd_girth_value)
-            )
-        hits.append(ScanHit(n=n, mask=mask, graph6=g6, report=report))
+            for i in np.flatnonzero(members):
+                reports[i] = report
+        for (mask, d, og), report in zip(found, reports):
+            g6 = mask_graph6(n, mask).decode("ascii")
+            report = replace(report, input=g6)
+            if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
+                raise RuntimeError(
+                    "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
+                    "pipeline (met=%s, d=%d, og=%s)"
+                    % (n, mask, d, og, report.hypothesis_met, report.spectrum.d,
+                       report.odd_girth_value)
+                )
+            hits.append(ScanHit(n=n, mask=mask, graph6=g6, report=report))
 
     return ScanSummary(
         source="n<=%d" % n_max,
@@ -416,9 +372,7 @@ def scan_corpus(path, jobs=1):
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()
     with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
+        lines = graph6_lines(fh.read())
 
     hits = []
     parse_errors = []

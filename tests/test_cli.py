@@ -201,6 +201,35 @@ def test_analyze_and_scan_name_a_bad_byte_alike(tmp_path, capsys):
     assert doc["parse_errors"] == ["line 1: %s" % message]
 
 
+@pytest.mark.parametrize("header", [b">>graph6<<", b">>graph6<<\n"])
+def test_analyze_and_scan_skip_a_graph6_header(tmp_path, capsys, header):
+    # nauty's optional >>graph6<< at the start of a file, before the first
+    # graph or on a line of its own, is no graph: Petersen is the one line
+    path = tmp_path / "p.g6"
+    path.write_bytes(header + b"IheA@GUAo\n")
+    assert og.graphs.graph6_lines(path.read_bytes()) == [(1 + header.count(b"\n"), b"IheA@GUAo")]
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 10 and doc["conclusion"]["distance_regular"]
+    assert cli.main(["scan", "--corpus", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["examined"] == 1 and doc["certified"] == 1 and doc["parse_failures"] == 0
+
+
+def test_a_graph6_header_after_the_first_line_is_a_parse_error(tmp_path, capsys):
+    # only the start of the file may hold the header: later it is data, and
+    # its first byte, '>', is named
+    path = tmp_path / "p.g6"
+    path.write_bytes(b"IheA@GUAo\n>>graph6<<IheA@GUAo\n")
+    message = "graph6: byte 0x3e at offset 0 outside printable range 63..126"
+    assert cli.main(["scan", "--corpus", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] == 1 and doc["parse_errors"] == ["line 2: %s" % message]
+    path.write_bytes(b"\n>>graph6<<IheA@GUAo\n")
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_usage_errors_exit_one(capsys):
     # argparse normally exits 2, which is reserved for counterexample alarms
     with pytest.raises(SystemExit) as exc:

@@ -25,10 +25,11 @@ def test_screen_counts_small():
 def test_screen_matches_pipeline_exhaustively(mask_oracle):
     # for every connected graph on <= 6 vertices the screen's hypothesis
     # verdict, eigenvalue count and odd girth must match the full pipeline;
-    # at n = 6 the screen tests d = D on only 181 of 26,704.  The
-    # pipeline's eigenvalue counts are solved for all graphs of an n at once
-    # and split by cluster_breaks, the rule spectrum() applies to each graph;
-    # its odd girths are distance_data's, held per mask by mask_oracle
+    # at n = 6 the screen decides d = D for only 181 of 26,704, in 2
+    # classes.  The pipeline's eigenvalue counts are solved for all graphs of
+    # an n at once and split by cluster_breaks, the rule spectrum() applies
+    # to each graph; its odd girths are distance_data's, held per mask by
+    # mask_oracle
     for n in range(1, 7):
         total = 1 << (n * (n - 1) // 2)
         _, hits = scan.screen_range(n, 0, total)
@@ -67,7 +68,7 @@ def test_screen_range_split_anywhere():
 
 
 def _survivors(n):
-    """(masks, diameter, odd girth) of the masks the n-vertex screen hands its exact test.
+    """(masks, diameter, odd girth) of the masks the n-vertex screen decides d = D for.
 
     The screen's prefilter, restated: connected, triangle-free or complete,
     not bipartite, and odd girth >= 2D+1.
@@ -96,50 +97,64 @@ def test_exact_verdict_matches_eigenvalue_oracle_on_every_survivor():
         _, breaks = cluster_breaks(np.linalg.eigvalsh(adjacency_batch(n, masks)))
         d = breaks.sum(axis=1)
         assert (d >= diameter).all(), n
-        met = np.zeros(len(masks), dtype=bool)
-        for D in np.unique(diameter):
-            group = diameter == D
-            met[group] = scan._d_is_diameter(n, masks[group], int(D))
+        hits = scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))[1]
+        met = np.isin(masks, [m for m, _, _ in hits])
         assert met.tolist() == (d == diameter).tolist(), n
-        hits = [(int(m), int(D), int(og)) for m, D, og in zip(masks[met], diameter[met], girth[met])]
-        assert scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))[1] == hits, n
+        want = [(int(m), int(D), int(og)) for m, D, og in zip(masks[met], diameter[met], girth[met])]
+        assert hits == want, n
         total += len(masks)
         met_total += int(met.sum())
     assert (total, met_total) == (2237, 377)
 
 
-def _residue(powers, c):
-    """A^(D+1) - sum_j c_j A^j of each mask, in int64."""
-    powers = powers.astype(np.int64)
-    return powers[:, -1] - np.einsum("bj,bjuv->buv", c, powers[:, :-1])
-
-
-def test_exact_verdict_needs_both_clauses():
+def test_theta_graph_survives_the_prefilter_but_is_no_hit():
     # C_5 with a sixth vertex joined to two opposite cycle vertices: D = 2,
-    # odd girth 5, yet six distinct eigenvalues (d = 5).  Labeled as mask
-    # 3308 its triangular system has a non-integer quotient; as mask 3436
-    # (an isomorphic labeling, so another s and other v_i) its c_j are
-    # integers and only the full comparison A^3 = sum c_j A^j rejects it.
-    # Over all n <= 7 survivors of diameter 2, none met, each clause is the
-    # first to reject some
+    # odd girth 5, yet six distinct eigenvalues (d = 5).  Its labelings 3308
+    # and 3436 survive the prefilter, and the screen's class step rejects
+    # both, as it rejects every n <= 7 survivor of diameter 2
     theta = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 2)]
     assert og.graph_mask(og.graph_from_edges(6, theta)) in og.mask_orbit(6, 3308)
+    assert 3436 in og.mask_orbit(6, 3308)
     masks = np.array([3308, 3436], dtype=np.int64)
     diameter, girth = mask_distances(6, masks)
     assert diameter.tolist() == [2, 2] and girth.tolist() == [5, 5]
     assert [og.spectrum(og.graph_from_mask(6, int(m))).d for m in masks] == [5, 5]
-    assert scan._d_is_diameter(6, masks, 2).tolist() == [False, False]
-    powers, c, exact = scan._power_recurrence(6, masks, 2)
-    assert exact.tolist() == [False, True]
-    assert _residue(powers, c)[1].any()
-    inexact = only_comparison = 0
+    assert np.isin(masks, _survivors(6)[0]).all()
+    hits = scan.screen_range(6, 0, 2**15)[1]
+    assert not {3308, 3436} & {m for m, _, _ in hits}
     for n in (6, 7):
-        masks, diameter, _ = _survivors(n)
-        powers, c, exact = scan._power_recurrence(n, masks[diameter == 2], 2)
-        inexact += int((~exact).sum())
-        only_comparison += int((exact & _residue(powers, c).any(axis=(1, 2))).sum())
-        assert not scan._d_is_diameter(n, masks[diameter == 2], 2).any()
-    assert inexact > 0 and only_comparison > 0
+        hits = scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))[1]
+        assert (_survivors(n)[1] == 2).any() and all(D != 2 for _, D, _ in hits), n
+
+
+def test_screen_decides_each_survivor_class_once(monkeypatch):
+    # check_hypothesis runs once per isomorphism class of the survivors of an
+    # n, on the class's first survivor in mask order, and its verdict covers
+    # every survivor in that class's orbit
+    decided = []
+    real_check = scan.check_hypothesis
+
+    def check(g):
+        decided.append(og.graph_mask(g))
+        return real_check(g)
+
+    monkeypatch.setattr(scan, "check_hypothesis", check)
+    calls = {}
+    for n in range(1, 8):
+        decided.clear()
+        scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))
+        masks = _survivors(n)[0]
+        owners = np.zeros(len(masks), dtype=np.int64)
+        orbits = [og.mask_orbit(n, rep) for rep in decided]
+        for i, (rep, orbit) in enumerate(zip(decided, orbits)):
+            members = np.isin(masks, orbit)
+            assert rep == masks[members].min(), (n, rep)
+            assert not any(np.isin(decided[:i], orbit)), (n, rep)  # pairwise non-isomorphic
+            owners += members
+        assert (owners == 1).all(), n
+        if decided:
+            calls[n] = len(decided)
+    assert calls == {3: 1, 4: 1, 5: 2, 6: 2, 7: 5}
 
 
 def test_screen_solves_no_eigenvalues(monkeypatch):
@@ -181,7 +196,7 @@ def test_scan_funnel_totals(monkeypatch):
     assert totals["hits"] == serial.hypothesis_met == 16
     assert totals["triangle_free"] == 3806  # connected and triangle-free, or complete
     assert totals["expanded"] == 556  # of those, not bipartite: 0, 0, 1, 1, 13, 541
-    assert totals["survivors"] == 196  # exact tests of d = D: 0, 0, 1, 1, 13, 181
+    assert totals["survivors"] == 196  # d = D decided per class: 0, 0, 1, 1, 13, 181
     for counts in serial.funnel.values():
         values = [counts[stage] for stage in scan.FUNNEL_STAGES]
         assert values == sorted(values, reverse=True)
@@ -229,13 +244,20 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
     real_graph = scan.graph_from_mask
 
     def graph(n, mask):
-        built.append(n)
+        built.append((n, mask))
         return real_graph(n, mask)
 
     monkeypatch.setattr(scan, "verify_theorem", verify)
     monkeypatch.setattr(scan, "graph_from_mask", graph)
     summary = scan.scan_enumerated(7)
-    assert calls == built == [3, 4, 5, 5, 6, 7, 7]  # the other 370 hits build no Graph
+    assert calls == [3, 4, 5, 5, 6, 7, 7]
+    # the screen builds one Graph per survivor class (1, 1, 2, 2, 5 for
+    # n = 3..7), the verification one per hit class: no other survivor and
+    # none of the other 370 hits has a Graph built
+    assert [n for n, _ in built] == [3, 4, 5, 5, 6, 6, 7, 7, 7, 7, 7] + calls
+    for n, mask in built:
+        masks = _survivors(n)[0]
+        assert mask == masks[np.isin(masks, og.mask_orbit(n, mask))].min(), (n, mask)
     assert [row["classes"] for row in summary.to_dict()["funnel"]] == [0, 0, 1, 1, 2, 1, 2]
     assert summary.funnel[5]["hits"] == 13 and summary.funnel[7]["hits"] == 361
     assert summary.hypothesis_met == summary.certified == 377
@@ -270,7 +292,7 @@ def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
 
 def test_orbit_tables_built_on_first_use():
     # importing the package builds no orbit table, and scan_enumerated(5),
-    # the benchmark's warm-up, builds those of its hits' n alone: n = 7's is
+    # the benchmark's warm-up, builds those of its survivors' n alone: n = 7's is
     # built in the first n <= 7 scan, not at set-up.  In a fresh process,
     # since this one may have built any
     probe = (
@@ -298,6 +320,30 @@ def test_scan_enumerated_rejects_bad_n():
         scan.scan_enumerated(8)
     with pytest.raises(og.GraphError):
         scan.scan_enumerated(0)
+
+
+def test_forked_n7_scan_matches_serial(monkeypatch):
+    # the one split that runs in production: with the floor as shipped, n <= 6
+    # is screened whole and n = 7 in 16 chunks for two workers, each chunk
+    # deciding the classes of its own survivors.  The affinity is widened so
+    # that two workers run on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = scan.scan_enumerated(7, jobs=1)
+    sizes = []
+    real_map = scan._map
+
+    def recorded(fn, items, jobs):
+        sizes.append((len(items), jobs))
+        return real_map(fn, items, jobs)
+
+    monkeypatch.setattr(scan, "_map", recorded)
+    forked = scan.scan_enumerated(7, jobs=2)
+    assert sizes == [(1, 2)] * 6 + [(16, 2)]
+    assert ([(h.n, h.mask, h.graph6) for h in forked.hits]
+            == [(h.n, h.mask, h.graph6) for h in serial.hits])
+    assert forked.funnel == serial.funnel
+    assert ([h.report.to_dict() for h in forked.hits]
+            == [h.report.to_dict() for h in serial.hits])
 
 
 def test_scan_jobs_deterministic(monkeypatch):
