@@ -23,10 +23,7 @@ distance_data builds that table once and hands it on in its DistanceData.
 Smaller or denser graphs keep the dense product, O(n^3) but in BLAS.  Most
 graphs that cannot meet the theorem's hypothesis are told without the
 distance layer, from one BFS from vertex 0 and a triangle test
-(quick_reject).  A batch of edge bitmasks on n <= 8 vertices takes no
-matrix at all (mask_distances): each vertex's neighbours are one uint8
-bitmask, and a table of the union of the neighbour sets of every vertex set
-makes one BFS level of every source of every mask a single gather.
+(quick_reject).
 
 Connectivity, triangles and bipartiteness of an edge bitmask on n <= 7
 vertices need no adjacency matrix, only a table per graph on fewer
@@ -51,8 +48,8 @@ n(n-1)/2 pairs moves to, in uint8.  The orbit of a mask under S_n
 (mask_orbit), the masks of every graph isomorphic to its graph, is then the
 OR of one table column shifted into place per set bit: n!/|Aut G| distinct
 masks once sorted, the labeled/unlabeled relation of the same paper.  The
-scan decides d once per orbit of its survivors and verifies one hit per
-orbit.  The eigenvalue machinery lives in the sibling modules.
+scan decides the hypothesis once per orbit of the masks it expands and
+verifies one hit per orbit.  The eigenvalue machinery lives in the sibling modules.
 """
 
 import functools
@@ -769,64 +766,6 @@ def adjacency_batch(n, masks):
     return bits[:, _pair_bits(n)]
 
 
-def _union_table(n, masks):
-    """(2^n, B) uint8 table of an int64 array of B edge bitmasks on n <= 8 vertices.
-
-    Entry (F, i) is the union of the neighbour sets of the vertices in F in
-    mask i's graph, all as vertex bitmasks.  Vertex v's neighbours u < v are
-    the contiguous bits v(v-1)/2 .. v(v-1)/2 + v - 1 of the mask, and each
-    u > v is bit u(u-1)/2 + v.  The table doubles n times: the sets holding
-    v are those without it, ORed with v's neighbours.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    table = np.zeros((1 << n, len(masks)), dtype=np.uint8)
-    for v in range(n):
-        row = (masks >> (v * (v - 1) // 2)) & ((1 << v) - 1)
-        for u in range(v + 1, n):
-            row |= ((masks >> (u * (u - 1) // 2 + v)) & 1) << u
-        np.bitwise_or(table[:1 << v], row.astype(np.uint8), out=table[1 << v:2 << v])
-    return table
-
-
-def mask_distances(n, masks):
-    """(diameter, odd_girth) of every edge bitmask on 1 <= n <= 8 vertices: one bitset BFS.
-
-    Both are what distance_data reports for the mask's graph; odd_girth is a
-    float array, inf where there is no odd cycle.  Every source of every
-    mask expands at once, its frontier F a vertex bitmask, eight to a uint64
-    (a vertex past n has an empty frontier).  One level is one gather from
-    the union table (_union_table): T[F] is the set of neighbours of F, the
-    next frontier is T[F] less the vertices seen, and an edge lies inside
-    the level iff T[F] & F is not empty.  A mask's diameter is the last
-    level k at which a frontier is not empty, and its odd girth 2k+1 at the
-    first level k with an edge inside it, distance_data's definitions.
-    Connectivity comes from mask_blocks.
-    """
-    if not 1 <= n <= 8:
-        raise GraphError("bitset distances support 1 <= n <= 8, got %d" % n)
-    count = len(masks)
-    table = _union_table(n, masks).ravel()
-    column = np.arange(count, dtype=np.intp)[:, None]  # T[F] of mask i is entry F * count + i
-    frontier = np.zeros((count, 8), dtype=np.uint8)
-    frontier[:, :n] = 1 << np.arange(n, dtype=np.uint8)
-    frontier = frontier.view(np.uint64).ravel()
-    seen = frontier.copy()
-    diameter = np.zeros(count, dtype=np.int64)
-    girth = np.full(count, math.inf)
-    index = np.empty((count, 8), dtype=np.intp)
-    for k in range(n):
-        np.multiply(frontier.view(np.uint8).reshape(count, 8), np.intp(count), out=index)
-        index += column
-        reach = table.take(index).view(np.uint64).ravel()
-        girth[((reach & frontier) != 0) & (girth == math.inf)] = 2 * k + 1
-        frontier = reach & ~seen
-        if not frontier.any():
-            break
-        seen |= reach
-        diameter[frontier != 0] = k + 1
-    return diameter, girth
-
-
 def mask_graph6(n, mask):
     """graph6 line (bytes) of an edge bitmask on 1 <= n <= 62 vertices, read off its bits.
 
@@ -867,7 +806,9 @@ def mask_orbit(n, mask):
 
     The orbit of the mask under S_n acting on the vertices: the OR, over the
     mask's set bits b, of 1 << _orbit_table(n)[:, b], one mask per
-    permutation, without repeats.  Its length is n!/|Aut G|.
+    permutation, without repeats: sorted, then each mask that equals the one
+    before it dropped (np.unique took six times as long on the 5,040 masks
+    of n = 7).  Its length is n!/|Aut G|.
     """
     if not 1 <= n <= 8:
         raise GraphError("mask orbits support 1 <= n <= 8, got %d" % n)
@@ -878,7 +819,8 @@ def mask_orbit(n, mask):
     for b in range(table.shape[1]):
         if mask >> b & 1:
             orbit |= np.int64(1) << table[:, b]
-    return np.unique(orbit)
+    orbit.sort()
+    return orbit[np.concatenate(([True], orbit[1:] != orbit[:-1]))]
 
 
 def enumerate_connected(n):
@@ -886,7 +828,7 @@ def enumerate_connected(n):
 
     Labeled means isomorphic duplicates appear once per labeling, n!/|Aut G|
     times: the screen needs every labeling.  The scan does its isomorph
-    rejection on the screen's survivors and hits alone (mask_orbit).
+    rejection on the masks it expands and on its hits alone (mask_orbit).
     """
     if not 1 <= n <= 7:
         raise GraphError("enumeration supports 1 <= n <= 7, got %d" % n)

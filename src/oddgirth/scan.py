@@ -12,20 +12,22 @@ be a hit only if D = 1, which makes it the complete graph K_n.
 The hypothesis needs a finite odd girth, so a bipartite graph, which has no
 odd cycle, is never a hit.
 
-The screen runs in four exact steps, each on fewer masks.  Connectivity,
-triangles and bipartiteness come from graphs.mask_blocks: the masks with one
-neighbour set S of the last vertex are one block, a graph on one vertex
-fewer extended by S, and the three properties are read off a slice of that
+The screen runs in two exact steps.  Connectivity, triangles and
+bipartiteness come from graphs.mask_blocks: the masks with one neighbour
+set S of the last vertex are one block, a graph on one vertex fewer
+extended by S, and the three properties are read off a slice of that
 smaller graph's table.  Only the connected masks that are triangle-free or
-complete and not bipartite go to the distance layer, a bitset BFS
-(graphs.mask_distances), which tests odd girth >= 2D+1.  A connected graph
-that is not bipartite has a shortest odd cycle that is isometric, so its
-odd girth is at most 2D+1: a survivor has odd girth exactly 2D+1, and is a
-hit iff d <= D, that is iff d = D.  d is an isomorphism invariant, so the
-last step decides it once per class of the survivors, on the first survivor
-of each orbit under S_n (graphs.mask_orbit): verify.check_hypothesis, the
-exact walk-count recurrence that the corpus scan and analyze decide d with.
-The n <= 7 survivors, 2,237, are 11 classes.
+complete and not bipartite are expanded.  Every property the rest of the
+screen reads, the diameter D, the odd girth and d, is an isomorphism
+invariant, so the last step runs once per class of the expanded masks, on
+the first mask of each orbit under S_n (graphs.mask_orbit):
+verify.check_hypothesis, one all-sources BFS and, where odd girth >= 2D+1,
+the exact walk-count recurrence that the corpus scan and analyze decide d
+with.  A connected graph that is not bipartite has a shortest odd cycle that
+is isometric, so its odd girth is at most 2D+1: a survivor of the odd girth
+>= 2D+1 prefilter has odd girth exactly 2D+1, and is a hit iff d <= D, that
+is iff d = D.  The n <= 7 expanded masks, 25,981, are 23 classes (1, 1, 2,
+3, 16 for n = 3..7), and their 2,237 survivors are 11.
 
 The screen is labeled, so one graph is a hit once per labeling, n!/|Aut G|
 times: the 377 hits on n <= 7 vertices are 7 graphs, K_3..K_7, C_5 (12
@@ -47,7 +49,6 @@ report (verify.theorem_report, from the same record), so a rejected line is
 never eigensolved.
 """
 
-import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -60,14 +61,13 @@ from .graphs import (
     graph6_lines,
     graph_from_mask,
     mask_blocks,
-    mask_distances,
     mask_graph6,
     mask_orbit,
     parse_graph6,
     quick_reject,
 )
 from .predistance import PredistanceError
-from .spectral import NumericalError
+from .spectral import NumericalError, meets_prefilter
 from .verify import check_hypothesis, theorem_report, verify_theorem
 
 # one screen; perfbench/run.py records this constant in its environment line
@@ -75,20 +75,12 @@ BACKEND = "python"
 
 _PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
-# the distance layer takes the masks kept from every
-# block of mask_blocks in one aligned span of 2^18 masks: 8 blocks at n = 7
-# (some 3,250 masks kept), every mask at n <= 6.  The n = 7 screen, one BLAS
-# thread, 2-core Xeon VM, medians of 20 interleaved runs: 66 ms in spans of
-# 2^15, 49 ms of 2^16, 32 ms of 2^18 and 32 ms in one span of 2^21, whose
-# larger arrays raised the peak RSS that scan_enumerated(7) adds from 2.0
-# to 7.5 MB
-_DISTANCE_SPAN_BITS = 18
-
 # per-n scan counts, each a subset of the one before: triangle_free counts
-# the connected masks that are triangle-free or complete, the expanded ones
-# (those of them not bipartite) go through the distance layer, and the
-# survivors of its exact prefilter have d = D decided once per isomorphism
-# class.  The screen counts every stage up to hits; classes, the hit classes
+# the connected masks that are triangle-free or complete, and the expanded
+# ones (those of them not bipartite) have check_hypothesis run once per
+# isomorphism class; the survivors are the expanded masks whose class meets
+# its exact prefilter, odd girth >= 2D+1, and the hits those whose class has
+# d = D.  The screen counts every stage up to hits; classes, the hit classes
 # verified in full, is scan_enumerated's
 FUNNEL_STAGES = ("masks", "connected", "triangle_free", "expanded", "survivors", "hits",
                  "classes")
@@ -170,16 +162,20 @@ class ScanSummary:
 
 
 def _classes(n, masks):
-    """(first mask, members) of each S_n orbit among masks on n vertices.
+    """(first mask, members) of each S_n orbit among ascending masks on n vertices.
 
-    members is a bool array marking the masks in that mask's orbit
-    (mask_orbit); the orbits come in the order of their first masks.
+    members is the index array of the masks in that mask's orbit
+    (mask_orbit), found by binary search, so masks must be sorted; the
+    orbits come in the order of their first masks.
     """
     left = np.ones(len(masks), dtype=bool)
     while left.any():
         first = int(masks[left.argmax()])
-        members = np.isin(masks, mask_orbit(n, first))
-        left &= ~members
+        orbit = mask_orbit(n, first)
+        # the orbit takes masks' dtype, so that searchsorted copies no masks
+        at = np.searchsorted(masks, orbit.astype(masks.dtype, copy=False))
+        members = at[masks.take(at, mode="clip") == orbit]
+        left[members] = False
         yield first, members
 
 
@@ -190,42 +186,40 @@ def screen_range(n, start, stop, funnel=None):
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
     by FUNNEL_STAGES, the range's counts of the screen's stages, all but
-    classes, are added to it.  The range is screened one block of
-    mask_blocks at a time, and may start or end inside a block; the
-    distance layer takes the blocks of a span of 2^_DISTANCE_SPAN_BITS masks
-    at once.  A survivor of its prefilter, odd girth >= 2D+1 for diameter D,
-    has odd girth exactly 2D+1, since a shortest odd cycle is isometric, and
-    d >= D; so it is a hit iff d = D.  That is decided once per isomorphism
-    class of the range's survivors (_classes): check_hypothesis on the
-    class's first survivor is the verdict of every survivor in its orbit.
+    classes, are added to it.  The range's flags come one block of
+    mask_blocks at a time, and the range may start or end inside a block.
+    The masks kept, connected, triangle-free or complete, and not bipartite,
+    are the expanded ones; every stage after that reads isomorphism
+    invariants alone, so it runs once per class of the expanded masks
+    (_classes): check_hypothesis on the class's first mask is the verdict
+    of every mask in its orbit.  Its prefilter, odd girth >= 2D+1 for
+    diameter D, makes the class's masks survivors; a survivor has odd girth
+    exactly 2D+1, since a shortest odd cycle is isometric, and d >= D, so
+    it is a hit iff d = D.
     """
-    examined = triangle_free = expanded = 0
-    survivors = []  # (mask, D, odd girth), in mask order
+    examined = triangle_free = survivors = 0
+    kept = []
     complete = (1 << (n * (n - 1) // 2)) - 1
-    blocks = mask_blocks(n, start, stop)
-    for _, span in itertools.groupby(blocks, key=lambda block: block[0] >> _DISTANCE_SPAN_BITS):
-        kept = []
-        for lo, connected, free, bipartite in span:
-            examined += int(np.count_nonzero(connected))
-            keep = connected & free
-            if lo <= complete < lo + len(keep):
-                keep[complete - lo] = True  # K_n: its triangles leave D = 1
-            triangle_free += int(np.count_nonzero(keep))
-            keep &= ~bipartite
-            expanded += int(np.count_nonzero(keep))
-            kept.append(lo + np.flatnonzero(keep))
-        masks = np.concatenate(kept)
-        diameter, girth = mask_distances(n, masks)
-        keep = girth >= 2 * diameter + 1  # no mask left is bipartite: girth is finite
-        survivors.extend(zip(masks[keep].tolist(), diameter[keep].tolist(),
-                             girth[keep].astype(np.int64).tolist()))
-    met = np.zeros(len(survivors), dtype=bool)
-    for first, members in _classes(n, np.array([m for m, _, _ in survivors], dtype=np.int64)):
-        if check_hypothesis(graph_from_mask(n, first)).met:
-            met |= members
-    hits = [s for s, m in zip(survivors, met) if m]
+    for lo, connected, free, bipartite in mask_blocks(n, start, stop):
+        examined += int(np.count_nonzero(connected))
+        keep = connected & free
+        if lo <= complete < lo + len(keep):
+            keep[complete - lo] = True  # K_n: its triangles leave D = 1
+        triangle_free += int(np.count_nonzero(keep))
+        # int32 holds a mask on n <= 8 vertices; in int64 the n = 8 screen
+        # (mask_blocks' guard raised) peaked at 133 MB RSS, against 114 MB
+        kept.append((lo + np.flatnonzero(keep & ~bipartite)).astype(np.int32))
+    masks = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int32)
+    hits = []
+    for first, members in _classes(n, masks):
+        h = check_hypothesis(graph_from_mask(n, first))
+        if meets_prefilter(h.dd):
+            survivors += len(members)
+        if h.met:
+            hits.extend((mask, h.dd.diameter, h.dd.odd_girth) for mask in masks[members].tolist())
+    hits.sort()
     if funnel is not None:
-        counts = (stop - start, examined, triangle_free, expanded, len(survivors), len(hits))
+        counts = (stop - start, examined, triangle_free, len(masks), survivors, len(hits))
         for stage, count in zip(FUNNEL_STAGES[:-1], counts):
             funnel[stage] += count
     return examined, hits
@@ -270,7 +264,7 @@ def scan_enumerated(n_max, jobs=1):
     classes stage, and every hit in the orbit shares its report, with its
     own graph6 as the input label.  Each label is read off the mask's bits
     (mask_graph6); only a class representative has a Graph built, here and
-    in the screen, which decides each survivor class on its first survivor.
+    in the screen, which decides each expanded class on its first mask.
     Every quantity the report certifies is invariant under relabeling; a
     vertex named in a witness is the representative's.
     Each hit's screen (d, odd girth) is compared with its report, and a
@@ -283,7 +277,7 @@ def scan_enumerated(n_max, jobs=1):
     started = time.perf_counter()
 
     funnel = {}
-    screened = {}  # n -> [(mask, d, og)], ordered by mask
+    screened = {}  # n -> [(mask, d, og)], ordered by mask, as _classes needs
     for n in range(1, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
         pieces = jobs * 8 if jobs > 1 and total >= _PARALLEL_FLOOR else 1
@@ -301,7 +295,7 @@ def scan_enumerated(n_max, jobs=1):
         for first, members in _classes(n, np.array([m for m, _, _ in found], dtype=np.int64)):
             report = verify_theorem(graph_from_mask(n, first))
             funnel[n]["classes"] += 1
-            for i in np.flatnonzero(members):
+            for i in members:
                 reports[i] = report
         for (mask, d, og), report in zip(found, reports):
             g6 = mask_graph6(n, mask).decode("ascii")

@@ -238,44 +238,54 @@ def graph6_oracle_encode(g):
     return bytes(out)
 
 
-@pytest.fixture(scope="session")
-def mask_oracle():
-    """For n <= 6, lists indexed by mask of what the definitions give for its graph.
+def mask_distance_oracle(n, masks):
+    """What the definitions give for the graph of each edge bitmask on n vertices, at once.
 
-    All masks of an n at once, sharing no code with the package.  The pair
-    (u, v), u < v, is bit v(v-1)/2 + u.  Distances come from boolean
-    reachability: u reaches v within k steps iff (I + A)^k has (u, v) > 0.
-    Keys: connected (every pair reached within n - 1 steps), diameter (the
+    Shares no code with the package.  The pair (u, v), u < v, is bit
+    v(v-1)/2 + u.  Distances come from boolean reachability: u reaches v
+    within k steps iff (I + A)^k has (u, v) > 0.  Returns a dict of arrays:
+    connected (every pair reached within n - 1 steps), diameter (the
     largest finite distance), odd_girth (the least odd ell <= n with
     tr(A^ell) > 0, inf if none: a shortest odd closed walk is a cycle) and
     triangle_free (tr(A^3) = 0).
     """
+    masks = np.asarray(masks, dtype=np.int64)
+    A = np.zeros((len(masks), n, n), dtype=np.int64)
+    for v in range(n):
+        for u in range(v):
+            A[:, u, v] = A[:, v, u] = (masks >> (v * (v - 1) // 2 + u)) & 1
+    reach = np.broadcast_to(np.eye(n, dtype=bool), A.shape)
+    diameter = np.zeros(len(masks), dtype=np.int64)
+    power = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
+    girth = np.full(len(masks), math.inf)
+    traces = {}
+    for ell in range(1, n + 1):
+        grown = reach | (np.matmul(reach.astype(np.int64), A) > 0)
+        diameter[(grown != reach).any(axis=(1, 2))] = ell
+        reach = grown
+        power = np.matmul(power, A)
+        traces[ell] = np.trace(power, axis1=1, axis2=2)
+        if ell % 2:
+            girth[np.isinf(girth) & (traces[ell] > 0)] = ell
+    return {
+        "connected": reach.all(axis=(1, 2)),
+        "diameter": diameter,
+        "odd_girth": girth,
+        "triangle_free": traces[3] == 0 if n >= 3 else np.ones(len(masks), dtype=bool),
+    }
+
+
+@pytest.fixture(scope="session")
+def mask_oracle():
+    """For n <= 6, lists indexed by mask of what mask_distance_oracle gives for its graph.
+
+    All masks of an n at once; the keys are mask_distance_oracle's.
+    """
     oracle = {}
     for n in range(1, 7):
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        A = np.zeros((len(masks), n, n), dtype=np.int64)
-        for v in range(n):
-            for u in range(v):
-                A[:, u, v] = A[:, v, u] = (masks >> (v * (v - 1) // 2 + u)) & 1
-        reach = np.broadcast_to(np.eye(n, dtype=bool), A.shape)
-        diameter = np.zeros(len(masks), dtype=np.int64)
-        power = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
-        girth = np.full(len(masks), math.inf)
-        traces = {}
-        for ell in range(1, n + 1):
-            grown = reach | (np.matmul(reach.astype(np.int64), A) > 0)
-            diameter[(grown != reach).any(axis=(1, 2))] = ell
-            reach = grown
-            power = np.matmul(power, A)
-            traces[ell] = np.trace(power, axis1=1, axis2=2)
-            if ell % 2:
-                girth[np.isinf(girth) & (traces[ell] > 0)] = ell
-        oracle[n] = {
-            "connected": reach.all(axis=(1, 2)).tolist(),
-            "diameter": diameter.tolist(),
-            "odd_girth": girth.tolist(),
-            "triangle_free": (traces[3] == 0).tolist() if n >= 3 else [True] * len(masks),
-        }
+        oracle[n] = {key: values.tolist()
+                     for key, values in mask_distance_oracle(n, masks).items()}
     return oracle
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import oddgirth as og
 from oddgirth import cli, scan
-from oddgirth.graphs import adjacency_batch, mask_blocks, mask_distances
+from oddgirth.graphs import adjacency_batch, mask_blocks
 from oddgirth.predistance import poly_eval_matrix
 from oddgirth.verify import (
     check_distance_polynomial,
@@ -23,7 +23,7 @@ from oddgirth.verify import (
     NotDistanceRegular,
 )
 
-from conftest import ACCEPTANCE_LINES, KNOWN_ARRAYS, screen_regular_range
+from conftest import ACCEPTANCE_LINES, KNOWN_ARRAYS, mask_distance_oracle, screen_regular_range
 
 
 def _record(num, ok, text):
@@ -189,9 +189,8 @@ def test_criterion_5_eigenvalue_symmetry_dichotomy(sweep):
         for lo, connected, free, flagged in mask_blocks(n, 0, total):
             keep = connected & free
             masks = lo + np.flatnonzero(keep)
-            _, girth = mask_distances(n, masks)
-            bipartite = np.isinf(girth)
-            # the table test the screen uses agrees with the distance layer
+            bipartite = np.isinf(mask_distance_oracle(n, masks)["odd_girth"])
+            # the table test the screen uses agrees with the odd girth by definition
             for mask in masks[flagged[keep] != bipartite]:
                 bad.append("n=%d mask=%d: mask_blocks' bipartite flag disagrees with odd girth"
                            % (n, mask))

@@ -13,7 +13,6 @@ from oddgirth.graphs import (
     _table,
     adjacency_batch,
     mask_blocks,
-    mask_distances,
 )
 
 from conftest import (
@@ -21,6 +20,7 @@ from conftest import (
     cut_patterns,
     graph6_oracle_encode,
     graph6_oracle_parse,
+    mask_distance_oracle,
     orbit_oracle,
 )
 
@@ -399,6 +399,20 @@ def test_family_errors():
         og.generate_family("complete", [0])
 
 
+def seven_vertex_cases():
+    """Hand-built graphs on 7 vertices: (graph, connected, diameter, odd girth, triangle-free)."""
+    c5_k2 = disjoint_union(og.generate_family("cycle", [5]), og.generate_family("complete", [2]))
+    k34 = og.graph_from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
+    return [
+        (og.graph_from_edges(7, []), False, 0, math.inf, True),
+        (og.generate_family("complete", [7]), True, 1, 3, False),
+        (og.generate_family("cycle", [7]), True, 3, 7, True),
+        (og.generate_family("path", [7]), True, 6, math.inf, True),
+        (c5_k2, False, 2, 5, True),
+        (k34, True, 2, math.inf, True),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -487,6 +501,31 @@ def test_distance_invariants():
         assert np.array_equal(d == 1, g.adj == 1)
         if dd.connected:
             assert dd.diameter <= g.n - 1
+    # hand-built graphs whose diameter (P_7, P_8) or odd girth (C_7, and C_7
+    # with a pendant vertex) reaches the last levels
+    pendant = og.graph_from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7)])
+    cases = [case[:4] for case in seven_vertex_cases()] + [
+        (og.generate_family("path", [8]), True, 7, math.inf),
+        (og.generate_family("cycle", [8]), True, 4, math.inf),
+        (og.generate_family("complete", [8]), True, 1, 3),
+        (pendant, True, 4, 7),
+    ]
+    for row, (g, connected, diameter, girth) in enumerate(cases):
+        dd = og.distance_data(g)
+        assert (dd.connected, dd.diameter, dd.odd_girth) == (connected, diameter, girth), row
+    # a seeded sample of n = 8 masks at edge densities from sparse (long
+    # paths, many components) to dense, against the definitions
+    rng = np.random.default_rng(19)
+    masks = [0]
+    for density in (0.15, 0.25, 0.35, 0.5):
+        bits = rng.random((40, 28)) < density
+        masks += (bits.astype(np.int64) << np.arange(28)).sum(axis=1).tolist()
+    want = mask_distance_oracle(8, masks)
+    got = [og.distance_data(og.graph_from_mask(8, m)) for m in masks]
+    assert [dd.connected for dd in got] == want["connected"].tolist()
+    assert [dd.diameter for dd in got] == want["diameter"].tolist()
+    assert [dd.odd_girth for dd in got] == want["odd_girth"].tolist()
+    assert 5 in {dd.odd_girth for dd in got} and len({dd.diameter for dd in got}) >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -634,108 +673,6 @@ def test_mask_round_trip():
             og.graph_from_mask(n, 0)
 
 
-def test_mask_distances_match_distance_data(mask_oracle):
-    masks = np.arange(1 << 10)
-    diameter, girth = mask_distances(5, masks)
-    assert mask_flags(5)[0].tolist() == mask_oracle[5]["connected"]
-    assert diameter.tolist() == mask_oracle[5]["diameter"]
-    assert girth.tolist() == mask_oracle[5]["odd_girth"]
-
-
-def test_mask_distances_mixed_levels_match_distance_data(mask_oracle):
-    # 6-vertex batches mix diameters 0..5 with disconnected graphs, so rows
-    # run out of levels while others are still expanding
-    masks = np.arange(1 << 15)
-    diameter, girth = mask_distances(6, masks)
-    assert sorted(set(diameter.tolist())) == [0, 1, 2, 3, 4, 5]
-    assert mask_flags(6)[0].tolist() == mask_oracle[6]["connected"]
-    assert diameter.tolist() == mask_oracle[6]["diameter"]
-    assert girth.tolist() == mask_oracle[6]["odd_girth"]
-
-
-def test_mask_distances_on_expanded_seven_vertex_masks():
-    # every eighth of the 25,981 masks the n = 7 screen expands: connected,
-    # triangle-free or complete, not bipartite, as scan.screen_range keeps them
-    complete = (1 << 21) - 1
-    kept = []
-    for lo, connected, free, bipartite in mask_blocks(7, 0, 1 << 21):
-        keep = connected & free
-        if lo <= complete < lo + len(keep):
-            keep[complete - lo] = True
-        kept.append(lo + np.flatnonzero(keep & ~bipartite))
-    expanded = np.concatenate(kept)
-    assert len(expanded) == 25981
-    masks = expanded[::8]
-    diameter, girth = mask_distances(7, masks)
-    want = [og.distance_data(og.graph_from_mask(7, int(m))) for m in masks]
-    assert diameter.tolist() == [dd.diameter for dd in want]
-    assert girth.tolist() == [dd.odd_girth for dd in want]
-    assert sorted(set(diameter.tolist())) == [2, 3, 4]  # K_7, of diameter 1, is not sampled
-
-
-def test_mask_distances_seven_vertex_batch():
-    c5_k2 = disjoint_union(og.generate_family("cycle", [5]), og.generate_family("complete", [2]))
-    k34 = og.graph_from_edges(7, [(u, v) for u in range(3) for v in range(3, 7)])
-    cases = [  # graph, connected, diameter, odd girth, triangle-free
-        (og.graph_from_edges(7, []), False, 0, math.inf, True),
-        (og.generate_family("complete", [7]), True, 1, 3, False),
-        (og.generate_family("cycle", [7]), True, 3, 7, True),
-        (og.generate_family("path", [7]), True, 6, math.inf, True),
-        (c5_k2, False, 2, 5, True),
-        (k34, True, 2, math.inf, True),
-    ]
-    masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
-    diameter, girth = mask_distances(7, masks)
-    assert np.array_equal(adjacency_batch(7, masks), np.array([g.adj for g, *_ in cases]))
-    connected, free, bipartite = np.concatenate([mask_flags(7, m, m + 1) for m in masks], axis=1)
-    assert connected.tolist() == [c[1] for c in cases]
-    assert free.tolist() == [c[4] for c in cases]
-    assert bipartite.tolist() == [math.isinf(c[3]) for c in cases]
-    for row, (g, connected, want_diameter, want_girth, _) in enumerate(cases):
-        dd = og.distance_data(g)
-        assert dd.connected == connected, row
-        assert diameter[row] == dd.diameter == want_diameter, row
-        assert girth[row] == dd.odd_girth == want_girth, row
-
-
-def test_mask_distances_eight_vertex_sample():
-    # n = 8 fills the uint8 neighbour rows: a seeded sample at edge densities
-    # from sparse (long paths, many components) to dense, and graphs whose
-    # diameter (P_8: 7) or odd girth (C_7 with a pendant vertex: 7) reaches
-    # the last levels
-    rng = np.random.default_rng(19)
-    masks = [og.graph_mask(g) for g in (
-        og.generate_family("path", [8]),
-        og.generate_family("cycle", [8]),
-        og.generate_family("complete", [8]),
-        og.graph_from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7)]),
-    )] + [0]
-    for density in (0.15, 0.25, 0.35, 0.5):
-        bits = rng.random((40, 28)) < density
-        masks += (bits.astype(np.int64) << np.arange(28)).sum(axis=1).tolist()
-    masks = np.array(masks, dtype=np.int64)
-    diameter, girth = mask_distances(8, masks)
-    want = [og.distance_data(og.graph_from_mask(8, int(m))) for m in masks]
-    assert diameter.tolist() == [dd.diameter for dd in want]
-    assert girth.tolist() == [dd.odd_girth for dd in want]
-    assert diameter[:5].tolist() == [7, 4, 1, 4, 0] and girth[:5].tolist() == [math.inf, math.inf, 3, 7, math.inf]
-    assert {5, 7} <= set(girth.tolist()) and len(set(diameter.tolist())) >= 5
-
-
-def test_mask_distances_reject_n_outside_bitset_rows():
-    # a vertex bitmask is one uint8, so n <= 8
-    for n in (0, 9):
-        with pytest.raises(og.GraphError, match="bitset distances support"):
-            mask_distances(n, np.zeros(1, dtype=np.int64))
-
-
-def test_mask_distances_empty_batch():
-    for n in (1, 2, 5, 7):
-        empty = np.empty(0, dtype=np.int64)
-        for values in mask_distances(n, empty):
-            assert values.shape == (0,)
-
-
 def test_mask_patterns_exhaustive(mask_oracle):
     # every mask on n <= 6 vertices: connectivity against reachability,
     # triangles against trace(A^3) and bipartiteness against an infinite odd
@@ -786,6 +723,14 @@ def test_mask_tables():
     # n = 1 has no cut and n <= 2 no triangle: every mask passes; K_1 is bipartite
     assert mask_flags(1).tolist() == [[True], [True], [True]]
     assert mask_flags(2).tolist() == [[False, True], [True, True], [True, True]]
+    # the hand-built 7-vertex graphs: their adjacency batch and their flags
+    cases = seven_vertex_cases()
+    masks = np.array([og.graph_mask(g) for g, *_ in cases], dtype=np.int64)
+    assert np.array_equal(adjacency_batch(7, masks), np.array([g.adj for g, *_ in cases]))
+    connected, free, bipartite = np.concatenate([mask_flags(7, m, m + 1) for m in masks], axis=1)
+    assert connected.tolist() == [c[1] for c in cases]
+    assert free.tolist() == [c[4] for c in cases]
+    assert bipartite.tolist() == [math.isinf(c[3]) for c in cases]
 
 
 def test_mask_pattern_tables():

@@ -1,5 +1,6 @@
 """scan: the screen, exhaustive agreement with the pipeline, corpora."""
 
+import functools
 import math
 import os
 import subprocess
@@ -10,10 +11,10 @@ import pytest
 
 import oddgirth as og
 from oddgirth import scan
-from oddgirth.graphs import adjacency_batch, mask_blocks, mask_distances
+from oddgirth.graphs import adjacency_batch, mask_blocks
 from oddgirth.spectral import cluster_breaks
 
-from conftest import screen_regular_range
+from conftest import mask_distance_oracle, screen_regular_range
 
 
 def test_screen_counts_small():
@@ -25,11 +26,11 @@ def test_screen_counts_small():
 def test_screen_matches_pipeline_exhaustively(mask_oracle):
     # for every connected graph on <= 6 vertices the screen's hypothesis
     # verdict, eigenvalue count and odd girth must match the full pipeline;
-    # at n = 6 the screen decides d = D for only 181 of 26,704, in 2
-    # classes.  The pipeline's eigenvalue counts are solved for all graphs of
-    # an n at once and split by cluster_breaks, the rule spectrum() applies
-    # to each graph; its odd girths are distance_data's, held per mask by
-    # mask_oracle
+    # at n = 6 the screen runs check_hypothesis on the 3 classes of the 541
+    # masks it expands, of 26,704.  The pipeline's eigenvalue counts are
+    # solved for all graphs of an n at once and split by cluster_breaks, the
+    # rule spectrum() applies to each graph; its odd girths are the trace
+    # definition's, held per mask by mask_oracle
     for n in range(1, 7):
         total = 1 << (n * (n - 1) // 2)
         _, hits = scan.screen_range(n, 0, total)
@@ -67,11 +68,12 @@ def test_screen_range_split_anywhere():
     assert scan.screen_range(7, total - 1, total)[1] == [(total - 1, 1, 3)]  # K_7
 
 
-def _survivors(n):
-    """(masks, diameter, odd girth) of the masks the n-vertex screen decides d = D for.
+@functools.lru_cache(maxsize=None)
+def _expanded(n):
+    """The ascending masks the n-vertex screen expands, read-only.
 
-    The screen's prefilter, restated: connected, triangle-free or complete,
-    not bipartite, and odd girth >= 2D+1.
+    The screen's flag step, restated: connected, triangle-free or complete,
+    and not bipartite.
     """
     complete = (1 << (n * (n - 1) // 2)) - 1
     kept = []
@@ -81,9 +83,25 @@ def _survivors(n):
             keep[complete - lo] = True
         kept.append(lo + np.flatnonzero(keep & ~bipartite))
     masks = np.concatenate(kept)
-    diameter, girth = mask_distances(n, masks)
+    masks.setflags(write=False)
+    return masks
+
+
+@functools.lru_cache(maxsize=None)
+def _survivors(n):
+    """(masks, diameter, odd girth) of the expanded masks with odd girth >= 2D+1, read-only.
+
+    The distances are mask_distance_oracle's, which shares no code with the
+    package.
+    """
+    masks = _expanded(n)
+    oracle = mask_distance_oracle(n, masks)
+    diameter, girth = oracle["diameter"], oracle["odd_girth"]
     keep = girth >= 2 * diameter + 1
-    return masks[keep], diameter[keep], girth[keep]
+    out = masks[keep], diameter[keep], girth[keep]
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
 def test_exact_verdict_matches_eigenvalue_oracle_on_every_survivor():
@@ -116,8 +134,8 @@ def test_theta_graph_survives_the_prefilter_but_is_no_hit():
     assert og.graph_mask(og.graph_from_edges(6, theta)) in og.mask_orbit(6, 3308)
     assert 3436 in og.mask_orbit(6, 3308)
     masks = np.array([3308, 3436], dtype=np.int64)
-    diameter, girth = mask_distances(6, masks)
-    assert diameter.tolist() == [2, 2] and girth.tolist() == [5, 5]
+    oracle = mask_distance_oracle(6, masks)
+    assert oracle["diameter"].tolist() == [2, 2] and oracle["odd_girth"].tolist() == [5, 5]
     assert [og.spectrum(og.graph_from_mask(6, int(m))).d for m in masks] == [5, 5]
     assert np.isin(masks, _survivors(6)[0]).all()
     hits = scan.screen_range(6, 0, 2**15)[1]
@@ -127,10 +145,11 @@ def test_theta_graph_survives_the_prefilter_but_is_no_hit():
         assert (_survivors(n)[1] == 2).any() and all(D != 2 for _, D, _ in hits), n
 
 
-def test_screen_decides_each_survivor_class_once(monkeypatch):
-    # check_hypothesis runs once per isomorphism class of the survivors of an
-    # n, on the class's first survivor in mask order, and its verdict covers
-    # every survivor in that class's orbit
+def test_screen_decides_each_expanded_class_once(monkeypatch):
+    # check_hypothesis runs once per isomorphism class of the expanded masks
+    # of an n, on the class's first expanded mask, and its verdict covers
+    # every expanded mask in that class's orbit: the orbits of the
+    # representatives partition the expanded masks
     decided = []
     real_check = scan.check_hypothesis
 
@@ -143,7 +162,7 @@ def test_screen_decides_each_survivor_class_once(monkeypatch):
     for n in range(1, 8):
         decided.clear()
         scan.screen_range(n, 0, 1 << (n * (n - 1) // 2))
-        masks = _survivors(n)[0]
+        masks = _expanded(n)
         owners = np.zeros(len(masks), dtype=np.int64)
         orbits = [og.mask_orbit(n, rep) for rep in decided]
         for i, (rep, orbit) in enumerate(zip(decided, orbits)):
@@ -154,7 +173,32 @@ def test_screen_decides_each_survivor_class_once(monkeypatch):
         assert (owners == 1).all(), n
         if decided:
             calls[n] = len(decided)
-    assert calls == {3: 1, 4: 1, 5: 2, 6: 2, 7: 5}
+    assert calls == {3: 1, 4: 1, 5: 2, 6: 3, 7: 16}
+
+
+def test_class_members_by_binary_search_match_isin():
+    # _classes finds each orbit's members by binary search in the ascending
+    # masks: the same positions as an isin test, on every expanded set with
+    # n <= 7 and on a range [lo, hi) of n = 7 that cuts C_7's orbit, whose
+    # first mask is then no representative of the whole class
+    c7 = og.mask_orbit(7, og.graph_mask(og.generate_family("cycle", [7])))
+    lo, hi = int(c7[100]), int(c7[200])
+    expanded = _expanded(7)
+    cut = expanded[(expanded >= lo) & (expanded < hi)]
+    cases = [(n, _expanded(n)) for n in range(1, 8)] + [(7, cut)]
+    for n, masks in cases:
+        owners = np.zeros(len(masks), dtype=np.int64)
+        for first, members in scan._classes(n, masks):
+            want = np.flatnonzero(np.isin(masks, og.mask_orbit(n, first)))
+            assert np.array_equal(members, want), (n, first)
+            assert first == masks[members[0]], (n, first)
+            owners[members] += 1
+        assert (owners == 1).all(), n
+    # in the cut range C_7's class starts at lo and holds its 100 masks there
+    assert np.array_equal(cut[dict(scan._classes(7, cut))[lo]], c7[100:200])
+    # the range's screen keeps exactly the whole screen's hits inside it
+    hits = scan.screen_range(7, 0, 1 << 21)[1]
+    assert scan.screen_range(7, lo, hi)[1] == [h for h in hits if lo <= h[0] < hi]
 
 
 def test_screen_solves_no_eigenvalues(monkeypatch):
@@ -196,7 +240,7 @@ def test_scan_funnel_totals(monkeypatch):
     assert totals["hits"] == serial.hypothesis_met == 16
     assert totals["triangle_free"] == 3806  # connected and triangle-free, or complete
     assert totals["expanded"] == 556  # of those, not bipartite: 0, 0, 1, 1, 13, 541
-    assert totals["survivors"] == 196  # d = D decided per class: 0, 0, 1, 1, 13, 181
+    assert totals["survivors"] == 196  # odd girth >= 2D+1: 0, 0, 1, 1, 13, 181
     for counts in serial.funnel.values():
         values = [counts[stage] for stage in scan.FUNNEL_STAGES]
         assert values == sorted(values, reverse=True)
@@ -251,12 +295,12 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
     monkeypatch.setattr(scan, "graph_from_mask", graph)
     summary = scan.scan_enumerated(7)
     assert calls == [3, 4, 5, 5, 6, 7, 7]
-    # the screen builds one Graph per survivor class (1, 1, 2, 2, 5 for
-    # n = 3..7), the verification one per hit class: no other survivor and
-    # none of the other 370 hits has a Graph built
-    assert [n for n, _ in built] == [3, 4, 5, 5, 6, 6, 7, 7, 7, 7, 7] + calls
+    # the screen builds one Graph per expanded class (1, 1, 2, 3, 16 for
+    # n = 3..7), the verification one per hit class: no other expanded mask
+    # and none of the other 370 hits has a Graph built
+    assert [n for n, _ in built] == [3, 4, 5, 5, 6, 6, 6] + [7] * 16 + calls
     for n, mask in built:
-        masks = _survivors(n)[0]
+        masks = _expanded(n)
         assert mask == masks[np.isin(masks, og.mask_orbit(n, mask))].min(), (n, mask)
     assert [row["classes"] for row in summary.to_dict()["funnel"]] == [0, 0, 1, 1, 2, 1, 2]
     assert summary.funnel[5]["hits"] == 13 and summary.funnel[7]["hits"] == 361
@@ -292,7 +336,7 @@ def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
 
 def test_orbit_tables_built_on_first_use():
     # importing the package builds no orbit table, and scan_enumerated(5),
-    # the benchmark's warm-up, builds those of its survivors' n alone: n = 7's is
+    # the benchmark's warm-up, builds those of its expanded masks' n alone: n = 7's is
     # built in the first n <= 7 scan, not at set-up.  In a fresh process,
     # since this one may have built any
     probe = (
@@ -325,7 +369,7 @@ def test_scan_enumerated_rejects_bad_n():
 def test_forked_n7_scan_matches_serial(monkeypatch):
     # the one split that runs in production: with the floor as shipped, n <= 6
     # is screened whole and n = 7 in 16 chunks for two workers, each chunk
-    # deciding the classes of its own survivors.  The affinity is widened so
+    # deciding the classes of its own expanded masks.  The affinity is widened so
     # that two workers run on any machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     serial = scan.scan_enumerated(7, jobs=1)
