@@ -52,7 +52,6 @@ never eigensolved.
 import os
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -249,6 +248,9 @@ def _map(fn, items, jobs):
     chunks of the size Pool.map would choose.
     """
     if jobs > 1 and len(items) > 1:
+        # imported here: it costs about 10 ms at every import of this module
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(jobs) as pool:
             yield from pool.imap(fn, items, chunksize=-(-len(items) // (4 * jobs)))
     else:

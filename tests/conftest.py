@@ -146,6 +146,32 @@ def orbit_oracle(n, mask):
                    for p in permutations(range(n))})
 
 
+@functools.lru_cache(maxsize=None)
+def odd_graph_oracle(k):
+    """Adjacency of O_k by definition, read-only: the (k-1)-subsets of a
+    (2k-1)-set in combinations order, every pair tested for disjointness."""
+    sets = [frozenset(v) for v in combinations(range(2 * k - 1), k - 1)]
+    n = len(sets)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (sets[i] & sets[j]):
+                adj[i, j] = adj[j, i] = 1
+    adj.setflags(write=False)
+    return adj
+
+
+def folded_cube_oracle(m):
+    """Adjacency of the folded m-cube by definition: the edges of the
+    (m-1)-cube, one bit flipped, plus the antipodal matching u ~ u ^ (n-1)."""
+    n = 1 << (m - 1)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in [u ^ (1 << b) for b in range(m - 1)] + [u ^ (n - 1)]:
+            adj[u, v] = adj[v, u] = 1
+    return adj
+
+
 def graph6_oracle_parse(text):
     """parse_graph6 by definition: one bit per step, the pair read off edge_pairs.
 

@@ -8,6 +8,8 @@ import pytest
 import oddgirth as og
 from oddgirth import cli
 
+from conftest import graph6_oracle_encode, odd_graph_oracle
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["input", "n", "spectrum", "d", "odd_girth", "hypotheses",
@@ -254,6 +256,12 @@ def test_generate_round_trip(capsys):
     line = capsys.readouterr().out.strip()
     s = og.spectrum(og.parse_graph6(line))
     assert s.d == 2 and list(s.mults) == [1, 5, 4]  # Kneser graph K(5,2)
+
+
+def test_generate_odd_6_matches_oracle(capsys):
+    assert cli.main(["generate", "odd", "6"]) == 0
+    expected = graph6_oracle_encode(og.Graph(462, odd_graph_oracle(6)))
+    assert capsys.readouterr().out == expected.decode("ascii") + "\n"
 
 
 def test_generate_errors(capsys):

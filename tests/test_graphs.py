@@ -18,9 +18,11 @@ from oddgirth.graphs import (
 from conftest import (
     cut_oracle,
     cut_patterns,
+    folded_cube_oracle,
     graph6_oracle_encode,
     graph6_oracle_parse,
     mask_distance_oracle,
+    odd_graph_oracle,
     orbit_oracle,
 )
 
@@ -99,6 +101,26 @@ def test_graph_invariants_enforced():
         og.Graph(2, np.array([[2, 1], [0, 0]]))
     with pytest.raises(og.GraphError, match="self-loops"):
         og.Graph(2, np.array([[2, 1], [1, 0]]))
+
+
+def test_graph_invariants_enforced_across_strips():
+    # n = 1,100 is validated in strips of rows 0, 512 and 1,024: a flaw in
+    # the last strip, in a block off the diagonal, or beside a strip's edge
+    # is found, and a symmetric pair of bad entries passes symmetry and
+    # fails the range
+    n = 1100
+    cycle = og.generate_family("cycle", [n]).adj
+    for u, v in [(1030, 1090), (100, 700), (1099, 3), (511, 512), (512, 511)]:
+        adj = cycle.copy()
+        adj[u, v] ^= 1  # one side of an edge dropped, or of a non-edge added
+        with pytest.raises(og.GraphError, match="must be symmetric"):
+            og.Graph(n, adj)
+    for bad in (-1, 2):
+        adj = cycle.copy()
+        adj[5, 900] = adj[900, 5] = bad
+        with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
+            og.Graph(n, adj)
+    assert og.Graph(n, cycle).edge_count() == n
 
 
 def test_graph_equality_and_degrees():
@@ -363,6 +385,19 @@ def test_odd_3_is_petersen(petersen):
 
 def test_odd_2_is_triangle():
     assert og.generate_family("odd", [2]) == og.generate_family("complete", [3])
+
+
+def test_families_match_oracles():
+    # the generators list each vertex's neighbours directly; the oracles
+    # test every pair, and the vertex order is the same
+    for k in range(2, 8):
+        g = og.generate_family("odd", [k])
+        assert np.array_equal(g.adj, odd_graph_oracle(k)), k
+        n = math.comb(2 * k - 1, k - 1)
+        assert g.n == n and (g.degrees() == k).all() and g.edge_count() == n * k // 2, k
+    for m in range(2, 12):
+        g = og.generate_family("folded_cube", [m])
+        assert np.array_equal(g.adj, folded_cube_oracle(m)), m
 
 
 def test_folded_cube_5():

@@ -255,6 +255,18 @@ def test_scan_funnel_totals(monkeypatch):
     assert forked.funnel == serial.funnel
 
 
+def test_screen_survivors_match_oracle():
+    # the survivors stage against the oracle's count of expanded masks with
+    # odd girth >= 2D+1, for every n <= 7
+    counts = []
+    for n in range(1, 8):
+        funnel = dict.fromkeys(scan.FUNNEL_STAGES, 0)
+        scan.screen_range(n, 0, 1 << (n * (n - 1) // 2), funnel)
+        assert funnel["survivors"] == len(_survivors(n)[0]), n
+        counts.append(funnel["survivors"])
+    assert counts == [0, 0, 1, 1, 13, 181, 2041]
+
+
 def test_scan_enumerated_five():
     summary = scan.scan_enumerated(5)
     assert summary.masks_total == 1 + 2 + 8 + 64 + 1024
@@ -334,6 +346,14 @@ def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
     assert "disagreement on n=7 mask=%d: screen (d=4, og=7)" % bad[0] in str(excinfo.value)
 
 
+def _fresh_python(probe):
+    """The stripped standard output of probe run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(og.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.strip()
+
+
 def test_orbit_tables_built_on_first_use():
     # importing the package builds no orbit table, and scan_enumerated(5),
     # the benchmark's warm-up, builds those of its expanded masks' n alone: n = 7's is
@@ -352,11 +372,14 @@ def test_orbit_tables_built_on_first_use():
         "        cached.append(n)\n"
         "print(cached)\n"
     )
-    src = os.path.dirname(os.path.dirname(og.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[3, 4, 5]"
+    assert _fresh_python(probe) == "[3, 4, 5]"
+
+
+def test_package_import_leaves_multiprocessing_out():
+    # the pool's module is imported only when a pool starts, so a fresh
+    # import of the package and its scan module does not load it
+    probe = "import sys, oddgirth, oddgirth.scan\nprint('multiprocessing' in sys.modules)\n"
+    assert _fresh_python(probe) == "False"
 
 
 def test_scan_enumerated_rejects_bad_n():
