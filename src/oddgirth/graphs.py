@@ -1,5 +1,10 @@
 """Graphs as dense 0/1 adjacency matrices: parsing, families, distances, enumeration.
 
+A Graph holds its adjacency as uint8, one byte an entry, validated in the
+input's dtype before it is narrowed; a caller that does arithmetic on it
+casts it first.  The generators, the codecs and the bitmask builders write
+uint8 directly.
+
 graph6 numbers the pairs (u, v), u < v, column by column, (u, v) at
 v(v-1)/2 + u (edge_pairs; edge bitmasks use the same order).  That is the
 row-major order of the strict lower triangle np.tri(n, k=-1), so one boolean
@@ -10,8 +15,11 @@ with no step per bit.
 The distance layer of a lone graph is one breadth-first search, _expand,
 run level by level from every vertex at once (distance_data).  Each level is
 one product with the adjacency matrix A whose entries are counts of at most
-the largest degree; distance_data keeps them as the level counts the
-intersection numbers are read from.  A has only k nonzeros per row, so on a
+the largest degree, and distance_data reduces them at once to the
+intersection numbers of the levels they belong to (the count at a first
+pair and the first pair that differs), so no count matrix outlives its next
+level: the expansion works in a fixed set of n x n buffers.  A has only k
+nonzeros per row, so on a
 large sparse graph (neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices
 and more than NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is
 a sum of k row gathers (neighbour_sum), O(k n^2): in uint8 for the
@@ -55,7 +63,7 @@ verifies one hit per orbit.  The eigenvalue machinery lives in the sibling modul
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, count, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -78,20 +86,23 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with symmetric 0/1 adjacency.
 
-    The adjacency is validated in strips of 512 rows: strip i's rows from
+    adj is stored as uint8, one byte an entry: a caller that does arithmetic
+    on it casts it first, since a uint8 product or sum wraps at 256.  The
+    input is validated in its own dtype, and only then narrowed, so an entry
+    such as -1, 2, 256 or 0.5 is rejected, never wrapped or truncated into
+    a 0/1 one.  The checks run in the order n, shape, symmetry, diagonal,
+    entries.  Symmetry is checked in strips of 512 rows: strip i's rows from
     column i on are compared with the transpose of the same columns, so the
     upper triangle is checked against the lower without an n x n temporary
-    (on O_8, n = 6,435, 0.17 s against 0.35 s for the whole-matrix
-    adj == adj.T, one core of a 2-core Xeon VM).  The 0/1 test reads the
-    entries as unsigned, so a negative one is a large value and one
-    comparison makes only a boolean temporary.
+    (a uint8 O_8, n = 6,435, is validated in 0.12 s, where the whole-matrix
+    adj == adj.T alone takes 0.21 s, one core of a 2-core Xeon VM).
     """
 
     n: int
     adj: np.ndarray
 
     def __post_init__(self):
-        adj = self.adj = np.asarray(self.adj, dtype=np.int64)
+        adj = np.asarray(self.adj)
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
         if adj.shape != (self.n, self.n):
@@ -102,8 +113,16 @@ class Graph:
                 raise GraphError("adjacency must be symmetric")
         if adj.diagonal().any():
             raise GraphError("self-loops are not allowed")
-        if (adj.view(np.uint64) > 1).any():  # a negative entry wraps to a large one
+        if not _is_01(adj):
             raise GraphError("adjacency entries must be 0 or 1")
+        self.adj = adj.astype(np.uint8, copy=False)
+
+    @classmethod
+    def _trusted(cls, n, adj):
+        """The Graph of an (n, n) uint8 adjacency that is valid by construction, unchecked."""
+        g = object.__new__(cls)
+        g.n, g.adj = n, adj
+        return g
 
     def __eq__(self, other):
         return (
@@ -113,19 +132,35 @@ class Graph:
         )
 
     def degrees(self):
-        return self.adj.sum(axis=1)
+        return self.adj.sum(axis=1, dtype=np.int64)
 
     def is_regular(self):
         deg = self.degrees()
         return bool((deg == deg[0]).all())
 
     def edge_count(self):
-        return int(self.adj.sum()) // 2
+        return int(self.adj.sum(dtype=np.int64)) // 2
+
+
+def _is_01(adj):
+    """Whether every entry of adj is 0 or 1, read in adj's own dtype.
+
+    An integer entry is read as unsigned of its width, so a negative one is
+    a large value and one comparison makes only a boolean temporary.  A
+    bool entry is always 0 or 1; any other, a float's included, is compared
+    with 0 and with 1.
+    """
+    kind = adj.dtype.kind
+    if kind == "b":
+        return True
+    if kind in "iu":
+        return not (adj.view("u%d" % adj.itemsize) > 1).any()
+    return not ((adj != 0) & (adj != 1)).any()
 
 
 def graph_from_edges(n, edges):
     """Build a Graph from an iterable of (u, v) pairs."""
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=np.uint8)
     for u, v in edges:
         adj[u, v] = adj[v, u] = 1
     return Graph(n, adj)
@@ -201,11 +236,27 @@ def parse_graph6(text):
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()  # each byte's low 6 bits
     if bits[nbits:].any():  # fewer than 6 padding bits, all in the last byte
         raise GraphError("graph6: nonzero padding bit in byte at offset %d" % (pos + nbytes - 1))
-    lower = np.tri(n, k=-1, dtype=bool)
-    adj = np.zeros((n, n), dtype=np.int64)
+    lower = _strict_lower(n)
+    adj = np.zeros((n, n), dtype=np.uint8)
     # adj.T[lower] is the upper triangle in the same pair order: no n x n temporary
     adj[lower] = adj.T[lower] = bits[:nbits]
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)  # symmetric, 0/1 and loop-free as written
+
+
+def _strict_lower(n):
+    """np.tri(n, k=-1) as a bool mask, up to n = 256 a read-only view of one cached mask.
+
+    The top-left n x n block of np.tri(256, k=-1) is np.tri(n, k=-1), so
+    the codecs of every n <= 256 share one 64 kB mask, built on first use.
+    """
+    return _lower_256()[:n, :n] if n <= 256 else np.tri(n, k=-1, dtype=bool)
+
+
+@functools.cache
+def _lower_256():
+    lower = np.tri(256, k=-1, dtype=bool)
+    lower.setflags(write=False)
+    return lower
 
 
 def graph6_lines(raw):
@@ -240,7 +291,7 @@ def encode_graph6(g):
     nbits = n * (n - 1) // 2
     nbytes = -(-nbits // 6)
     bits = np.zeros(6 * nbytes, dtype=np.uint8)
-    bits[:nbits] = g.adj[np.tri(n, k=-1, dtype=bool)]
+    bits[:nbits] = g.adj[_strict_lower(n)]
     return head + (bits.reshape(nbytes, 6) @ _G6_WEIGHTS + np.uint8(63)).tobytes()
 
 
@@ -289,7 +340,7 @@ def parse_edge_list(text):
 def _complete(n):
     if n < 1:
         raise GraphError("complete: n must be >= 1")
-    return Graph(n, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+    return Graph(n, np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
 
 
 def _cycle(n):
@@ -327,7 +378,7 @@ def _odd(k):
     index = np.zeros(1 << points, dtype=np.int64)
     index[masks] = np.arange(n)
     comp = masks ^ ((1 << points) - 1)
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=np.uint8)
     for b in range(points):
         rows = np.flatnonzero(comp >> b & 1)
         adj[rows, index[comp[rows] ^ (1 << b)]] = 1
@@ -342,7 +393,7 @@ def _folded_cube(m):
     n = 1 << (m - 1)
     u = np.arange(n)
     flips = np.array([1 << b for b in range(m - 1)] + [n - 1])
-    adj = np.zeros((n, n), dtype=np.int64)
+    adj = np.zeros((n, n), dtype=np.uint8)
     adj[u[:, None], u[:, None] ^ flips] = 1
     return Graph(n, adj)
 
@@ -430,15 +481,18 @@ def neighbour_rows(adj):
     return table
 
 
-def neighbour_sum(table, X, dtype):
+def neighbour_sum(table, X, dtype, out=None):
     """A X in dtype, for the adjacency A whose neighbour_table is table.
 
     X has n + 1 rows, row n zero, and so has the result: row u is the sum of
     the rows of X at u's neighbours, k gathers for a table of width k.  The
     rows are summed a block of about NEIGHBOUR_SUM_BLOCK bytes at a time.
+    The result is written to out when it is given, an array of X's shape in
+    dtype that is not X.
     """
     n = len(table)
-    out = np.empty(X.shape, dtype=dtype)
+    if out is None:
+        out = np.empty(X.shape, dtype=dtype)
     out[n] = 0
     body = out[:n]
     rows = max(1, NEIGHBOUR_SUM_BLOCK // out[0].nbytes)
@@ -454,123 +508,193 @@ def neighbour_sum(table, X, dtype):
 # ---------------------------------------------------------------------------
 # distances and odd girth
 
+class IntersectionCount(NamedTuple):
+    """One intersection number's reduction over the pairs (u, v) at distance i.
+
+    kind is "c", "a" or "b": the count is the number of neighbours of v at
+    distance i - 1, i or i + 1 from u.  reference is the first pair at
+    distance i in row-major order and expected its count; pair is the first
+    pair in row-major order whose count differs, None if none does, and
+    found that pair's count.  All are Python ints.
+    """
+
+    i: int
+    kind: str
+    reference: tuple
+    expected: int
+    pair: tuple = None
+    found: int = None
+
+
 @dataclass
 class DistanceData:
     """All-pairs hop distances; UNREACHABLE marks pairs with no path.
 
     dist is in the smallest signed type that holds -n, int8 up to 128
     vertices and int16 beyond: a distance is less than n, and UNREACHABLE is
-    -1.  distance_data adds k F_k to zeros for each BFS level k; the levels
-    are disjoint, so no entry or addend exceeds the diameter, at most n - 1
+    -1.  distance_data writes k over the zeros at each BFS level k; the
+    levels are disjoint, so no entry exceeds the diameter, at most n - 1
     (127 on P_128, the largest int8 case), and UNREACHABLE is written only
     on a disconnected graph.  Its readers only compare it.
 
     odd_girth is the length of a shortest odd cycle, math.inf if there is none.
-    level_counts[k] is the n x n matrix M_k = A_k A of the expansion's level
-    k, k = 0..diameter: M_k[u, v] = |Gamma(v) cap Gamma_k(u)|, the number of
-    neighbours of v at distance k from u.  A count is at most the largest
-    degree, so it is exact in either dtype: float32 from a dense product, or,
-    on a graph that takes the neighbour sums (neighbour_table), the smallest
-    unsigned integer type that holds the largest degree (uint8 below degree
-    256), a quarter of the memory.  Either way M_k is stored in the same
-    orientation, so the intersection numbers and witnesses read off it do not
-    depend on the path.  neighbour_table is the graph's neighbour_table (None
-    when a dense product is the cheaper), built once for every product with A
-    that follows the expansion.
+    intersection_counts are the IntersectionCount reductions the expansion
+    made, in the order i = 0, 1, ..., and kinds c, a, b within a level (no
+    c_0 and no b at the diameter, where b_D = 0 holds trivially), up to and
+    including the first whose pair is not None: the definitional check of
+    distance-regularity (verify.intersection_array) reads them, and no
+    count matrix is kept.  neighbour_table is the graph's neighbour_table
+    (None when a dense product is the cheaper), built once for every
+    product with A that follows the expansion.
     """
 
     dist: np.ndarray
     diameter: int
     connected: bool
     odd_girth: object
-    level_counts: list
+    intersection_counts: list
     neighbour_table: np.ndarray = None
 
 
 def _expand(A, table=None):
     """Level-synchronous BFS from every vertex of one graph, its (n, n) adjacency matrix A.
 
-    Yields (frontier, reach, counts) for levels k = 0, 1, ...: frontier[u]
-    marks the vertices at distance k from u, counts = F_k A, so counts[u, v]
-    is the number of neighbours of v at distance k from u, and reach =
-    counts > 0 marks the neighbours of the level.
+    Yields (frontier, sums, beyond, scratch) for levels k = 0, 1, ...:
+    frontier = F_k, whose row u marks the vertices at distance k from u;
+    sums = A F_k, whose entry (v, u) is the number of neighbours of v at
+    distance k from u; beyond, the pairs at distance k or more, unreachable
+    ones included; and scratch, a bool buffer the caller may write.  F_k is
+    symmetric, so A F_k is the transpose of the level counts F_k A, and
+    every reader of sums reads it in this orientation: the next level,
+    F_{k+1} = (A F_k > 0) & (beyond minus F_k), is symmetric too.  The
+    expansion ends after the last non-empty level, with beyond holding the
+    pairs no level reached.
 
-    Level 0 is the identity, so its counts are A itself, with no product.  Each
-    later level is one float32 product whose entries count paths of at most
-    n < 2^24, so they are exact and the > 0 test is too.  The expansion ends
-    after the last non-empty level.
-
-    A graph passed with its neighbour_table takes no dense product.  F_k is
-    symmetric, so F_k A = (A F_k)^T, and A F_k is a neighbour_sum of the rows
-    of F_k, held with the table's zero row below them.  The counts are a
-    contiguous copy of that sum's transpose, in the smallest unsigned dtype
-    that holds the largest degree: the ops on them and on reach then read
-    one layout, where a transposed view mixed with row-major operands made
-    each several times slower.
+    Level 0 is the identity, so its sums are A itself, with no product.  A
+    graph passed with its neighbour_table takes each later product as a
+    neighbour_sum of the rows of F_k, held with the table's zero row below
+    them, in the smallest unsigned dtype that holds the largest degree;
+    any other graph as one float32 product, whose entries count paths of at
+    most n < 2^24, so they are exact.  Every level writes into a fixed set
+    of n x n buffers, two frontiers and two sums in turn, so a level's
+    arrays stay valid until the level after next is yielded.  The bool
+    buffers, and the sums when they are bytes, are one allocation.
     """
     n = len(A)
-    frontier = np.eye(n, dtype=bool)
-    seen = frontier.copy()
+    rows = n if table is None else n + 1  # row n is the table's zero row
+    dtype = np.float32 if table is None else np.min_scalar_type(table.shape[1])
+    byte_sums = dtype == np.uint8
+    work = np.zeros((6 if byte_sums else 4, rows, n), dtype=bool)
+    frontiers, beyond, scratch = work[:2], work[2, :n], work[3, :n]
+    frontier = frontiers[0, :n]
+    np.fill_diagonal(frontier, True)
+    beyond[...] = True
     if table is None:
-        A = counts = np.asarray(A, dtype=np.float32)
+        A = sums = np.asarray(A, dtype=np.float32)
+        operand = np.empty((n, n), dtype=np.float32)
+        spare = [None, None]  # the sums of the odd and the even levels past 0
     else:
-        counts = np.asarray(A, dtype=np.min_scalar_type(table.shape[1]))
-    while True:
-        reach = counts > 0
-        yield frontier, reach, counts
-        if table is None:
-            frontier = reach > seen  # reach & ~seen
-        else:
-            padded = np.zeros((n + 1, n), dtype=bool)  # row n is the table's zero row
-            frontier = np.greater(reach, seen, out=padded[:n])
+        sums = np.asarray(A, dtype=dtype)
+        spare = list(work[4:].view(np.uint8)) if byte_sums else [None, None]
+    for k in count():
+        yield frontier, sums[:n], beyond, scratch
+        beyond ^= frontier  # F_k lies in beyond: the pairs farther than k are left
+        nxt = frontiers[(k + 1) % 2]
+        frontier = np.greater(sums[:n], 0, out=nxt[:n])
+        frontier &= beyond
         if not frontier.any():
             return
-        seen |= reach
-        if table is not None:
-            sums = neighbour_sum(table, padded.view(np.uint8), counts.dtype)
-            counts = np.ascontiguousarray(sums[:n].T)
-            continue
-        counts = frontier.astype(np.float32) @ A
+        if table is None:
+            np.copyto(operand, frontier)
+            sums = np.matmul(A, operand, out=spare[k % 2])
+        else:
+            sums = neighbour_sum(table, nxt.view(np.uint8), dtype, out=spare[k % 2])
+        spare[k % 2] = sums
+
+
+def _intersection_count(i, kind, frontier, sums, reference, scratch):
+    """The IntersectionCount of kind at level i: frontier is F_i, sums A F_j of the level j kind reads.
+
+    The count at (u, v) is entry (v, u) of sums, so the pairs whose count
+    differs from the reference's are the transpose of the bool matrix
+    F_i & (sums != expected), which F_i's symmetry lets be built in sums'
+    own orientation, in scratch; its first pair in row-major order is its
+    transpose's first in column-major order.
+    """
+    u, v = reference
+    expected = sums[v, u]
+    bad = np.not_equal(sums, expected, out=scratch)
+    bad &= frontier
+    if not bad.any():
+        return IntersectionCount(i, kind, reference, int(expected))
+    u = int(bad.any(axis=0).argmax())
+    v = int(bad[:, u].argmax())
+    return IntersectionCount(i, kind, reference, int(expected), (u, v), int(sums[v, u]))
 
 
 def distance_data(g):
-    """Exact distances, diameter, connectivity, odd girth and level counts from one expansion.
+    """Exact distances, diameter, connectivity, odd girth and intersection numbers from one expansion.
 
-    All n sources expand together (with the graph's neighbour_table, kept
-    in the result), and each level's product F_k A is kept as
-    level_counts[k].  The BFS levels F_k are disjoint bool matrices, so
-    dist = sum_k k F_k: each level is one add of k F_k, in dist's
-    own dtype, to a matrix of zeros.  A pair that no level reaches keeps
-    its 0; off the diagonal it is unreachable, so the graph is connected
-    iff dist has n^2 - n nonzeros, and only a disconnected graph has
-    UNREACHABLE written over those zeros.  An edge inside level k of some source
-    (reach & frontier) closes an odd walk of length 2k+1, so it holds an
-    odd cycle of at most that length; conversely a shortest odd cycle of
-    length 2k+1 is isometric, so from any of its vertices the edge opposite
-    lies inside level k.  The odd girth is therefore 2k+1 for the first such
-    level, for disconnected graphs too.
+    All n sources expand together (_expand, with the graph's neighbour_table,
+    kept in the result).  A pair at distance d lies beyond levels 1..d, so
+    adding the pairs beyond each level k >= 1 to zeros gives dist, one add
+    of a bool matrix a level; a pair no level reaches would get the
+    diameter, and has UNREACHABLE written over it, on a disconnected graph
+    only.
+
+    An edge inside level k of some source (a neighbour of v at distance k
+    from u, with v itself at distance k: a count of kind a that is not 0)
+    closes an odd walk of length 2k+1, so it holds an odd cycle of at most
+    that length; conversely a shortest odd cycle of length 2k+1 is
+    isometric, so from any of its vertices the edge opposite lies inside
+    level k.  The odd girth is therefore 2k+1 for the first such level, for
+    disconnected graphs too.
+
+    At level k the expansion holds F_{k-1}, F_k and the sums of both, so
+    b_{k-1}, c_k and a_k are reduced there, in that order, which is the
+    witness order, into the scratch buffer (_intersection_count).  The
+    reductions stop at the first count that differs; a level's a_k, while
+    it is reduced, also tells whether an edge lies inside the level.
     """
     n = g.n
     dist = np.zeros((n, n), dtype=np.min_scalar_type(-n))  # a distance is < n
     girth = math.inf
-    levels = []
+    counts = []
     table = neighbour_table(g.adj)
-    for k, (frontier, reach, counts) in enumerate(_expand(g.adj, table)):
-        dist += np.multiply(frontier, k, dtype=dist.dtype)
-        levels.append(counts)
-        if girth == math.inf and (reach & frontier).any():
-            girth = 2 * k + 1
-    connected = np.count_nonzero(dist) == n * n - n
+    previous = None  # the last level's frontier, sums and reference pair
+    for k, (frontier, sums, beyond, scratch) in enumerate(_expand(g.adj, table)):
+        if k:
+            dist += beyond
+        reference = divmod(int(frontier.argmax()), n)  # the first pair at distance k
+        todo = [(k, "a", frontier, sums, reference)]
+        if previous is not None:
+            below, below_sums, below_reference = previous
+            todo[:0] = [(k - 1, "b", below, sums, below_reference),
+                        (k, "c", frontier, below_sums, reference)]
+        inner = None  # whether an edge lies inside level k, read off a_k
+        for level in todo:
+            if counts and counts[-1].pair is not None:
+                break
+            counts.append(_intersection_count(*level, scratch))
+            if level[1] == "a":
+                inner = counts[-1].expected != 0 or counts[-1].pair is not None
+        if girth == math.inf:
+            if inner is None:
+                inner = np.greater(sums, 0, out=scratch)
+                inner &= frontier
+                inner = bool(inner.any())
+            if inner:
+                girth = 2 * k + 1
+        previous = frontier, sums, reference
+    connected = not beyond.any()  # the pairs no level reached
     if not connected:
-        unreached = dist == 0
-        np.fill_diagonal(unreached, False)
-        dist[unreached] = UNREACHABLE
+        dist[beyond] = UNREACHABLE
     return DistanceData(
         dist=dist,
         diameter=k,
         connected=connected,
         odd_girth=girth,
-        level_counts=levels,
+        intersection_counts=counts,
         neighbour_table=table,
     )
 
@@ -595,7 +719,7 @@ def quick_reject(g):
     non-zero, float32 counts of at most n - 1 < 2^24, so exact.  Every test
     is exact; False does not mean g meets the hypothesis.
     """
-    A = g.adj.astype(bool)
+    A = g.adj.view(bool)  # 0/1 bytes: no copy
     frontier = np.zeros(g.n, dtype=bool)
     frontier[0] = True
     seen = frontier.copy()

@@ -227,7 +227,8 @@ def closed_walks(adj, table, length):
     table is None: O(k n^2) integer additions a power, but no graph is out
     of range.  The row dots run in float64 while k^(2 length) < 2^53 and in
     Python integers beyond; the vectors are int64, or object arrays of
-    Python integers in the second case.
+    Python integers in the second case.  The powers take turns in two
+    buffers, each power written over the one before the last.
     """
     n = len(adj)
     # a neighbour table is as wide as the largest degree
@@ -246,15 +247,21 @@ def closed_walks(adj, table, length):
         power = object
         if table is None:
             table = graphs.neighbour_rows(adj)
+    A = None  # the dense operand; with a table the neighbour sums take the products
     if table is None:
         A = cur = np.asarray(adj, dtype=np.float64)
     else:  # row n is the zero row the table's padding reads
         cur = np.zeros((n + 1, n), dtype=power)
         cur[:n] = adj
     walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dots(cur[:n], cur[:n])]
+    spare = None  # the power before cur, which the next is written over; never A
     for _ in range(length - 1):
-        nxt = A @ cur if table is None else graphs.neighbour_sum(table, cur, power)
+        if table is None:
+            nxt = np.matmul(A, cur, out=spare)
+        else:
+            nxt = graphs.neighbour_sum(table, cur, power, out=spare)
         walks += [dots(cur[:n], nxt[:n]), dots(nxt[:n], nxt[:n])]
+        spare = None if cur is A else cur
         cur = nxt
     return walks
 

@@ -34,6 +34,8 @@ times: the 377 hits on n <= 7 vertices are 7 graphs, K_3..K_7, C_5 (12
 labelings) and C_7 (360).  Every quantity the pipeline certifies is
 invariant under relabeling, so a hit is verified only if its mask is in the
 orbit of no earlier hit; otherwise it shares that representative's report.
+That report is built from the check_hypothesis record the screen decided
+the representative's class with, so no class is decided twice.
 The orbits partition the masks into the isomorphism classes, the
 labeled/unlabeled relation of McKay ("Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998).
@@ -178,23 +180,25 @@ def _classes(n, masks):
         yield first, members
 
 
-def screen_range(n, start, stop, funnel=None):
+def screen_range(n, start, stop, funnel=None, hypotheses=None):
     """Screen masks [start, stop) on n vertices; no eigenvalue is solved for.
 
     Returns (examined, hits): examined counts connected graphs, hits is the
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
     by FUNNEL_STAGES, the range's counts of the screen's stages, all but
-    classes, are added to it.  The range's flags come one block of
-    mask_blocks at a time, and the range may start or end inside a block.
-    The masks kept, connected, triangle-free or complete, and not bipartite,
-    are the expanded ones; every stage after that reads isomorphism
-    invariants alone, so it runs once per class of the expanded masks
-    (_classes): check_hypothesis on the class's first mask is the verdict
-    of every mask in its orbit.  Its prefilter, odd girth >= 2D+1 for
-    diameter D, makes the class's masks survivors; a survivor has odd girth
-    exactly 2D+1, since a shortest odd cycle is isometric, and d >= D, so
-    it is a hit iff d = D.
+    classes, are added to it.  If hypotheses is given, a dict, the
+    check_hypothesis record of each class of hits is stored in it under the
+    class's first mask, so that its report needs no second decision.  The
+    range's flags come one block of mask_blocks at a time, and the range may
+    start or end inside a block.  The masks kept, connected, triangle-free
+    or complete, and not bipartite, are the expanded ones; every stage after
+    that reads isomorphism invariants alone, so it runs once per class of
+    the expanded masks (_classes): check_hypothesis on the class's first
+    mask is the verdict of every mask in its orbit.  Its prefilter, odd
+    girth >= 2D+1 for diameter D, makes the class's masks survivors; a
+    survivor has odd girth exactly 2D+1, since a shortest odd cycle is
+    isometric, and d >= D, so it is a hit iff d = D.
     """
     examined = triangle_free = survivors = 0
     kept = []
@@ -216,6 +220,8 @@ def screen_range(n, start, stop, funnel=None):
             survivors += len(members)
         if h.met:
             hits.extend((mask, h.dd.diameter, h.dd.odd_girth) for mask in masks[members].tolist())
+            if hypotheses is not None:
+                hypotheses[first] = h
     hits.sort()
     if funnel is not None:
         counts = (stop - start, examined, triangle_free, len(masks), survivors, len(hits))
@@ -227,8 +233,9 @@ def screen_range(n, start, stop, funnel=None):
 def _screen_chunk(args):
     n, lo, hi = args
     funnel = dict.fromkeys(FUNNEL_STAGES, 0)
-    _, hits = screen_range(n, lo, hi, funnel)
-    return funnel, hits
+    hypotheses = {}
+    _, hits = screen_range(n, lo, hi, funnel, hypotheses)
+    return funnel, hits, hypotheses
 
 
 def _cap_jobs(jobs):
@@ -264,7 +271,10 @@ def scan_enumerated(n_max, jobs=1):
     full pipeline once per isomorphism class of each n's hits (_classes):
     the first hit of each orbit is verified, counted in its funnel row's
     classes stage, and every hit in the orbit shares its report, with its
-    own graph6 as the input label.  Each label is read off the mask's bits
+    own graph6 as the input label.  That first hit is also the first mask
+    of its class in the screen's range, so its report is built from the
+    check_hypothesis record the screen kept (screen_range's hypotheses),
+    and no hit class is decided twice.  Each label is read off the mask's bits
     (mask_graph6); only a class representative has a Graph built, here and
     in the screen, which decides each expanded class on its first mask.
     Every quantity the report certifies is invariant under relabeling; a
@@ -280,22 +290,25 @@ def scan_enumerated(n_max, jobs=1):
 
     funnel = {}
     screened = {}  # n -> [(mask, d, og)], ordered by mask, as _classes needs
+    decided = {}  # n -> {first mask of a hit class in a range: its check_hypothesis record}
     for n in range(1, n_max + 1):
         total = 1 << (n * (n - 1) // 2)
         pieces = jobs * 8 if jobs > 1 and total >= _PARALLEL_FLOOR else 1
         counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
         found = screened[n] = []
+        records = decided[n] = {}
         work = [(n, lo, hi) for lo, hi in _chunks(total, pieces)]
-        for part, hits in _map(_screen_chunk, work, jobs):
+        for part, hits, hypotheses in _map(_screen_chunk, work, jobs):
             for stage in FUNNEL_STAGES:
                 counts[stage] += part[stage]
             found.extend(hits)
+            records.update(hypotheses)
 
     hits = []
     for n, found in screened.items():
         reports = [None] * len(found)
         for first, members in _classes(n, np.array([m for m, _, _ in found], dtype=np.int64)):
-            report = verify_theorem(graph_from_mask(n, first))
+            report = verify_theorem(graph_from_mask(n, first), hypothesis=decided[n][first])
             funnel[n]["classes"] += 1
             for i in members:
                 reports[i] = report

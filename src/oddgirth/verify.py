@@ -155,54 +155,32 @@ def intersection_array(g, dd=None):
 
     For every ordered pair (u, v) at distance i the counts |Gamma(v) cap
     Gamma_{i-1}(u)|, |Gamma(v) cap Gamma_i(u)|, |Gamma(v) cap Gamma_{i+1}(u)|
-    must depend on i alone.  They are the entries (u, v) of the level counts
-    M_{i-1}, M_i, M_{i+1} (M_j = A_j A) that the distance expansion already
-    computed, so no matrix product runs here.  The witness is the first
-    violating pair in row-major order, kinds tested in the order c, a, b.
+    must depend on i alone.  The distance expansion already reduced each
+    of them over the pairs at distance i, to the count at the first pair
+    and the first pair whose count differs (DistanceData.intersection_counts),
+    so nothing n x n runs here.  The witness is the first violating pair in
+    row-major order, levels in increasing order and kinds tested in the
+    order c, a, b.
     """
     if dd is None:
         dd = distance_data(g)
     if not dd.connected:
         raise GraphError("intersection array requires a connected graph")
-    dist, M, D = dd.dist, dd.level_counts, dd.diameter
-    n = g.n
-
-    b = np.zeros(D + 1, dtype=np.int64)
-    c = np.zeros(D + 1, dtype=np.int64)
-    a = np.zeros(D + 1, dtype=np.int64)
-    for i in range(D + 1):
-        # there is no level -1, and none at D+1, where b_D = 0 holds trivially
-        below = M[i - 1] if i else None
-        above = M[i + 1] if i < D else None
-        at_i = dist == i
-        ref = divmod(int(at_i.argmax()), n)  # the first pair at distance i
-        for kind, counts in (("c", below), ("a", M[i]), ("b", above)):
-            if counts is None:
-                continue
-            expected = int(counts[ref])
-            bad = at_i & (counts != expected)
-            if bad.any():
-                pair = divmod(int(bad.argmax()), n)
-                return NotDistanceRegular(
-                    i=i,
-                    kind=kind,
-                    pair=pair,
-                    found=int(counts[pair]),
-                    expected=expected,
-                    reference=ref,
-                )
-            if kind == "c":
-                c[i] = expected
-            elif kind == "a":
-                a[i] = expected
-            elif i < D:
-                b[i] = expected
-    return IntersectionArray(
-        b=[int(x) for x in b[:D]],
-        c=[int(x) for x in c[1:]],
-        a=[int(x) for x in a],
-        D=D,
-    )
+    D = dd.diameter
+    numbers = {kind: [0] * (D + 1) for kind in "cab"}
+    for count in dd.intersection_counts:
+        if count.pair is not None:
+            return NotDistanceRegular(
+                i=count.i,
+                kind=count.kind,
+                pair=count.pair,
+                found=count.found,
+                expected=count.expected,
+                reference=count.reference,
+            )
+        numbers[count.kind][count.i] = count.expected
+    # there is no c_0, and b_D = 0 holds trivially
+    return IntersectionArray(b=numbers["b"][:D], c=numbers["c"][1:], a=numbers["a"], D=D)
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +642,15 @@ def theorem_report(g, hypothesis, tolerances=None, input_label=None):
     )
 
 
-def verify_theorem(g, tolerances=None, input_label=None):
+def verify_theorem(g, tolerances=None, input_label=None, hypothesis=None):
     """Run the whole pipeline on one graph and assemble the report.
 
     Hypotheses: connected, d+1 distinct eigenvalues, finite odd girth >= 2d+1.
     check_hypothesis decides them exactly, and theorem_report builds the
-    report from its record; see both.
+    report from its record; see both.  A caller that already holds g's
+    check_hypothesis record passes it as hypothesis, and it is not decided
+    again.
     """
-    return theorem_report(g, check_hypothesis(g), tolerances, input_label)
+    if hypothesis is None:
+        hypothesis = check_hypothesis(g)
+    return theorem_report(g, hypothesis, tolerances, input_label)

@@ -183,9 +183,9 @@ def test_walk_powers_past_the_float64_range(monkeypatch):
     seen = set()
     real = og.graphs.neighbour_sum
 
-    def recording(table, X, dtype):
+    def recording(table, X, dtype, out=None):
         seen.add(np.dtype(dtype))
-        return real(table, X, dtype)
+        return real(table, X, dtype, out=out)
 
     monkeypatch.setattr(og.graphs, "neighbour_sum", recording)
     for k, L in ((103, 52), (105, 53)):

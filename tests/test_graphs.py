@@ -116,11 +116,33 @@ def test_graph_invariants_enforced_across_strips():
         with pytest.raises(og.GraphError, match="must be symmetric"):
             og.Graph(n, adj)
     for bad in (-1, 2):
-        adj = cycle.copy()
+        adj = cycle.astype(np.int64)  # the generated uint8 holds no -1
         adj[5, 900] = adj[900, 5] = bad
         with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
             og.Graph(n, adj)
     assert og.Graph(n, cycle).edge_count() == n
+
+
+def test_graph_entries_checked_before_narrowing():
+    # the adjacency is stored as uint8, but checked in the input's own
+    # dtype: -1, 2, 256 and 257 wrap to 255, 2, 0 and 1 in uint8, and 0.5
+    # and 1.7 truncate to 0 and 1, so each must be rejected first, in every
+    # input dtype that holds it; a valid input of any dtype is kept as uint8
+    cycle = og.generate_family("cycle", [6]).adj
+    for dtype in (np.int64, np.float64, bool, np.uint8):
+        assert og.Graph(6, cycle.astype(dtype)).adj.dtype == np.uint8, dtype
+        assert og.Graph(6, cycle.astype(dtype)) == og.Graph(6, cycle), dtype
+        for bad in (-1, 2, 0.5, 1.7, 256, 257):
+            held = np.array([bad]).astype(dtype)
+            if held[0] != bad:
+                continue  # this dtype cannot hold the value
+            adj = cycle.astype(dtype)
+            adj[0, 3] = adj[3, 0] = bad
+            with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
+                og.Graph(6, adj)
+    for bad in (0.5, 1.7, 256):
+        with pytest.raises(og.GraphError, match="entries must be 0 or 1"):
+            og.Graph(2, [[0, bad], [bad, 0]])
 
 
 def test_graph_equality_and_degrees():

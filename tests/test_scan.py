@@ -323,6 +323,33 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
         assert hit.report.input == hit.graph6
 
 
+def test_scan_decides_each_hit_class_once(monkeypatch):
+    # the n <= 7 sweep decides the hypothesis once per class of the
+    # expanded masks (1, 1, 2, 3, 16 for n = 3..7), and its 7 hit classes
+    # are reported from those records: in the parent process, serial or
+    # forked, verify_theorem decides nothing again
+    screened, repeated = [], []
+    real_check = scan.check_hypothesis
+
+    def screen_check(g):
+        screened.append(g.n)
+        return real_check(g)
+
+    def report_check(g):
+        repeated.append(g.n)
+        return real_check(g)
+
+    monkeypatch.setattr(scan, "check_hypothesis", screen_check)
+    monkeypatch.setattr(og.verify, "check_hypothesis", report_check)
+    serial = scan.scan_enumerated(7)
+    assert screened == [3, 4, 5, 5, 6, 6, 6] + [7] * 16
+    assert repeated == []
+    forked = scan.scan_enumerated(7, jobs=2)
+    assert repeated == []
+    assert ([h.report.to_dict() for h in forked.hits]
+            == [h.report.to_dict() for h in serial.hits])
+
+
 def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
     # the last C_7 labeling in mask order is not its class's representative,
     # the first: it shares the representative's report, yet its own screen
@@ -331,8 +358,8 @@ def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
     real_screen = scan.screen_range
     bad = []
 
-    def screen(n, start, stop, funnel=None):
-        examined, hits = real_screen(n, start, stop, funnel)
+    def screen(n, start, stop, funnel=None, hypotheses=None):
+        examined, hits = real_screen(n, start, stop, funnel, hypotheses)
         cycles = [m for m, d, _ in hits if n == 7 and d == 3]
         if cycles:
             assert len(cycles) == 360  # one call screens every n = 7 mask

@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oddgirth as og
 from oddgirth import verify
+from oddgirth.graphs import IntersectionCount
 from oddgirth.verify import (
     Certificate,
     Conclusion,
@@ -56,7 +60,7 @@ def test_distance_matrices_self_check(c5, monkeypatch):
     dd = og.distance_data(c5)
     bad = og.DistanceData(
         dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5,
-        level_counts=dd.level_counts,
+        intersection_counts=dd.intersection_counts,
     )
     with pytest.raises(RuntimeError, match="all-ones"):
         distance_matrices(c5, bad)
@@ -195,8 +199,8 @@ def _circulant():
 
 
 def test_intersection_array_matches_products_on_large_graphs():
-    # the level counts of the distance expansion against the float64 level
-    # products: arrays and witnesses must agree exactly on relabeled O_5, the
+    # the distance expansion's per-level reductions against the float64
+    # level products: arrays and witnesses must agree exactly on relabeled O_5, the
     # folded 9-cube and a 6-regular circulant that is not distance-regular
     cases = [
         (_relabeled(og.generate_family("odd", [5]), 1), og.IntersectionArray),
@@ -209,35 +213,78 @@ def test_intersection_array_matches_products_on_large_graphs():
         assert got == intersection_array_by_products(g), g.n
 
 
+def intersection_counts_by_products(g, dd):
+    """Reference records: each level product (dist == j) @ A in int64, reduced in witness order.
+
+    For i = 0..D and kinds c, a, b (levels j = i - 1, i, i + 1 where they
+    exist) the count at the first pair at distance i and the first pair
+    whose count differs, up to and including the first that differs.
+    """
+    dist, D = dd.dist, dd.diameter
+    A = g.adj.astype(np.int64)
+    products = [(dist == j).astype(np.int64) @ A for j in range(D + 1)]
+    records = []
+    for i in range(D + 1):
+        at_i = dist == i
+        ref = tuple(int(x) for x in np.argwhere(at_i)[0])
+        for kind, j in (("c", i - 1), ("a", i), ("b", i + 1)):
+            if not 0 <= j <= D:
+                continue
+            counts = products[j]
+            expected = int(counts[ref])
+            bad = np.argwhere(at_i & (counts != expected))
+            if len(bad):
+                pair = tuple(int(x) for x in bad[0])
+                return records + [IntersectionCount(i, kind, ref, expected, pair, int(counts[pair]))]
+            records.append(IntersectionCount(i, kind, ref, expected))
+    return records
+
+
 def test_level_counts_are_level_products(petersen, prism):
     # the relabeled folded 9-cube takes the neighbour sums, the others the
-    # dense product
+    # dense product; the prism is not distance-regular (a_1 is 1 on a
+    # triangle edge, 0 on a rung), so its records end at that pair
     folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
     assert og.graphs.neighbour_table(folded.adj) is not None
     for g in (petersen, prism, _relabeled(og.generate_family("odd", [4]), 4), folded):
         dd = og.distance_data(g)
-        assert len(dd.level_counts) == dd.diameter + 1
-        for j, counts in enumerate(dd.level_counts):
-            assert np.array_equal(counts, (dd.dist == j).astype(np.int64) @ g.adj), j
+        want = intersection_counts_by_products(g, dd)
+        assert dd.intersection_counts == want, g.n
+        differs = [r for r in want if r.pair is not None]
+        # every level 0..D is reduced on a distance-regular graph: c_1..c_D,
+        # a_0..a_D and b_0..b_{D-1}
+        assert len(want) == (3 * dd.diameter + 1 if not differs else want.index(differs[0]) + 1)
+        assert (g is prism) == bool(differs), g.n
 
 
 def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_irregular):
     # each graph through both products with A, the floors patched to force
-    # one and then the other: the distance layer, the level counts and the
-    # intersection arrays and witnesses must be identical, p_i(A) equal to
-    # rounding.  Graphs without a predistance system of their own use C_11's:
-    # its recurrence is a polynomial identity, so any A will do
+    # one and then the other: the distance layer, the per-level reductions
+    # (the level product oracle's on each path) and the intersection arrays
+    # and witnesses must be identical, p_i(A) equal to rounding.  Graphs
+    # without a predistance system of their own use C_11's: its recurrence
+    # is a polynomial identity, so any A will do
     assert not (og.distance_data(sparse_irregular).connected or sparse_irregular.is_regular())
     fallback = og.predistance_polynomials(og.spectrum(og.generate_family("cycle", [11])))
     cases = [(g, og.predistance_polynomials(og.spectrum(g))) for _, g in family_suite]
     cases += [(_relabeled(_circulant(), 3), fallback), (sparse_irregular, fallback)]
+    summed = set()  # the dtypes of the expansion's neighbour sums
+    real_sum = og.graphs.neighbour_sum
+
+    def neighbour_sum(table, X, dtype, out=None):
+        summed.add(np.dtype(dtype))
+        return real_sum(table, X, dtype, out=out)
+
+    monkeypatch.setattr(og.graphs, "neighbour_sum", neighbour_sum)
     for g, system in cases:
         results = []
-        for floor, dtype in ((0, np.uint8), (math.inf, np.float32)):
+        for floor, dtypes in ((0, {np.dtype(np.uint8)}), (math.inf, set())):
             monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
             monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
+            summed.clear()
             dd = og.distance_data(g)
-            assert all(counts.dtype == dtype for counts in dd.level_counts), g.n
+            assert summed == (dtypes if dd.diameter else set()), g.n
+            assert dd.intersection_counts == intersection_counts_by_products(g, dd), g.n
             ia = og.intersection_array(g, dd) if dd.connected else None
             assert (dd.neighbour_table is None) == (floor == math.inf), g.n
             results.append(
@@ -246,9 +293,7 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
         assert np.array_equal(sums.dist, dense.dist), g.n
         assert (sums.diameter, sums.connected, sums.odd_girth) == (
             dense.diameter, dense.connected, dense.odd_girth), g.n
-        assert len(sums.level_counts) == len(dense.level_counts), g.n
-        for j, (a, b) in enumerate(zip(sums.level_counts, dense.level_counts)):
-            assert np.array_equal(a, b), (g.n, j)
+        assert sums.intersection_counts == dense.intersection_counts, g.n
         assert sums_ia == dense_ia, g.n
         assert len(sums_values) == len(dense_values) == system.d + 1, g.n
         for i, (a, b) in enumerate(zip(sums_values, dense_values)):
@@ -566,3 +611,22 @@ def test_tolerances_defaults_and_overrides(petersen):
     doc = rep.to_dict()
     assert doc["tolerances"]["certificate"] == 1e-4
     assert doc["tolerances"]["cluster"] > 0
+
+
+def test_verify_odd_7_peak_memory():
+    # O_7, n = 1,716, verified in a fresh process peaks below 95 MB: its
+    # adjacency is a byte an entry and the distance layer keeps no count
+    # matrix per level (122 MB with an int64 adjacency and the level counts
+    # kept).  A process forked from the test runner starts its ru_maxrss at
+    # the runner's size, so the verify runs in the child of a fresh
+    # interpreter, which reads its children's peak; ru_maxrss is in kB on
+    # Linux
+    verify = ("import oddgirth as og; "
+              "assert og.verify_theorem(og.generate_family('odd', [7])).conclusion.distance_regular")
+    probe = ("import resource, subprocess, sys; "
+             "subprocess.run([sys.executable, '-c', %r], check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)" % verify)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(og.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < 95 * 1024
