@@ -55,7 +55,8 @@ def build_parser():
     group = p_sc.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="all labeled connected graphs on <= n vertices")
     group.add_argument("--corpus", help="file of graph6 lines")
-    p_sc.add_argument("--jobs", type=int, default=1)
+    p_sc.add_argument("--jobs", type=int, default=1,
+                      help="worker processes for --corpus lines (the --n sweep runs in one)")
     p_sc.add_argument("--json", action="store_true", help="emit the JSON summary")
     p_sc.set_defaults(func=cmd_scan)
     return parser

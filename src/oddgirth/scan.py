@@ -38,7 +38,8 @@ That report is built from the check_hypothesis record the screen decided
 the representative's class with, so no class is decided twice.
 The orbits partition the masks into the isomorphism classes, the
 labeled/unlabeled relation of McKay ("Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).
+J. Algorithms 26, 1998).  The sweep runs in one process, one screen_range
+call per n, whose classes of hits are the ones verified.
 
 A corpus scan has the same shape on graph6 lines.  A line is first
 pre-screened by one BFS from vertex 0 and, on a non-complete graph, a
@@ -48,7 +49,8 @@ the farthest, or a triangle.  The hypothesis of a line that passes is
 decided exactly (verify.check_hypothesis, one all-sources expansion and, on
 a prefilter graph, its walk counts), and only a line that meets it gets its
 report (verify.theorem_report, from the same record), so a rejected line is
-never eigensolved.
+never eigensolved.  Only a corpus scan shares its lines among worker
+processes (jobs).
 """
 
 import os
@@ -73,8 +75,6 @@ from .verify import check_hypothesis, theorem_report, verify_theorem
 
 # one screen; perfbench/run.py records this constant in its environment line
 BACKEND = "python"
-
-_PARALLEL_FLOOR = 1 << 16  # don't fork for ranges a single pass handles instantly
 
 # per-n scan counts, each a subset of the one before: triangle_free counts
 # the connected masks that are triangle-free or complete, and the expanded
@@ -187,9 +187,10 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
     ordered list of (mask, d, odd_girth) for graphs meeting the theorem
     hypothesis (finite odd girth >= 2d+1).  If funnel is given, a dict keyed
     by FUNNEL_STAGES, the range's counts of the screen's stages, all but
-    classes, are added to it.  If hypotheses is given, a dict, the
-    check_hypothesis record of each class of hits is stored in it under the
-    class's first mask, so that its report needs no second decision.  The
+    classes, are added to it.  If hypotheses is given, a dict, each class of
+    hits is stored in it under the class's first mask as a pair: the
+    check_hypothesis record that decided it and the class's ascending masks,
+    so that its report needs no second decision and no second orbit.  The
     range's flags come one block of mask_blocks at a time, and the range may
     start or end inside a block.  The masks kept, connected, triangle-free
     or complete, and not bipartite, are the expanded ones; every stage after
@@ -219,9 +220,10 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
         if meets_prefilter(h.dd):
             survivors += len(members)
         if h.met:
-            hits.extend((mask, h.dd.diameter, h.dd.odd_girth) for mask in masks[members].tolist())
+            members = masks[members]
+            hits.extend((mask, h.dd.diameter, h.dd.odd_girth) for mask in members.tolist())
             if hypotheses is not None:
-                hypotheses[first] = h
+                hypotheses[first] = h, members
     hits.sort()
     if funnel is not None:
         counts = (stop - start, examined, triangle_free, len(masks), survivors, len(hits))
@@ -230,29 +232,23 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
     return examined, hits
 
 
-def _screen_chunk(args):
-    n, lo, hi = args
-    funnel = dict.fromkeys(FUNNEL_STAGES, 0)
-    hypotheses = {}
-    _, hits = screen_range(n, lo, hi, funnel, hypotheses)
-    return funnel, hits, hypotheses
-
-
 def _cap_jobs(jobs):
-    """Worker count: at least 1, at most the CPUs this process may run on."""
-    return max(1, min(int(jobs), len(os.sched_getaffinity(0))))
-
-
-def _chunks(total, pieces):
-    step = -(-total // pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    """Worker count: at most the CPUs this process may run on; below 1 raises ValueError."""
+    if jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % jobs)
+    return min(int(jobs), len(os.sched_getaffinity(0)))
 
 
 def _map(fn, items, jobs):
     """fn(item) for each item, in order, yielded as each is done.
 
     In a fork pool of jobs workers when there is work to share, handing out
-    chunks of the size Pool.map would choose.
+    chunks of the size Pool.map would choose.  Only corpus lines use it.  On
+    2 CPUs, a file of 4 x O_7 took 0.53-1.23 s with two workers against
+    1.21-1.29 s with one, though 60 lines of n <= 120 took 0.04 s against
+    0.016 s.  The n <= 7 sweep took 0.12-0.19 s in 16 forked chunks, each
+    repeating the class step (226 check_hypothesis calls against 23),
+    against 0.03-0.04 s in one process.
     """
     if jobs > 1 and len(items) > 1:
         # imported here: it costs about 10 ms at every import of this module
@@ -265,56 +261,45 @@ def _map(fn, items, jobs):
 
 
 def scan_enumerated(n_max, jobs=1):
-    """Scan all labeled connected graphs on 1..n_max vertices (n_max <= 7).
+    """Scan all labeled connected graphs on 1..n_max vertices (n_max <= 7), in this process.
 
-    The hypothesis-met graphs found by the screen are re-verified with the
-    full pipeline once per isomorphism class of each n's hits (_classes):
-    the first hit of each orbit is verified, counted in its funnel row's
-    classes stage, and every hit in the orbit shares its report, with its
-    own graph6 as the input label.  That first hit is also the first mask
-    of its class in the screen's range, so its report is built from the
-    check_hypothesis record the screen kept (screen_range's hypotheses),
-    and no hit class is decided twice.  Each label is read off the mask's bits
-    (mask_graph6); only a class representative has a Graph built, here and
-    in the screen, which decides each expanded class on its first mask.
-    Every quantity the report certifies is invariant under relabeling; a
-    vertex named in a witness is the representative's.
-    Each hit's screen (d, odd girth) is compared with its report, and a
-    screen/pipeline disagreement raises, since it would mean the scan's fast
-    path diverged from the thing it is supposed to scan for.
+    Each n is screened by one screen_range call over all its masks, and its
+    hits are re-verified with the full pipeline once per isomorphism class,
+    as the screen hands the classes back (screen_range's hypotheses): the
+    class's first mask is verified from the check_hypothesis record the
+    screen decided it with, so no class is decided twice, and counted in its
+    funnel row's classes stage; every hit in the class shares its report,
+    with its own graph6 as the input label.  Each label is read off the
+    mask's bits (mask_graph6); only a class representative has a Graph
+    built, in the screen and here.  Every quantity the report certifies is
+    invariant under relabeling; a vertex named in a witness is the
+    representative's.  Each hit's screen (d, odd girth) is compared with its
+    report, and a screen/pipeline disagreement raises, since it would mean
+    the scan's fast path diverged from the thing it is supposed to scan
+    for.  jobs must be 1, which the summary reports; --jobs serves corpus
+    scans (_map).
     """
     if not 1 <= n_max <= 7:
         raise GraphError("scan supports 1 <= n <= 7, got %d" % n_max)
-    jobs = _cap_jobs(jobs)
+    if jobs != 1:
+        raise ValueError("the n <= %d sweep runs in one process; --jobs applies to --corpus"
+                         % n_max)
     started = time.perf_counter()
 
     funnel = {}
-    screened = {}  # n -> [(mask, d, og)], ordered by mask, as _classes needs
-    decided = {}  # n -> {first mask of a hit class in a range: its check_hypothesis record}
-    for n in range(1, n_max + 1):
-        total = 1 << (n * (n - 1) // 2)
-        pieces = jobs * 8 if jobs > 1 and total >= _PARALLEL_FLOOR else 1
-        counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
-        found = screened[n] = []
-        records = decided[n] = {}
-        work = [(n, lo, hi) for lo, hi in _chunks(total, pieces)]
-        for part, hits, hypotheses in _map(_screen_chunk, work, jobs):
-            for stage in FUNNEL_STAGES:
-                counts[stage] += part[stage]
-            found.extend(hits)
-            records.update(hypotheses)
-
     hits = []
-    for n, found in screened.items():
-        reports = [None] * len(found)
-        for first, members in _classes(n, np.array([m for m, _, _ in found], dtype=np.int64)):
-            report = verify_theorem(graph_from_mask(n, first), hypothesis=decided[n][first])
-            funnel[n]["classes"] += 1
-            for i in members:
-                reports[i] = report
-        for (mask, d, og), report in zip(found, reports):
+    for n in range(1, n_max + 1):
+        counts = funnel[n] = dict.fromkeys(FUNNEL_STAGES, 0)
+        classes = {}
+        _, found = screen_range(n, 0, 1 << (n * (n - 1) // 2), counts, classes)
+        reports = {}
+        for first, (record, members) in classes.items():
+            report = verify_theorem(graph_from_mask(n, first), hypothesis=record)
+            counts["classes"] += 1
+            reports.update(dict.fromkeys(members.tolist(), report))
+        for mask, d, og in found:
             g6 = mask_graph6(n, mask).decode("ascii")
-            report = replace(report, input=g6)
+            report = replace(reports[mask], input=g6)
             if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
                 raise RuntimeError(
                     "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
@@ -326,7 +311,7 @@ def scan_enumerated(n_max, jobs=1):
 
     return ScanSummary(
         source="n<=%d" % n_max,
-        jobs=jobs,
+        jobs=1,
         masks_total=sum(c["masks"] for c in funnel.values()),
         examined=sum(c["connected"] for c in funnel.values()),
         hits=hits,

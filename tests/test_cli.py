@@ -246,6 +246,23 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_scan_rejects_jobs_below_one(tmp_path, petersen, capsys, jobs):
+    path = _write(tmp_path, "c.g6", og.encode_graph6(petersen).decode() + "\n")
+    assert cli.main(["scan", "--corpus", path, "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --jobs must be at least 1, got %s\n" % jobs
+
+
+def test_scan_sweep_rejects_workers(capsys):
+    # the --n sweep runs in one process; --jobs is for corpus lines
+    for jobs in ("2", "0"):
+        assert cli.main(["scan", "--n", "3", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--corpus" in captured.err, jobs
+
+
 def test_generate_round_trip(capsys):
     assert cli.main(["generate", "cycle", "5"]) == 0
     line = capsys.readouterr().out.strip()

@@ -47,8 +47,9 @@ def test_screen_matches_pipeline_exhaustively(mask_oracle):
 
 
 def test_screen_range_split_anywhere():
-    # the jobs > 1 chunks start and end inside blocks of one neighbour set of
-    # the last vertex (2^15 masks at n = 7): pieces cut at such offsets sum to
+    # screen_range takes any range [start, stop), as perfbench traces it,
+    # even one that starts or ends inside a block of one neighbour set of the
+    # last vertex (2^15 masks at n = 7): pieces cut at such offsets sum to
     # exactly the counts and hits of one call over the whole range
     total = 1 << 21
     whole = dict.fromkeys(scan.FUNNEL_STAGES, 0)
@@ -231,7 +232,7 @@ def test_screen_regular_range_without_regular_masks():
     assert screen_regular_range(7, 1, 3) == []
 
 
-def test_scan_funnel_totals(monkeypatch):
+def test_scan_funnel_totals():
     serial = scan.scan_enumerated(6)
     assert sorted(serial.funnel) == [1, 2, 3, 4, 5, 6]
     totals = {stage: sum(c[stage] for c in serial.funnel.values()) for stage in scan.FUNNEL_STAGES}
@@ -249,10 +250,6 @@ def test_scan_funnel_totals(monkeypatch):
     assert doc["funnel"][-1] == {"n": 6, "masks": 32768, "connected": 26704,
                                  "triangle_free": 3572, "expanded": 541,
                                  "survivors": 181, "hits": 1, "classes": 1}
-    # the forked path sums the funnel over its chunks
-    monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
-    forked = scan.scan_enumerated(6, jobs=2)
-    assert forked.funnel == serial.funnel
 
 
 def test_screen_survivors_match_oracle():
@@ -307,10 +304,11 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
     monkeypatch.setattr(scan, "graph_from_mask", graph)
     summary = scan.scan_enumerated(7)
     assert calls == [3, 4, 5, 5, 6, 7, 7]
-    # the screen builds one Graph per expanded class (1, 1, 2, 3, 16 for
-    # n = 3..7), the verification one per hit class: no other expanded mask
-    # and none of the other 370 hits has a Graph built
-    assert [n for n, _ in built] == [3, 4, 5, 5, 6, 6, 6] + [7] * 16 + calls
+    # n by n, the screen builds one Graph per expanded class (1, 1, 2, 3, 16
+    # for n = 3..7), then the verification one per hit class (1, 1, 2, 1, 2):
+    # no other expanded mask and none of the other 370 hits has a Graph built
+    screen = {3: 1, 4: 1, 5: 2, 6: 3, 7: 16}
+    assert [n for n, _ in built] == [n for n in screen for _ in range(screen[n] + calls.count(n))]
     for n, mask in built:
         masks = _expanded(n)
         assert mask == masks[np.isin(masks, og.mask_orbit(n, mask))].min(), (n, mask)
@@ -326,8 +324,7 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
 def test_scan_decides_each_hit_class_once(monkeypatch):
     # the n <= 7 sweep decides the hypothesis once per class of the
     # expanded masks (1, 1, 2, 3, 16 for n = 3..7), and its 7 hit classes
-    # are reported from those records: in the parent process, serial or
-    # forked, verify_theorem decides nothing again
+    # are reported from those records: verify_theorem decides nothing again
     screened, repeated = [], []
     real_check = scan.check_hypothesis
 
@@ -341,24 +338,22 @@ def test_scan_decides_each_hit_class_once(monkeypatch):
 
     monkeypatch.setattr(scan, "check_hypothesis", screen_check)
     monkeypatch.setattr(og.verify, "check_hypothesis", report_check)
-    serial = scan.scan_enumerated(7)
+    scan.scan_enumerated(7)
     assert screened == [3, 4, 5, 5, 6, 6, 6] + [7] * 16
     assert repeated == []
-    forked = scan.scan_enumerated(7, jobs=2)
-    assert repeated == []
-    assert ([h.report.to_dict() for h in forked.hits]
-            == [h.report.to_dict() for h in serial.hits])
 
 
 def test_scan_checks_every_relabeled_hit_against_the_screen(monkeypatch):
     # the last C_7 labeling in mask order is not its class's representative,
     # the first: it shares the representative's report, yet its own screen
     # (d, odd girth) is still compared with it, so a wrong d from the screen
-    # raises, naming that mask
+    # raises, naming that mask.  The screen's hit classes, each its record
+    # and masks, are what the sweep verifies, so they pass through unchanged
     real_screen = scan.screen_range
     bad = []
 
     def screen(n, start, stop, funnel=None, hypotheses=None):
+        assert hypotheses == {}
         examined, hits = real_screen(n, start, stop, funnel, hypotheses)
         cycles = [m for m, d, _ in hits if n == 7 and d == 3]
         if cycles:
@@ -403,9 +398,11 @@ def test_orbit_tables_built_on_first_use():
 
 
 def test_package_import_leaves_multiprocessing_out():
-    # the pool's module is imported only when a pool starts, so a fresh
-    # import of the package and its scan module does not load it
-    probe = "import sys, oddgirth, oddgirth.scan\nprint('multiprocessing' in sys.modules)\n"
+    # the pool's module is imported only when a pool starts, so neither a
+    # fresh import of the package and its scan module nor a sweep, which
+    # starts no pool, loads it
+    probe = ("import sys, oddgirth, oddgirth.scan\noddgirth.scan.scan_enumerated(5)\n"
+             "print('multiprocessing' in sys.modules)\n")
     assert _fresh_python(probe) == "False"
 
 
@@ -414,39 +411,6 @@ def test_scan_enumerated_rejects_bad_n():
         scan.scan_enumerated(8)
     with pytest.raises(og.GraphError):
         scan.scan_enumerated(0)
-
-
-def test_forked_n7_scan_matches_serial(monkeypatch):
-    # the one split that runs in production: with the floor as shipped, n <= 6
-    # is screened whole and n = 7 in 16 chunks for two workers, each chunk
-    # deciding the classes of its own expanded masks.  The affinity is widened so
-    # that two workers run on any machine
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    serial = scan.scan_enumerated(7, jobs=1)
-    sizes = []
-    real_map = scan._map
-
-    def recorded(fn, items, jobs):
-        sizes.append((len(items), jobs))
-        return real_map(fn, items, jobs)
-
-    monkeypatch.setattr(scan, "_map", recorded)
-    forked = scan.scan_enumerated(7, jobs=2)
-    assert sizes == [(1, 2)] * 6 + [(16, 2)]
-    assert ([(h.n, h.mask, h.graph6) for h in forked.hits]
-            == [(h.n, h.mask, h.graph6) for h in serial.hits])
-    assert forked.funnel == serial.funnel
-    assert ([h.report.to_dict() for h in forked.hits]
-            == [h.report.to_dict() for h in serial.hits])
-
-
-def test_scan_jobs_deterministic(monkeypatch):
-    monkeypatch.setattr(scan, "_PARALLEL_FLOOR", 1)
-    serial = scan.scan_enumerated(5, jobs=1)
-    forked = scan.scan_enumerated(5, jobs=3)
-    assert [h.graph6 for h in serial.hits] == [h.graph6 for h in forked.hits]
-    assert serial.examined == forked.examined
-    assert serial.masks_total == forked.masks_total
 
 
 def test_scan_corpus(tmp_path, petersen, prism):
@@ -538,12 +502,15 @@ def test_scan_corpus_reports_a_graph_too_large_for_memory(tmp_path, monkeypatch,
 
 def test_jobs_capped_at_affinity(tmp_path, petersen):
     cpus = len(os.sched_getaffinity(0))
-    # n <= 4 never forks, whatever the worker count
-    assert scan.scan_enumerated(3, jobs=10**6).jobs == cpus
+    # the sweep runs in one process: it takes no worker count but 1
+    with pytest.raises(ValueError, match="--corpus"):
+        scan.scan_enumerated(3, jobs=2)
     # a single corpus line is verified in this process
     path = tmp_path / "one.g6"
     path.write_bytes(og.encode_graph6(petersen) + b"\n")
     assert scan.scan_corpus(path, jobs=10**6).jobs == cpus
+    with pytest.raises(ValueError, match="at least 1"):
+        scan.scan_corpus(path, jobs=0)
 
 
 def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, prism):
