@@ -56,7 +56,9 @@ def build_parser():
     group.add_argument("--n", type=int, help="all labeled connected graphs on <= n vertices")
     group.add_argument("--corpus", help="file of graph6 lines")
     p_sc.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for --corpus lines (the --n sweep runs in one)")
+                      help="worker processes for --corpus lines (the --n sweep runs in one); "
+                           "the pool pays off on large graphs only: on 2 CPUs, 60 lines of "
+                           "n 20-120 take 0.04-0.08 s with 2 against 0.01 s with 1")
     p_sc.add_argument("--json", action="store_true", help="emit the JSON summary")
     p_sc.set_defaults(func=cmd_scan)
     return parser

@@ -18,20 +18,19 @@ one product with the adjacency matrix A whose entries are counts of at most
 the largest degree, and distance_data reduces them at once to the
 intersection numbers of the levels they belong to (the count at a first
 pair and the first pair that differs), so no count matrix outlives its next
-level: the expansion works in a fixed set of n x n buffers.  A has only k
-nonzeros per row, so on a
-large sparse graph (neighbour_table: more than NEIGHBOUR_SUM_FLOOR vertices
-and more than NEIGHBOUR_SUM_DENSITY per unit of degree) a product with A is
-a sum of k row gathers (neighbour_sum), O(k n^2): in uint8 for the
-expansion, in the smallest unsigned type that holds them for the walk counts
-(predistance.closed_walks; in Python integers on any graph whose walk counts
-outgrow float64, with the table of neighbour_rows), in float64 for
-predistance.matrix_values.
-distance_data builds that table once and hands it on in its DistanceData.
-Smaller or denser graphs keep the dense product, O(n^3) but in BLAS.  Most
-graphs that cannot meet the theorem's hypothesis are told without the
-distance layer, from one BFS from vertex 0 and a triangle test
-(quick_reject).
+level: the expansion works in a fixed set of n x n buffers.
+
+Every product with A, the expansion's, quick_reject's A A, the walk counts'
+powers (predistance.closed_walks) and p_i(A) (predistance.matrix_values),
+goes through one Product per graph, which distance_data builds and hands on
+in its DistanceData.  A has only k nonzeros per row, so on a large sparse
+graph (more than NEIGHBOUR_SUM_FLOOR vertices and more than
+NEIGHBOUR_SUM_DENSITY per unit of degree) a product is a sum of k row
+gathers (neighbour_sum), O(k n^2); smaller or denser graphs keep the dense
+product, O(n^3) but in BLAS.  Product also picks the dtype in which each
+product's integer entries are exact.  Most graphs that cannot meet the
+theorem's hypothesis are told without the distance layer, from one BFS from
+vertex 0 and a triangle test (quick_reject).
 
 Connectivity, triangles and bipartiteness of an edge bitmask on n <= 7
 vertices need no adjacency matrix, only a table per graph on fewer
@@ -429,10 +428,10 @@ def generate_family(family, params=()):
 
 
 # ---------------------------------------------------------------------------
-# products with a sparse adjacency matrix
+# products with the adjacency matrix
 
-# a lone graph multiplies by A as neighbour sums, in _expand and in
-# predistance.closed_walks and matrix_values, when it has more than
+# a lone graph multiplies by A as neighbour sums (Product), in _expand,
+# quick_reject, predistance.closed_walks and matrix_values, when it has more than
 # NEIGHBOUR_SUM_FLOOR vertices and more than NEIGHBOUR_SUM_DENSITY per unit of
 # its largest degree k: the sums cost about k n^2 plus a fixed cost per call,
 # a dense product n^3.  Sums against dense products, one BLAS thread, 2-core
@@ -454,55 +453,90 @@ NEIGHBOUR_SUM_DENSITY = 24
 # gathers, 40, 38, 39 and 51 ms in blocks of 8, 16, 32 and 64 rows
 NEIGHBOUR_SUM_BLOCK = 1 << 18
 
+# integers below 2^53 are exact in float64, those below 2^24 in float32
+EXACT_FLOAT = 1 << 53
 
-def neighbour_table(adj):
-    """(n, k) table of each vertex's neighbours, k the largest degree, or None.
 
-    None unless n > NEIGHBOUR_SUM_FLOOR and n > NEIGHBOUR_SUM_DENSITY * k:
-    on a smaller or denser graph a dense product is the cheaper.  Row u lists
-    u's neighbours in increasing order; a row shorter than k is padded with
-    n, the index of the zero row that neighbour_sum's operand carries below
-    its n rows.
+class Product:
+    """Products A X with one graph's adjacency matrix A, each exact in its dtype.
+
+    Built once per graph from its (n, n) uint8 adj, it holds the largest
+    degree k and whether a product is k neighbour gathers (gathers: more
+    than NEIGHBOUR_SUM_FLOOR vertices and more than NEIGHBOUR_SUM_DENSITY
+    per unit of k) or one BLAS product.  Every operand and result has
+    n + 1 rows, row n zero, as padded(dtype) holds A: table, (n, k), lists
+    each vertex's neighbours in increasing order, a row shorter than k
+    padded with n, and a gather at n reads that zero row.  A product
+    whose entries are integers in [0, bound] is exact in exact(bound): on
+    the gathers the smallest unsigned type that holds bound, on BLAS
+    float32 below 2^24 and float64 below 2^53, and from 2^53 on Python
+    integers, gathered on either path (the table is built on first use).
     """
-    if len(adj) <= NEIGHBOUR_SUM_FLOOR:
-        return None
-    table = neighbour_rows(adj)
-    return table if len(adj) > NEIGHBOUR_SUM_DENSITY * table.shape[1] else None
+
+    def __init__(self, adj):
+        n = self.n = len(adj)
+        self.adj = adj
+        self.k = int(self.table.shape[1] if n > NEIGHBOUR_SUM_FLOOR else adj.sum(axis=1).max())
+        self.gathers = n > NEIGHBOUR_SUM_FLOOR and n > NEIGHBOUR_SUM_DENSITY * self.k
+        self._dense = adj  # A in the dtype of the last BLAS product, one copy at a time
+
+    @functools.cached_property
+    def table(self):
+        n = self.n
+        # one flat nonzero of the 0/1 bytes read as bool: no copy, and over
+        # ten times faster than np.nonzero of int64
+        rows, cols = np.divmod(np.flatnonzero(self.adj.view(bool)), n)
+        deg = np.bincount(rows, minlength=n)
+        table = np.full((n, deg.max()), n, dtype=np.intp)
+        table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
+        return table
+
+    def padded(self, dtype):
+        """A in dtype over the zero row n: a new (n + 1, n) array."""
+        X = np.zeros((self.n + 1, self.n), dtype=dtype)
+        X[:self.n] = self.adj
+        return X
+
+    def exact(self, bound):
+        """The dtype in which a product whose entries are integers in [0, bound] is exact."""
+        if bound >= EXACT_FLOAT:
+            return np.dtype(object)
+        if self.gathers:
+            return np.min_scalar_type(bound)
+        return np.dtype(np.float32 if bound < 1 << 24 else np.float64)
+
+    def times(self, X, dtype, out=None):
+        """A X in dtype, X of shape (n + 1, m) with row n zero; so is the result.
+
+        X is left unchanged.  The result is written to out when it is given,
+        an array of X's shape in dtype that is not X.
+        """
+        n = self.n
+        if out is None:
+            out = np.empty(X.shape, dtype=dtype)
+        out[n] = 0
+        if self.gathers or dtype == object:
+            neighbour_sum(self.table, X, out[:n])
+        else:
+            if self._dense.dtype != dtype:
+                self._dense = self.adj.astype(dtype)
+            np.matmul(self._dense, X[:n], out=out[:n])
+        return out
 
 
-def neighbour_rows(adj):
-    """neighbour_table's (n, k) table whatever n and k."""
-    n = len(adj)
-    # one flat nonzero of a bool copy: over ten times faster than np.nonzero of int64
-    rows, cols = np.divmod(np.flatnonzero(np.not_equal(adj, 0)), n)
-    deg = np.bincount(rows, minlength=n)
-    table = np.full((n, deg.max()), n, dtype=np.intp)
-    table[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
-    return table
+def neighbour_sum(table, X, out):
+    """Write into out the sums, row u, of the rows of X that row u of table lists.
 
-
-def neighbour_sum(table, X, dtype, out=None):
-    """A X in dtype, for the adjacency A whose neighbour_table is table.
-
-    X has n + 1 rows, row n zero, and so has the result: row u is the sum of
-    the rows of X at u's neighbours, k gathers for a table of width k.  The
-    rows are summed a block of about NEIGHBOUR_SUM_BLOCK bytes at a time.
-    The result is written to out when it is given, an array of X's shape in
-    dtype that is not X.
+    k gathers for a table of width k, summed a block of about
+    NEIGHBOUR_SUM_BLOCK bytes of out at a time.
     """
-    n = len(table)
-    if out is None:
-        out = np.empty(X.shape, dtype=dtype)
-    out[n] = 0
-    body = out[:n]
     rows = max(1, NEIGHBOUR_SUM_BLOCK // out[0].nbytes)
-    part = np.empty((min(rows, n),) + X.shape[1:], dtype=X.dtype)
-    for lo in range(0, n, rows):
-        block, sums = table[lo:lo + rows], body[lo:lo + rows]
+    part = np.empty((min(rows, len(out)),) + X.shape[1:], dtype=X.dtype)
+    for lo in range(0, len(out), rows):
+        block, sums = table[lo:lo + rows], out[lo:lo + rows]
         sums[...] = 0
         for column in block.T:
             sums += X.take(column, axis=0, out=part[:len(block)])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +577,8 @@ class DistanceData:
     c_0 and no b at the diameter, where b_D = 0 holds trivially), up to and
     including the first whose pair is not None: the definitional check of
     distance-regularity (verify.intersection_array) reads them, and no
-    count matrix is kept.  neighbour_table is the graph's neighbour_table
-    (None when a dense product is the cheaper), built once for every
-    product with A that follows the expansion.
+    count matrix is kept.  product is the graph's Product, built once for
+    the expansion and every product with A that follows it.
     """
 
     dist: np.ndarray
@@ -553,11 +586,11 @@ class DistanceData:
     connected: bool
     odd_girth: object
     intersection_counts: list
-    neighbour_table: np.ndarray = None
+    product: Product
 
 
-def _expand(A, table=None):
-    """Level-synchronous BFS from every vertex of one graph, its (n, n) adjacency matrix A.
+def _expand(product):
+    """Level-synchronous BFS from every vertex of one graph, the graph's Product with A.
 
     Yields (frontier, sums, beyond, scratch) for levels k = 0, 1, ...:
     frontier = F_k, whose row u marks the vertices at distance k from u;
@@ -570,32 +603,25 @@ def _expand(A, table=None):
     expansion ends after the last non-empty level, with beyond holding the
     pairs no level reached.
 
-    Level 0 is the identity, so its sums are A itself, with no product.  A
-    graph passed with its neighbour_table takes each later product as a
-    neighbour_sum of the rows of F_k, held with the table's zero row below
-    them, in the smallest unsigned dtype that holds the largest degree;
-    any other graph as one float32 product, whose entries count paths of at
-    most n < 2^24, so they are exact.  Every level writes into a fixed set
-    of n x n buffers, two frontiers and two sums in turn, so a level's
+    Level 0 is the identity, so its sums are A itself, with no product.
+    Each later level is one product.times of the rows of F_k, held as bytes
+    over the zero row, whose entries count neighbours, at most the largest
+    degree k, in the dtype exact for k.  Every level writes into a fixed set
+    of (n + 1) x n buffers, two frontiers and two sums in turn, so a level's
     arrays stay valid until the level after next is yielded.  The bool
     buffers, and the sums when they are bytes, are one allocation.
     """
-    n = len(A)
-    rows = n if table is None else n + 1  # row n is the table's zero row
-    dtype = np.float32 if table is None else np.min_scalar_type(table.shape[1])
+    n = product.n
+    dtype = product.exact(product.k)
     byte_sums = dtype == np.uint8
-    work = np.zeros((6 if byte_sums else 4, rows, n), dtype=bool)
+    work = np.zeros((6 if byte_sums else 4, n + 1, n), dtype=bool)
     frontiers, beyond, scratch = work[:2], work[2, :n], work[3, :n]
     frontier = frontiers[0, :n]
     np.fill_diagonal(frontier, True)
     beyond[...] = True
-    if table is None:
-        A = sums = np.asarray(A, dtype=np.float32)
-        operand = np.empty((n, n), dtype=np.float32)
-        spare = [None, None]  # the sums of the odd and the even levels past 0
-    else:
-        sums = np.asarray(A, dtype=dtype)
-        spare = list(work[4:].view(np.uint8)) if byte_sums else [None, None]
+    sums = product.adj
+    # the sums of the odd and the even levels past 0
+    spare = list(work[4:].view(np.uint8)) if byte_sums else [None, None]
     for k in count():
         yield frontier, sums[:n], beyond, scratch
         beyond ^= frontier  # F_k lies in beyond: the pairs farther than k are left
@@ -604,12 +630,7 @@ def _expand(A, table=None):
         frontier &= beyond
         if not frontier.any():
             return
-        if table is None:
-            np.copyto(operand, frontier)
-            sums = np.matmul(A, operand, out=spare[k % 2])
-        else:
-            sums = neighbour_sum(table, nxt.view(np.uint8), dtype, out=spare[k % 2])
-        spare[k % 2] = sums
+        sums = spare[k % 2] = product.times(nxt.view(np.uint8), dtype, out=spare[k % 2])
 
 
 def _intersection_count(i, kind, frontier, sums, reference, scratch):
@@ -635,8 +656,8 @@ def _intersection_count(i, kind, frontier, sums, reference, scratch):
 def distance_data(g):
     """Exact distances, diameter, connectivity, odd girth and intersection numbers from one expansion.
 
-    All n sources expand together (_expand, with the graph's neighbour_table,
-    kept in the result).  A pair at distance d lies beyond levels 1..d, so
+    All n sources expand together (_expand, with the graph's Product, kept
+    in the result).  A pair at distance d lies beyond levels 1..d, so
     adding the pairs beyond each level k >= 1 to zeros gives dist, one add
     of a bool matrix a level; a pair no level reaches would get the
     diameter, and has UNREACHABLE written over it, on a disconnected graph
@@ -660,9 +681,9 @@ def distance_data(g):
     dist = np.zeros((n, n), dtype=np.min_scalar_type(-n))  # a distance is < n
     girth = math.inf
     counts = []
-    table = neighbour_table(g.adj)
+    product = Product(g.adj)
     previous = None  # the last level's frontier, sums and reference pair
-    for k, (frontier, sums, beyond, scratch) in enumerate(_expand(g.adj, table)):
+    for k, (frontier, sums, beyond, scratch) in enumerate(_expand(product)):
         if k:
             dist += beyond
         reference = divmod(int(frontier.argmax()), n)  # the first pair at distance k
@@ -695,7 +716,7 @@ def distance_data(g):
         connected=connected,
         odd_girth=girth,
         intersection_counts=counts,
-        neighbour_table=table,
+        product=product,
     )
 
 
@@ -715,9 +736,10 @@ def quick_reject(g):
     rejected at once.  A BFS that ends is rejected if it missed a vertex
     (disconnected) or, connected, had no edge inside any level (bipartite:
     og is infinite).  Otherwise a graph that is not complete, so D >= 2, is
-    rejected if it has a triangle (og = 3 < 5): some entry of (A A) * A is
-    non-zero, float32 counts of at most n - 1 < 2^24, so exact.  Every test
-    is exact; False does not mean g meets the hypothesis.
+    rejected if it has a triangle (og = 3 < 5): some entry of A A, a count
+    of common neighbours, is non-zero on an edge.  A A is one Product.times
+    in the dtype exact for the largest degree.  Every test is exact; False
+    does not mean g meets the hypothesis.
     """
     A = g.adj.view(bool)  # 0/1 bytes: no copy
     frontier = np.zeros(g.n, dtype=bool)
@@ -736,8 +758,9 @@ def quick_reject(g):
         return True
     if np.count_nonzero(A) == g.n * (g.n - 1):  # complete: its triangles leave D = 1
         return False
-    A = A.astype(np.float32)
-    return bool(((A @ A) * A).any())
+    product = Product(g.adj)
+    common = product.times(product.padded(np.uint8), product.exact(product.k))  # (A A)_uv
+    return bool(np.logical_and(common[:g.n], A).any())
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import graphs
-
-# integers below 2^53 are exact in float64: the walk counts are computed in
-# it, or in unsigned integers, below that bound and in Python integers beyond
-EXACT_FLOAT = 1 << 53
+from .graphs import EXACT_FLOAT
 
 
 class PredistanceError(ValueError):
@@ -173,34 +169,26 @@ def hoffman_polynomial(system):
     return H
 
 
-def matrix_values(system, A, table):
+def matrix_values(system, product):
     """Yield p_0(A), p_1(A), ..., p_d(A) from the three-term recurrence.
 
     p_{i+1}(A) = ((A - alpha_i I) p_i(A) - beta_{i-1} p_{i-1}(A)) / gamma_{i+1}:
     d - 1 products with A (A p_0(A) is a multiple of A), at most three
-    n x n float64 iterates held at a time, and one scratch matrix that takes
-    the alpha and beta terms in turn.  table is A's
-    graphs.neighbour_table (DistanceData.neighbour_table).  When it is not
-    None each product is a graphs.neighbour_sum in float64 and every iterate
-    carries the zero row n that the table's padding points at; the values
-    yielded are the n x n views above it.
+    float64 iterates held at a time, and one scratch matrix that takes the
+    alpha and beta terms in turn.  product is A's graphs.Product
+    (DistanceData.product): each iterate carries its zero row n, and the
+    values yielded are the n x n views above it.
     """
-    n = len(A)
-    if table is None:
-        rows, A = n, np.asarray(A, dtype=np.float64)
-    else:
-        rows = n + 1
-    prev, cur = None, system.polys[0][0] * np.eye(rows, n)  # p_0 = 1, up to rounding
+    n = product.n
+    prev, cur = None, system.polys[0][0] * np.eye(n + 1, n)  # p_0 = 1, up to rounding
     yield cur[:n]
-    term = np.empty((rows, n))  # alpha_i p_i(A), then beta_{i-1} p_{i-1}(A)
+    term = np.empty((n + 1, n))  # alpha_i p_i(A), then beta_{i-1} p_{i-1}(A)
     for i in range(system.d):
         if not i:  # p_0(A) is a multiple of I
-            nxt = np.zeros((rows, n))
-            np.multiply(A, cur[0, 0], out=nxt[:n])
-        elif table is None:
-            nxt = A @ cur
+            nxt = product.padded(np.float64)
+            nxt *= cur[0, 0]
         else:
-            nxt = graphs.neighbour_sum(table, cur, np.float64)
+            nxt = product.times(cur, np.float64)
         nxt -= np.multiply(cur, system.alpha[i], out=term)
         if i:
             nxt -= np.multiply(prev, system.beta[i - 1], out=term)
@@ -212,27 +200,23 @@ def matrix_values(system, A, table):
 # ---------------------------------------------------------------------------
 # the exact recurrence from closed-walk counts
 
-def closed_walks(adj, table, length):
+def closed_walks(product, length):
     """diag(A^ell) for ell = 0..2 * length: one exact integer vector per ell.
 
-    Forms the powers A^2..A^length by products with A and reads each
-    diagonal as a row dot: diag(A^(2l)) is the row norm of A^l, and
-    diag(A^(2l+1)) the row dot of A^l with A^(l+1).  An entry of A^l counts
-    walks, at most k^l for the largest degree k, and each partial sum is at
-    most the entry it builds.  While k^length < 2^53 the powers are
-    graphs.neighbour_sum in the smallest unsigned type that holds k^length
-    when table (A's graphs.neighbour_table) is not None, dense float64
-    products otherwise.  Beyond that they are neighbour sums of Python
-    integers in object arrays, on a table of graphs.neighbour_rows when
-    table is None: O(k n^2) integer additions a power, but no graph is out
-    of range.  The row dots run in float64 while k^(2 length) < 2^53 and in
-    Python integers beyond; the vectors are int64, or object arrays of
-    Python integers in the second case.  The powers take turns in two
-    buffers, each power written over the one before the last.
+    Forms the powers A^2..A^length by products with A (product, A's
+    graphs.Product) and reads each diagonal as a row dot: diag(A^(2l)) is
+    the row norm of A^l, and diag(A^(2l+1)) the row dot of A^l with
+    A^(l+1).  An entry of A^l counts walks, at most k^l for the largest
+    degree k, and each partial sum is at most the entry it builds, so the
+    powers are exact in product.exact(k^length): from 2^53 on they are
+    Python integers in object arrays, O(k n^2) integer additions a power,
+    but no graph is out of range.  The row dots run in float64 while
+    k^(2 length) < 2^53 and in Python integers beyond; the vectors are
+    int64, or object arrays of Python integers in the second case.  The
+    powers take turns in two buffers, each power written over the one
+    before the last.
     """
-    n = len(adj)
-    # a neighbour table is as wide as the largest degree
-    k = table.shape[1] if table is not None else int(np.count_nonzero(adj, axis=1).max())
+    n, k = product.n, product.k
     if k ** (2 * length) < EXACT_FLOAT:
         def dots(X, Y):
             return np.einsum("ij,ij->i", X, Y, dtype=np.float64, casting="unsafe").astype(np.int64)
@@ -241,28 +225,14 @@ def closed_walks(adj, table, length):
             X, Y = (Z if Z.dtype == object else Z.astype(np.int64).astype(object) for Z in (X, Y))
             return np.einsum("ij,ij->i", X, Y)
 
-    if k ** length < EXACT_FLOAT:
-        power = None if table is None else np.min_scalar_type(k ** length)
-    else:
-        power = object
-        if table is None:
-            table = graphs.neighbour_rows(adj)
-    A = None  # the dense operand; with a table the neighbour sums take the products
-    if table is None:
-        A = cur = np.asarray(adj, dtype=np.float64)
-    else:  # row n is the zero row the table's padding reads
-        cur = np.zeros((n + 1, n), dtype=power)
-        cur[:n] = adj
+    power = product.exact(k ** length)
+    cur = product.padded(power)
     walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dots(cur[:n], cur[:n])]
-    spare = None  # the power before cur, which the next is written over; never A
+    spare = None  # the power before cur, which the next is written over
     for _ in range(length - 1):
-        if table is None:
-            nxt = np.matmul(A, cur, out=spare)
-        else:
-            nxt = graphs.neighbour_sum(table, cur, power, out=spare)
+        nxt = product.times(cur, power, out=spare)
         walks += [dots(cur[:n], nxt[:n]), dots(nxt[:n], nxt[:n])]
-        spare = None if cur is A else cur
-        cur = nxt
+        spare, cur = cur, nxt
     return walks
 
 

@@ -206,7 +206,7 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
         dd = distance_data(g)
     H = -np.ones((g.n, g.n))  # H(A) - J
     worst, first_bad = 0.0, None
-    for i, PA in enumerate(predistance.matrix_values(system, g.adj, dd.neighbour_table)):
+    for i, PA in enumerate(predistance.matrix_values(system, dd.product)):
         H += PA
         diff = PA - (dd.dist == i)
         residual = float(np.abs(diff, out=diff).max())
@@ -572,7 +572,7 @@ def check_hypothesis(g):
     dd = distance_data(g)
     walks = recurrence = None
     if spectral.meets_prefilter(dd):
-        walks = predistance.closed_walks(g.adj, dd.neighbour_table, (dd.odd_girth + 1) // 2)
+        walks = predistance.closed_walks(dd.product, (dd.odd_girth + 1) // 2)
         recurrence = predistance.walk_recurrence(predistance.closed_walk_total(walks))
     met = recurrence is not None and recurrence.d is not None
     return Hypothesis(dd, walks, recurrence, met)

@@ -30,7 +30,7 @@ def _exact(g, length=None):
     dd = og.distance_data(g)
     if length is None:
         length = (dd.odd_girth + 1) // 2
-    walks = closed_walks(g.adj, dd.neighbour_table, length)
+    walks = closed_walks(dd.product, length)
     return walks, walk_recurrence(closed_walk_total(walks))
 
 
@@ -134,9 +134,9 @@ def test_walk_diagonals_match_matrix_powers(monkeypatch, sparse_irregular):
         monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
         monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
         for g in graphs:
-            table = og.graphs.neighbour_table(g.adj)
-            assert (table is None) == (floor == math.inf)
-            walks = closed_walks(g.adj, table, 3)
+            product = og.graphs.Product(g.adj)
+            assert product.gathers == (floor != math.inf)
+            walks = closed_walks(product, 3)
             want = _matrix_power_diagonals(g.adj, 6)
             assert len(walks) == len(want) == 7
             for ell, (got, ref) in enumerate(zip(walks, want)):
@@ -147,29 +147,46 @@ def test_walk_diagonals_match_matrix_powers(monkeypatch, sparse_irregular):
     ("odd", (5,), np.float64),  # k^(2L) = 5^10
     ("cycle", (61,), object),  # 2^62: Python integers
     ("cycle", (105,), object),  # k^L = 2^53: the powers too
+    ("cycle", (45,), np.float64),  # k^L = 2^23, the last float32 power
+    ("cycle", (47,), np.float64),  # k^L = 2^24, the first float64 one
 ])
 def test_walk_diagonals_in_each_exact_range(monkeypatch, family, params, dots):
     # the row dots run in float64 while it is exact and in Python integers
-    # beyond, on both products with A, and every vertex's diagonal is the
-    # known walk count
+    # beyond, the powers in the dtype exact for k^L on each product with A
+    # that powers names (the floors patched: 0 for the gathers, inf for
+    # BLAS), and every vertex's diagonal is the known walk count
+    powers = {
+        (5,): {0: np.uint16, math.inf: np.float32},  # k^L = 5^5
+        (61,): {0: np.uint32, math.inf: np.float64},
+        (105,): {0: object, math.inf: object},
+        (45,): {math.inf: np.float32},
+        (47,): {math.inf: np.float64},
+    }[params]
     g = og.generate_family(family, params)
     L = (og.odd_girth(g) + 1) // 2
     if family == "odd":
         want = [int(w[0]) for w in _matrix_power_diagonals(g.adj, 2 * L)]
     else:
         want = [_cycle_walks(g.n, ell) for ell in range(2 * L + 1)]
-    seen = set()
-    real = np.einsum
+    seen, powered = set(), set()
+    real, real_times = np.einsum, og.graphs.Product.times
 
     def recording(spec, *operands, **kwargs):
         seen.add(np.dtype(kwargs.get("dtype", operands[0].dtype)))
         return real(spec, *operands, **kwargs)
 
+    def times(self, X, dtype, out=None):
+        powered.add(np.dtype(dtype))
+        return real_times(self, X, dtype, out=out)
+
     monkeypatch.setattr(np, "einsum", recording)
-    for floor in (0, math.inf):
+    monkeypatch.setattr(og.graphs.Product, "times", times)
+    for floor, power in powers.items():
         monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
         monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
-        walks = closed_walks(g.adj, og.graphs.neighbour_table(g.adj), L)
+        powered.clear()
+        walks = closed_walks(og.graphs.Product(g.adj), L)
+        assert powered == {np.dtype(power)}, floor
         for ell, w in enumerate(walks):
             assert w.dtype == (object if dots is object and ell >= 2 else np.int64), ell
             assert w.tolist() == [want[ell]] * g.n, (floor, ell)
@@ -183,14 +200,14 @@ def test_walk_powers_past_the_float64_range(monkeypatch):
     seen = set()
     real = og.graphs.neighbour_sum
 
-    def recording(table, X, dtype, out=None):
-        seen.add(np.dtype(dtype))
-        return real(table, X, dtype, out=out)
+    def recording(table, X, out):
+        seen.add(out.dtype)
+        return real(table, X, out)
 
     monkeypatch.setattr(og.graphs, "neighbour_sum", recording)
     for k, L in ((103, 52), (105, 53)):
         seen.clear()
-        walks = closed_walks(og.generate_family("cycle", [k]).adj, None, L)
+        walks = closed_walks(og.graphs.Product(og.generate_family("cycle", [k]).adj), L)
         assert [int(w[0]) for w in walks] == [_cycle_walks(k, ell) for ell in range(2 * L + 1)]
         assert seen == (set() if L == 52 else {np.dtype(object)}), k
 

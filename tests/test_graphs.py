@@ -471,6 +471,59 @@ def seven_vertex_cases():
 
 
 # ---------------------------------------------------------------------------
+# products with A
+
+@pytest.mark.parametrize("floor, bound, dtype", [
+    (math.inf, (1 << 24) - 1, np.float32),  # BLAS
+    (math.inf, 1 << 24, np.float64),
+    (math.inf, (1 << 53) - 1, np.float64),
+    (0, 255, np.uint8),  # gathers
+    (0, 256, np.uint16),
+    (0, 1 << 53, object),  # Python integers, gathered on either path
+    (math.inf, 1 << 53, object),
+])
+def test_product_contract(monkeypatch, sparse_irregular, floor, bound, dtype):
+    # each regime forced by the floors, on a sparse and a dense graph: times(X)
+    # is the exact A X in the dtype exact(bound) names, entries up to bound,
+    # with row n zero, whether out is given or not, X is left unchanged, and
+    # Python integers are gathered on either path
+    monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
+    monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
+    gathered, real_sum = [], og.graphs.neighbour_sum
+
+    def neighbour_sum(table, X, out):
+        gathered.append(out.dtype)
+        return real_sum(table, X, out)
+
+    monkeypatch.setattr(og.graphs, "neighbour_sum", neighbour_sum)
+    rng = np.random.default_rng(5)
+    for g in (sparse_irregular, random_graph(40, 3)):
+        gathered.clear()
+        product = og.graphs.Product(g.adj)
+        assert product.gathers == (floor == 0) and product.n == g.n
+        assert product.k == int(g.degrees().max())
+        assert product.exact(bound) == np.dtype(dtype), g.n
+        top = bound // product.k  # entries of A X are at most k times X's
+        X = np.zeros((g.n + 1, 9), dtype=dtype)
+        if dtype is object:  # past 2^53, where no float is exact
+            X[:g.n] = rng.integers(0, 1 << 30, size=(g.n, 9)).astype(object) << 40
+        else:
+            X[:g.n] = rng.integers(0, top + 1, size=(g.n, 9))
+        X[:g.n, 0] = top  # so the largest degree's row of A X reaches k top > bound - k
+        before = X.copy()
+        want = g.adj.astype(object) @ X[:g.n].astype(object)
+        for out in (None, np.full(X.shape, 7, dtype=dtype)):
+            got = product.times(X, dtype, out=out)
+            assert got.dtype == np.dtype(dtype) and got.shape == X.shape
+            assert out is None or got is out
+            assert np.array_equal(got[:g.n].astype(object), want), (g.n, dtype)
+            assert not got[g.n].any()
+            assert np.array_equal(X, before)
+        assert gathered == ([np.dtype(dtype)] * 2 if floor == 0 or dtype is object else []), g.n
+        assert bound - product.k < max(want[:, 0]) <= bound, g.n  # the dtype's edge is reached
+
+
+# ---------------------------------------------------------------------------
 # distances
 
 def test_distance_data_k2():
@@ -532,7 +585,7 @@ def test_distance_data_at_the_dtype_boundaries():
     # k F_k per level: P_128's last level, k = 127, is the largest int8 value
     c101 = og.generate_family("cycle", [101])
     cases = (
-        # graph, dtype, neighbour table, diameter, connected, odd girth
+        # graph, dtype, neighbour gathers, diameter, connected, odd girth
         (og.generate_family("path", [128]), np.int8, False, 127, True, math.inf),
         (og.generate_family("path", [129]), np.int16, True, 128, True, math.inf),
         (disjoint_union(c101, c101), np.int16, True, 50, False, 101),
@@ -542,7 +595,7 @@ def test_distance_data_at_the_dtype_boundaries():
         dd = og.distance_data(g)
         assert np.array_equal(dd.dist, floyd_warshall(g)), g.n
         assert dd.dist.dtype == dtype, g.n
-        assert (dd.neighbour_table is not None) == table, g.n
+        assert dd.product.gathers == table, g.n
         assert dd.diameter == diameter, g.n
         assert dd.connected == connected, g.n
         assert dd.odd_girth == girth, g.n
@@ -649,6 +702,38 @@ def test_quick_reject_passes_every_met_graph(petersen, prism):
     # edge inside level 1 of every vertex, whose eccentricity is 2
     for g in (og.generate_family("complete", (1,)), og.generate_family("complete", (2,)), prism):
         assert og.quick_reject(g), g.n
+
+
+def test_quick_reject_triangle_test_by_gathers(monkeypatch):
+    # C_201 with the chord (100, 102) has its one triangle at the end of the
+    # BFS from vertex 0 (100 and 101 form the last level), so the level rule
+    # passes it and the triangle test must reject it; O_6 and the folded
+    # 11-cube are met, so rejected by neither.  Each is above the gather
+    # floors: A A is neighbour gathers with no BLAS product, and the verdict
+    # is the one the floors, patched, give by the dense product
+    cycle = [(i, (i + 1) % 201) for i in range(201)]
+    cases = [(og.graph_from_edges(201, cycle + [(100, 102)]), True),
+             (og.generate_family("odd", [6]), False),
+             (og.generate_family("folded_cube", [11]), False)]
+    gathered, real_sum, real_matmul = [], og.graphs.neighbour_sum, np.matmul
+
+    def neighbour_sum(table, X, out):
+        gathered.append(len(table))
+        return real_sum(table, X, out)
+
+    def matmul(*args, **kwargs):
+        gathered.append("matmul")
+        return real_matmul(*args, **kwargs)
+
+    monkeypatch.setattr(og.graphs, "neighbour_sum", neighbour_sum)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert all(og.graphs.Product(g.adj).gathers for g, _ in cases)
+    for floor in (og.graphs.NEIGHBOUR_SUM_FLOOR, math.inf):
+        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
+        for g, rejected in cases:
+            gathered.clear()
+            assert og.quick_reject(g) == rejected, (g.n, floor)
+            assert gathered == ([g.n] if floor != math.inf else ["matmul"]), (g.n, floor)
 
 
 def test_quick_reject_settles_what_mask_blocks_flags():

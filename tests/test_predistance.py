@@ -205,7 +205,7 @@ def test_matrix_values_match_horner_and_distance_matrices(family_suite):
         A = g.adj.astype(float)
         dd = og.distance_data(g)
         assert dd.diameter == sys.d, label
-        values = list(matrix_values(sys, A, dd.neighbour_table))
+        values = list(matrix_values(sys, dd.product))
         assert len(values) == sys.d + 1, label
         for i, (PA, p) in enumerate(zip(values, sys.polys)):
             assert np.abs(PA - poly_eval_matrix(p, A)).max() < 1e-6, (label, i)
@@ -216,9 +216,10 @@ def test_matrix_values_on_irregular_graph_above_the_floor(sparse_irregular):
     # the neighbour sums with padded rows, against Horner: the recurrence is a
     # polynomial identity, so C_11's system evaluates on any adjacency
     A = sparse_irregular.adj
-    assert og.graphs.neighbour_table(A) is not None
+    product = og.graphs.Product(A)
+    assert product.gathers
     sys = _system(og.generate_family("cycle", [11]))
-    values = list(matrix_values(sys, A, og.graphs.neighbour_table(A)))
+    values = list(matrix_values(sys, product))
     assert len(values) == sys.d + 1
     for i, (PA, p) in enumerate(zip(values, sys.polys)):
         want = poly_eval_matrix(p, A)

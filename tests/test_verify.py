@@ -60,7 +60,7 @@ def test_distance_matrices_self_check(c5, monkeypatch):
     dd = og.distance_data(c5)
     bad = og.DistanceData(
         dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5,
-        intersection_counts=dd.intersection_counts,
+        intersection_counts=dd.intersection_counts, product=dd.product,
     )
     with pytest.raises(RuntimeError, match="all-ones"):
         distance_matrices(c5, bad)
@@ -245,7 +245,7 @@ def test_level_counts_are_level_products(petersen, prism):
     # dense product; the prism is not distance-regular (a_1 is 1 on a
     # triangle edge, 0 on a rung), so its records end at that pair
     folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
-    assert og.graphs.neighbour_table(folded.adj) is not None
+    assert og.graphs.Product(folded.adj).gathers
     for g in (petersen, prism, _relabeled(og.generate_family("odd", [4]), 4), folded):
         dd = og.distance_data(g)
         want = intersection_counts_by_products(g, dd)
@@ -271,9 +271,9 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
     summed = set()  # the dtypes of the expansion's neighbour sums
     real_sum = og.graphs.neighbour_sum
 
-    def neighbour_sum(table, X, dtype, out=None):
-        summed.add(np.dtype(dtype))
-        return real_sum(table, X, dtype, out=out)
+    def neighbour_sum(table, X, out):
+        summed.add(out.dtype)
+        return real_sum(table, X, out)
 
     monkeypatch.setattr(og.graphs, "neighbour_sum", neighbour_sum)
     for g, system in cases:
@@ -286,9 +286,8 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
             assert summed == (dtypes if dd.diameter else set()), g.n
             assert dd.intersection_counts == intersection_counts_by_products(g, dd), g.n
             ia = og.intersection_array(g, dd) if dd.connected else None
-            assert (dd.neighbour_table is None) == (floor == math.inf), g.n
-            results.append(
-                (dd, ia, list(og.predistance.matrix_values(system, g.adj, dd.neighbour_table))))
+            assert dd.product.gathers == (floor != math.inf), g.n
+            results.append((dd, ia, list(og.predistance.matrix_values(system, dd.product))))
         (sums, sums_ia, sums_values), (dense, dense_ia, dense_values) = results
         assert np.array_equal(sums.dist, dense.dist), g.n
         assert (sums.diameter, sums.connected, sums.odd_girth) == (
@@ -323,9 +322,9 @@ def _c5_with_a_hat():
 def test_verify_computes_each_quantity_once(monkeypatch, prism):
     # a met graph: no eigensolve of an n x n matrix (one eigh of the small
     # Jacobi matrix), none of the float pipeline or its witnesses, and one
-    # neighbour table; a
-    # rejected graph, whether it fails the prefilter or only the exact count
-    # of its eigenvalues: one eigvalsh of A and no eigh
+    # graphs.Product, built by distance_data; a rejected graph, whether it
+    # fails the prefilter or only the exact count of its eigenvalues: one
+    # eigvalsh of A and no eigh
     calls = {}
 
     def counting(name, fn):
@@ -340,8 +339,14 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(og.predistance, "matrix_values",
                         counting("matrix_values", og.predistance.matrix_values))
-    monkeypatch.setattr(og.graphs, "neighbour_table",
-                        counting("neighbour_table", og.graphs.neighbour_table))
+
+    class Product(og.graphs.Product):
+        def __init__(self, adj):
+            key = ("Product", sys._getframe(1).f_code.co_name)  # the caller's name
+            calls[key] = calls.get(key, 0) + 1
+            super().__init__(adj)
+
+    monkeypatch.setattr(og.graphs, "Product", Product)
 
     def forbidden(*args):
         raise AssertionError("verify_theorem ran the float pipeline on a met graph")
@@ -353,13 +358,13 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
         monkeypatch.setattr(og.verify, name, forbidden)
     monkeypatch.setattr(og.predistance, "ParityReport", forbidden)
     folded = _relabeled(og.generate_family("folded_cube", [9]), 5)
-    assert og.graphs.neighbour_table(folded.adj) is not None
+    assert og.graphs.Product(folded.adj).gathers
     for current in (_relabeled(og.generate_family("odd", [4]), 5),
                     og.generate_family("cycle", [9]), folded):
         calls.clear()
         rep = og.verify_theorem(current)
         assert rep.hypothesis_met and not rep.alarm
-        assert calls == {("eigh", "small"): 1, "neighbour_table": 1}, current.n
+        assert calls == {("eigh", "small"): 1, ("Product", "distance_data"): 1}, current.n
     monkeypatch.undo()
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
