@@ -200,38 +200,60 @@ def matrix_values(system, product):
 # ---------------------------------------------------------------------------
 # the exact recurrence from closed-walk counts
 
+def _row_dots(X, Y, bound):
+    """The row dots of X and Y, integers in [0, bound], each accumulated exactly.
+
+    float32 below 2^24, float64 below 2^53, both read back as int64, and
+    Python integers beyond, in an object array: an operand that is not
+    already one is converted through int64, so no float enters the sums.
+    """
+    if bound < EXACT_FLOAT:
+        acc = np.float32 if bound < 1 << 24 else np.float64
+        return np.einsum("ij,ij->i", X, Y, dtype=acc, casting="unsafe").astype(np.int64)
+    X, Y = (Z if Z.dtype == object else Z.astype(np.int64).astype(object) for Z in (X, Y))
+    return np.einsum("ij,ij->i", X, Y)
+
+
 def closed_walks(product, length):
     """diag(A^ell) for ell = 0..2 * length: one exact integer vector per ell.
 
     Forms the powers A^2..A^length by products with A (product, A's
     graphs.Product) and reads each diagonal as a row dot: diag(A^(2l)) is
     the row norm of A^l, and diag(A^(2l+1)) the row dot of A^l with
-    A^(l+1).  An entry of A^l counts walks, at most k^l for the largest
-    degree k, and each partial sum is at most the entry it builds, so the
-    powers are exact in product.exact(k^length): from 2^53 on they are
-    Python integers in object arrays, O(k n^2) integer additions a power,
-    but no graph is out of range.  The row dots run in float64 while
-    k^(2 length) < 2^53 and in Python integers beyond; the vectors are
-    int64, or object arrays of Python integers in the second case.  The
-    powers take turns in two buffers, each power written over the one
-    before the last.
+    A^(l+1).  Each step runs in the narrowest dtype in which it is exact,
+    sized by the largest degree k and m_l, the largest entry of A^l (one
+    max reduction a power, m_1 = 1):
+    - an entry of A^(l+1) sums at most k entries of A^l, so A^(l+1) is
+      formed in product.exact(k m_l); from 2^53 on that is Python integers
+      in object arrays, O(k n^2) integer additions a power, but no graph is
+      out of range;
+    - a row of A^a sums to at most k^a walks, so the row dot of A^a with
+      A^b is at most m_b k^a: m_l k^l for diag(A^(2l)) and m_(l+1) k^l for
+      diag(A^(2l+1)).  It accumulates in float32 below 2^24, in float64
+      below 2^53 and in Python integers beyond (_row_dots).
+    Every term is non-negative, so no partial sum exceeds the bound of its
+    total.  Each vector is int64 when its dot ran in floats and an object
+    array of Python integers otherwise.  The powers take turns in two
+    buffers, each power written over the one before the last while the
+    dtype holds; a power in a wider dtype takes a new buffer and the old
+    one is dropped first, so at most two powers are held, each in its own
+    dtype.  A power that turns to Python integers is computed from its
+    predecessor converted through int64.
     """
     n, k = product.n, product.k
-    if k ** (2 * length) < EXACT_FLOAT:
-        def dots(X, Y):
-            return np.einsum("ij,ij->i", X, Y, dtype=np.float64, casting="unsafe").astype(np.int64)
-    else:
-        def dots(X, Y):
-            X, Y = (Z if Z.dtype == object else Z.astype(np.int64).astype(object) for Z in (X, Y))
-            return np.einsum("ij,ij->i", X, Y)
-
-    power = product.exact(k ** length)
-    cur = product.padded(power)
-    walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), dots(cur[:n], cur[:n])]
+    cur, m = product.padded(product.exact(1)), 1  # A^l and its largest entry m_l
+    walks = [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), _row_dots(cur[:n], cur[:n], k)]
     spare = None  # the power before cur, which the next is written over
-    for _ in range(length - 1):
+    for l in range(1, length):
+        power = product.exact(k * m)
+        if power == object and cur.dtype != object:
+            cur = cur.astype(np.int64).astype(object)
+        if spare is not None and spare.dtype != power:
+            spare = None
         nxt = product.times(cur, power, out=spare)
-        walks += [dots(cur[:n], nxt[:n]), dots(nxt[:n], nxt[:n])]
+        m = int(nxt[:n].max())
+        walks += [_row_dots(cur[:n], nxt[:n], m * k ** l),
+                  _row_dots(nxt[:n], nxt[:n], m * k ** (l + 1))]
         spare, cur = cur, nxt
     return walks
 

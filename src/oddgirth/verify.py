@@ -360,9 +360,8 @@ def vandermonde_certificate(s, lm, tol=1e-6):
     )
 
 
-def _walk_regular(g, spread, passed, tol):
-    """The walk_regular certificate: diagonals with this spread, plus a direct degree check."""
-    deg = g.degrees()
+def _walk_regular(deg, spread, passed, tol):
+    """The walk_regular certificate: diagonals with this spread, plus a direct degree check on deg."""
     regular = bool((deg == deg[0]).all())
     witness = None if regular else ("degrees", (int(deg.min()), int(deg.max())))
     return Certificate(name="walk_regular", passed=bool(passed and regular),
@@ -376,7 +375,7 @@ def check_walk_regular(g, lm, tol=1e-6):
     diagonals silently corrupting the steps that assume regularity.
     """
     spread = spectral.walk_regular_spread(lm)
-    return _walk_regular(g, spread, spread <= tol, tol)
+    return _walk_regular(g.degrees(), spread, spread <= tol, tol)
 
 
 def check_hoffman(g, system, tol=1e-6):
@@ -437,13 +436,14 @@ def exact_certificates(g, dd, walks, recurrence, s, ia, tol=1e-6):
 
     odd = max((int(np.abs(w).max()) for w in walks[1:2 * d:2]), default=0)
     spread = max(int(w.max() - w.min()) for w in walks[: d + 1])
-    walk_regular = _walk_regular(g, spread, not spread, tol)
+    deg = g.degrees()  # one row sum for the degree check and the regular branch
+    walk_regular = _walk_regular(deg, spread, not spread, tol)
 
-    if not g.is_regular():
+    if not (deg == deg[0]).all():
         hoffman = Certificate(name="hoffman", tol=tol)
         distance_polynomial = Certificate(name="distance_polynomial", tol=tol)
     else:
-        k = int(g.degrees()[0])
+        k = int(deg[0])
         if (isinstance(ia, IntersectionArray)
                 and all(x + y + z == k for x, y, z in zip(ia.a, ia.b + [0], [0] + ia.c))
                 and a == ia.a
@@ -551,7 +551,10 @@ class Hypothesis(NamedTuple):
 
     dd is the graph's distance_data.  walks (predistance.closed_walks'
     diagonals) and recurrence (its WalkRecurrence) are None unless the graph
-    meets the prefilter, and met is whether the hypothesis holds.
+    meets the prefilter, and met is whether the hypothesis holds.  Each
+    walks[ell] is int64, or an object array of Python integers when the
+    bound of its row dot reaches 2^53; that is decided per ell, so a long
+    cycle's walks switch part way.
     """
 
     dd: object

@@ -143,24 +143,109 @@ def test_walk_diagonals_match_matrix_powers(monkeypatch, sparse_irregular):
                 assert got.dtype == np.int64 and np.array_equal(got, ref), (g.n, floor, ell)
 
 
+def _integer_powers(adj, top):
+    """A^0..A^top as int64 matrix products."""
+    A = adj.astype(np.int64)
+    powers = [np.eye(len(A), dtype=np.int64), A]
+    while len(powers) <= top:
+        powers.append(powers[-1] @ A)
+    return powers
+
+
+def _accumulator(bound):
+    """The dtype a row dot whose total is at most bound accumulates in."""
+    if bound >= 1 << 53:
+        return np.dtype(object)
+    return np.dtype(np.float32 if bound < 1 << 24 else np.float64)
+
+
+def _walk_chain(product, adj, length):
+    """(powers, dots): the dtypes closed_walks must use, from integer matrix powers.
+
+    With k the largest degree and m_l the largest entry of A^l (m_1 = 1),
+    A^(l+1) is formed in product.exact(k m_l), the row norm of A^l
+    accumulates in the range of m_l k^l and the row dot of A^l with A^(l+1)
+    in that of m_(l+1) k^l; the dots in closed_walks' order.
+    """
+    k = product.k
+    m = [None, 1] + [int(P.max()) for P in _integer_powers(adj, length)[2:]]
+    powers = [product.exact(k * m[l]) for l in range(1, length)]
+    dots = [_accumulator(k)]
+    for l in range(1, length):
+        dots += [_accumulator(m[l + 1] * k ** l), _accumulator(m[l + 1] * k ** (l + 1))]
+    return powers, dots
+
+
+def _recorded_walks(monkeypatch, product, length):
+    """closed_walks(product, length) with the dtype of each power and each row dot, in order."""
+    powers, dots = [], []
+    real, real_times = np.einsum, og.graphs.Product.times
+
+    def einsum(spec, *operands, **kwargs):
+        dots.append(np.dtype(kwargs.get("dtype", operands[0].dtype)))
+        return real(spec, *operands, **kwargs)
+
+    def times(self, X, dtype, out=None):
+        powers.append(np.dtype(dtype))
+        return real_times(self, X, dtype, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", einsum)
+        patch.setattr(og.graphs.Product, "times", times)
+        walks = closed_walks(product, length)
+    return walks, powers, dots
+
+
+def _check_walk_chain(monkeypatch, g, want, label):
+    """On both products with A (the floors patched: 0 for the gathers, inf
+    for BLAS), closed_walks forms each power and accumulates each row dot in
+    the dtype _walk_chain names, and every vertex's diagonal is want[ell],
+    an int64 entry when its dot ran in floats and a Python integer
+    otherwise.  Returns {floor: (power dtype names, dot dtype names)}."""
+    L = (len(want) - 1) // 2
+    chains = {}
+    for floor in (0, math.inf):
+        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
+        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
+        product = og.graphs.Product(g.adj)
+        assert product.gathers == (floor == 0)
+        walks, powers, dots = _recorded_walks(monkeypatch, product, L)
+        assert (powers, dots) == _walk_chain(product, g.adj, L), (label, floor)
+        assert len(walks) == 2 * L + 1
+        for ell, w in enumerate(walks):
+            float_dot = ell < 2 or dots[ell - 2] != object
+            assert w.dtype == (np.int64 if float_dot else object), (label, floor, ell)
+            assert all(type(x) is int for x in w.tolist()), (label, floor, ell)
+            assert w.tolist() == [want[ell]] * g.n, (label, floor, ell)
+        assert closed_walk_total(walks) == [g.n * x for x in want]
+        chains[floor] = ([p.name for p in powers], [d.name for d in dots])
+    return chains
+
+
 @pytest.mark.parametrize("family, params, dots", [
-    ("odd", (5,), np.float64),  # k^(2L) = 5^10
-    ("cycle", (61,), object),  # 2^62: Python integers
-    ("cycle", (105,), object),  # k^L = 2^53: the powers too
-    ("cycle", (45,), np.float64),  # k^L = 2^23, the last float32 power
-    ("cycle", (47,), np.float64),  # k^L = 2^24, the first float64 one
+    ("odd", (5,), np.float32),  # every row dot below 2^24
+    ("cycle", (61,), object),  # m_31 2^31 past 2^53: Python integer dots
+    ("cycle", (105,), object),  # only the dots: the powers stay below 2 C(52, 26) < 2^53
+    ("cycle", (45,), np.float64),
+    ("cycle", (47,), np.float64),
 ])
 def test_walk_diagonals_in_each_exact_range(monkeypatch, family, params, dots):
-    # the row dots run in float64 while it is exact and in Python integers
-    # beyond, the powers in the dtype exact for k^L on each product with A
-    # that powers names (the floors patched: 0 for the gathers, inf for
-    # BLAS), and every vertex's diagonal is the known walk count
-    powers = {
-        (5,): {0: np.uint16, math.inf: np.float32},  # k^L = 5^5
-        (61,): {0: np.uint32, math.inf: np.float64},
-        (105,): {0: object, math.inf: object},
-        (45,): {math.inf: np.float32},
-        (47,): {math.inf: np.float64},
+    # each power in the dtype exact for k times the largest entry of the
+    # power before it, each row dot in the accumulator exact for its bound,
+    # the last (the row norm of A^L) in dots; together the cases reach
+    # uint8/16/32/64 and float32/64 powers and every accumulator, and every
+    # vertex's diagonal is the known walk count
+    ranges = {  # {floor: (power dtypes, dot accumulators)}
+        (5,): {0: ({"uint8"}, {"float32"}),
+               math.inf: ({"float32"}, {"float32"})},
+        (61,): {0: ({"uint8", "uint16", "uint32"}, {"float32", "float64", "object"}),
+                math.inf: ({"float32", "float64"}, {"float32", "float64", "object"})},
+        (105,): {0: ({"uint8", "uint16", "uint32", "uint64"}, {"float32", "float64", "object"}),
+                 math.inf: ({"float32", "float64"}, {"float32", "float64", "object"})},
+        (45,): {0: ({"uint8", "uint16", "uint32"}, {"float32", "float64"}),
+                math.inf: ({"float32"}, {"float32", "float64"})},
+        (47,): {0: ({"uint8", "uint16", "uint32"}, {"float32", "float64"}),
+                math.inf: ({"float32"}, {"float32", "float64"})},
     }[params]
     g = og.generate_family(family, params)
     L = (og.odd_girth(g) + 1) // 2
@@ -168,48 +253,55 @@ def test_walk_diagonals_in_each_exact_range(monkeypatch, family, params, dots):
         want = [int(w[0]) for w in _matrix_power_diagonals(g.adj, 2 * L)]
     else:
         want = [_cycle_walks(g.n, ell) for ell in range(2 * L + 1)]
-    seen, powered = set(), set()
-    real, real_times = np.einsum, og.graphs.Product.times
-
-    def recording(spec, *operands, **kwargs):
-        seen.add(np.dtype(kwargs.get("dtype", operands[0].dtype)))
-        return real(spec, *operands, **kwargs)
-
-    def times(self, X, dtype, out=None):
-        powered.add(np.dtype(dtype))
-        return real_times(self, X, dtype, out=out)
-
-    monkeypatch.setattr(np, "einsum", recording)
-    monkeypatch.setattr(og.graphs.Product, "times", times)
-    for floor, power in powers.items():
-        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
-        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
-        powered.clear()
-        walks = closed_walks(og.graphs.Product(g.adj), L)
-        assert powered == {np.dtype(power)}, floor
-        for ell, w in enumerate(walks):
-            assert w.dtype == (object if dots is object and ell >= 2 else np.int64), ell
-            assert w.tolist() == [want[ell]] * g.n, (floor, ell)
-        assert closed_walk_total(walks) == [g.n * x for x in want]
-    assert seen == {np.dtype(dots)}
+    chains = _check_walk_chain(monkeypatch, g, want, params)
+    assert {floor: (set(p), set(d)) for floor, (p, d) in chains.items()} == ranges
+    assert chains[0][1] == chains[math.inf][1] and chains[0][1][-1] == np.dtype(dots).name
 
 
 def test_walk_powers_past_the_float64_range(monkeypatch):
-    # from k^L = 2^53 on, the powers are neighbour sums of Python integers on
-    # either path, and the diagonals still match the closed form
-    seen = set()
-    real = og.graphs.neighbour_sum
+    # from 2^53 on the powers are neighbour sums of Python integers on either
+    # path: from A^57 on for C_113 and C_115 (2 C(56, 28) >= 2^53), each
+    # formed from its predecessor converted to Python integers, and the
+    # diagonals still match the closed form, Python integers and not floats
+    for k in (113, 115):
+        g = og.generate_family("cycle", [k])
+        L = (og.odd_girth(g) + 1) // 2
+        want = [_cycle_walks(k, ell) for ell in range(2 * L + 1)]
+        for floor, (powers, dots) in _check_walk_chain(monkeypatch, g, want, k).items():
+            # powers[i] is A^(i + 2)
+            assert [e for e, p in enumerate(powers, 2) if p == "object"] == list(range(57, L + 1))
+            assert "object" in dots, (k, floor)
 
-    def recording(table, X, out):
-        seen.add(out.dtype)
-        return real(table, X, out)
 
-    monkeypatch.setattr(og.graphs, "neighbour_sum", recording)
-    for k, L in ((103, 52), (105, 53)):
-        seen.clear()
-        walks = closed_walks(og.graphs.Product(og.generate_family("cycle", [k]).adj), L)
-        assert [int(w[0]) for w in walks] == [_cycle_walks(k, ell) for ell in range(2 * L + 1)]
-        assert seen == (set() if L == 52 else {np.dtype(object)}), k
+def test_walk_dtype_chains(monkeypatch):
+    # the dtype of each power and row dot on both products with A, pinned.
+    # Relabeled O_6 and the folded 9-cube (L = (og + 1) / 2): the powers
+    # A^2..A^L in uint8 while k m_l < 256, then in uint16 on the gathers,
+    # float32 on BLAS, and every row dot in float32 but the last, the row
+    # norm of A^L.  The star K_{1,100}, L = 3: m_2 = m_3 = k = 100, so the
+    # row dot of A^2 with A^3 is at most m_3 k^2 = 10^6, a float32 sum, where
+    # m_2 k^3 = 10^8 would need float64, as the row norm of A^3 does
+    perm = np.random.default_rng(6).permutation(462)
+    cases = [
+        (og.generate_family("odd", [6]).adj[np.ix_(perm, perm)], 6,
+         ["uint8"] * 3 + ["uint16"] * 2, ["float32"] * 10 + ["float64"]),
+        (og.generate_family("folded_cube", [9]).adj, 5,
+         ["uint8"] * 3 + ["uint16"], ["float32"] * 8 + ["float64"]),
+        (og.graph_from_edges(101, [(0, leaf) for leaf in range(1, 101)]).adj, 3,
+         ["uint8", "uint16"], ["float32"] * 4 + ["float64"]),
+    ]
+    for adj, L, gathered, dots in cases:
+        P = _integer_powers(adj, L)
+        for floor in (0, math.inf):
+            monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_FLOOR", floor)
+            monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_DENSITY", floor)
+            product = og.graphs.Product(adj)
+            walks, powers, got_dots = _recorded_walks(monkeypatch, product, L)
+            assert [p.name for p in powers] == (gathered if floor == 0 else ["float32"] * (L - 1))
+            assert [d.name for d in got_dots] == dots
+            assert (powers, got_dots) == _walk_chain(product, adj, L)
+            for ell, w in enumerate(walks):  # diag(A^ell), a row dot of two int64 powers
+                assert np.array_equal(w, (P[ell // 2] * P[(ell + 1) // 2]).sum(axis=1)), (L, floor, ell)
 
 
 def test_walk_recurrence_stops_at_the_first_vanishing_norm(petersen):

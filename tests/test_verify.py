@@ -635,3 +635,29 @@ def test_verify_odd_7_peak_memory():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert int(out) < 95 * 1024
+
+
+def test_odd_7_walk_counts_add_no_peak_memory():
+    # O_7's walk counts (L = 7, powers in uint8 and uint16) fit under the
+    # peak its distance layer set: ru_maxrss read after distance_data and
+    # again after check_hypothesis, which repeats distance_data before the
+    # walk counts, grows by at most 2 MB (6 MB when every power was uint16).
+    # As in the test above, the readings come from the child of a fresh
+    # interpreter, so they do not start at the test runner's size; the
+    # first reading must exceed the one after import, or the probe measured
+    # nothing
+    verify = ("import resource, oddgirth as og; "
+              "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+              "g = og.generate_family('odd', [7]); before = peak(); "
+              "og.distance_data(g); after_distances = peak(); "
+              "assert og.check_hypothesis(g).met; "
+              "print(before, after_distances, peak())")
+    probe = ("import subprocess, sys; "
+             "print(subprocess.run([sys.executable, '-c', %r], check=True, capture_output=True, "
+             "text=True).stdout)" % verify)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(og.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    before, after_distances, after_walks = map(int, out.split())
+    assert after_distances > before
+    assert after_walks - after_distances <= 2 * 1024, (before, after_distances, after_walks)
