@@ -10,7 +10,6 @@ violations.
 """
 
 from .graphs import (
-    UNREACHABLE,
     DistanceData,
     Graph,
     GraphError,

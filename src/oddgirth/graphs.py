@@ -18,7 +18,8 @@ one product with the adjacency matrix A whose entries are counts of at most
 the largest degree, and distance_data reduces them at once to the
 intersection numbers of the levels they belong to (the count at a first
 pair and the first pair that differs), so no count matrix outlives its next
-level: the expansion works in a fixed set of n x n buffers.
+level: the expansion works in a fixed set of n x n buffers.  Its levels are
+the distance-i indicators A_i (distance_levels), so no distance matrix is kept.
 
 Every product with A, the expansion's, quick_reject's A A, the walk counts'
 powers (predistance.closed_walks) and p_i(A) (predistance.matrix_values),
@@ -61,13 +62,12 @@ verifies one hit per orbit.  The eigenvalue machinery lives in the sibling modul
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, count, permutations
 from typing import NamedTuple
 
 import numpy as np
-
-UNREACHABLE = -1  # sentinel for unreachable pairs in distance matrices
 
 _G6_HEADER = b">>graph6<<"  # optional, at the start of a file
 _G6_MAX_SHORT = 62
@@ -158,9 +158,11 @@ def _is_01(adj):
 
 
 def graph_from_edges(n, edges):
-    """Build a Graph from an iterable of (u, v) pairs."""
+    """A Graph from (u, v) pairs of integer vertices in 0..n-1; any other pair is a GraphError."""
     adj = np.zeros((n, n), dtype=np.uint8)
     for u, v in edges:
+        if not all(isinstance(x, numbers.Integral) and 0 <= x < n for x in (u, v)):
+            raise GraphError("edge (%r, %r): vertex outside 0..%d" % (u, v, n - 1))
         adj[u, v] = adj[v, u] = 1
     return Graph(n, adj)
 
@@ -562,16 +564,12 @@ class IntersectionCount(NamedTuple):
 
 @dataclass
 class DistanceData:
-    """All-pairs hop distances; UNREACHABLE marks pairs with no path.
+    """What one all-sources expansion found about a graph's distances; no distance matrix.
 
-    dist is in the smallest signed type that holds -n, int8 up to 128
-    vertices and int16 beyond: a distance is less than n, and UNREACHABLE is
-    -1.  distance_data writes k over the zeros at each BFS level k; the
-    levels are disjoint, so no entry exceeds the diameter, at most n - 1
-    (127 on P_128, the largest int8 case), and UNREACHABLE is written only
-    on a disconnected graph.  Its readers only compare it.
-
-    odd_girth is the length of a shortest odd cycle, math.inf if there is none.
+    diameter is the last level the expansion reached and connected whether
+    it reached every pair; the levels, the distance-i indicators A_i, are
+    not kept (distance_levels yields them again).  odd_girth is the length
+    of a shortest odd cycle, math.inf if there is none.
     intersection_counts are the IntersectionCount reductions the expansion
     made, in the order i = 0, 1, ..., and kinds c, a, b within a level (no
     c_0 and no b at the diameter, where b_D = 0 holds trivially), up to and
@@ -581,7 +579,6 @@ class DistanceData:
     the expansion and every product with A that follows it.
     """
 
-    dist: np.ndarray
     diameter: int
     connected: bool
     odd_girth: object
@@ -633,6 +630,15 @@ def _expand(product):
         sums = spare[k % 2] = product.times(nxt.view(np.uint8), dtype, out=spare[k % 2])
 
 
+def distance_levels(product):
+    """Yield A_0, A_1, ..., A_D, the bool frontiers of a new expansion (_expand) by product.
+
+    Each stays valid until the next but one is yielded.
+    """
+    for frontier, *_ in _expand(product):
+        yield frontier
+
+
 def _intersection_count(i, kind, frontier, sums, reference, scratch):
     """The IntersectionCount of kind at level i: frontier is F_i, sums A F_j of the level j kind reads.
 
@@ -654,14 +660,11 @@ def _intersection_count(i, kind, frontier, sums, reference, scratch):
 
 
 def distance_data(g):
-    """Exact distances, diameter, connectivity, odd girth and intersection numbers from one expansion.
+    """Diameter, connectivity, odd girth and intersection numbers from one expansion.
 
     All n sources expand together (_expand, with the graph's Product, kept
-    in the result).  A pair at distance d lies beyond levels 1..d, so
-    adding the pairs beyond each level k >= 1 to zeros gives dist, one add
-    of a bool matrix a level; a pair no level reaches would get the
-    diameter, and has UNREACHABLE written over it, on a disconnected graph
-    only.
+    in the result).  The diameter is the last level, and the graph is
+    connected iff no pair lies beyond it; no distance matrix is written.
 
     An edge inside level k of some source (a neighbour of v at distance k
     from u, with v itself at distance k: a count of kind a that is not 0)
@@ -678,14 +681,11 @@ def distance_data(g):
     it is reduced, also tells whether an edge lies inside the level.
     """
     n = g.n
-    dist = np.zeros((n, n), dtype=np.min_scalar_type(-n))  # a distance is < n
     girth = math.inf
     counts = []
     product = Product(g.adj)
     previous = None  # the last level's frontier, sums and reference pair
     for k, (frontier, sums, beyond, scratch) in enumerate(_expand(product)):
-        if k:
-            dist += beyond
         reference = divmod(int(frontier.argmax()), n)  # the first pair at distance k
         todo = [(k, "a", frontier, sums, reference)]
         if previous is not None:
@@ -707,13 +707,9 @@ def distance_data(g):
             if inner:
                 girth = 2 * k + 1
         previous = frontier, sums, reference
-    connected = not beyond.any()  # the pairs no level reached
-    if not connected:
-        dist[beyond] = UNREACHABLE
     return DistanceData(
-        dist=dist,
         diameter=k,
-        connected=connected,
+        connected=not beyond.any(),  # the pairs no level reached
         odd_girth=girth,
         intersection_counts=counts,
         product=product,

@@ -24,7 +24,8 @@ matrix, and nothing n x n is solved or evaluated beyond the powers, unless
 the intersection array disagrees with the exact recurrence (its rows must sum
 to k, and the monic recurrence (a_i, b_{i-1} c_i) of its distance polynomials
 must be the walk recurrence's (a_i, b_i)): then the p_i(A) pass
-(check_polynomial_identities) names the first level that breaks.  Every
+(check_polynomial_identities) names the first level that breaks; it alone
+expands the graph again, for the levels A_i it compares with.  Every
 other graph gets spectral.spectrum, a clustered eigvalsh, for its report.
 The float certificates below (vandermonde_certificate, check_walk_regular on
 local multiplicities, ...) are the exact path's oracles.
@@ -32,12 +33,13 @@ local multiplicities, ...) are the exact path's oracles.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import predistance, spectral
-from .graphs import GraphError, distance_data
+from .graphs import GraphError, distance_data, distance_levels
 
 
 # the float oracles' thresholds, kept in every report's tolerances: the
@@ -98,22 +100,13 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # distance matrices and the definitional intersection-array check
 
-def _check_partition(dd):
-    """The distance-i indicators A_0..A_D partition J: every entry of dd.dist lies in 0..D."""
-    if dd.dist.min() < 0 or dd.dist.max() > dd.diameter:
-        raise RuntimeError(
-            "distance matrices A_0..A_%d do not sum to the all-ones matrix" % dd.diameter
-        )
-
-
 def distance_matrices(g, dd=None):
-    """Distance-i indicators A_0..A_D for a connected graph; sum is all-ones."""
+    """Distance-i indicators A_0..A_D for a connected graph, int64; sum is all-ones."""
     if dd is None:
         dd = distance_data(g)
     if not dd.connected:
         raise GraphError("distance matrices require a connected graph")
-    _check_partition(dd)
-    return [(dd.dist == i).astype(np.int64) for i in range(dd.diameter + 1)]
+    return [level.astype(np.int64) for level in distance_levels(dd.product)]
 
 
 @dataclass
@@ -191,13 +184,13 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
 
     The pass runs predistance.matrix_values once (d - 1 matrix products).  It
     sums H(A) = p_0(A) + ... + p_d(A), which must be the all-ones matrix J,
-    and compares each p_i(A) with the distance-i indicator dist == i; the
-    distance_polynomial residual is the largest over the levels, and its
-    witness the first level i whose residual exceeds tol (None if none
-    does).  A_i is the zero matrix beyond the diameter, which is how a graph
-    with too many eigenvalues for its diameter fails loudly: p_d has
-    positive norm, so p_d(A) cannot vanish.  Both are not applicable if g is
-    irregular.
+    and compares each p_i(A) with the distance-i indicator A_i, level i of
+    a new expansion (graphs.distance_levels); the distance_polynomial
+    residual is the largest over the levels, and its witness the first
+    level i whose residual exceeds tol (None if none does).  A_i is the
+    zero matrix beyond the diameter, which is how a graph with too many
+    eigenvalues for its diameter fails loudly: p_d has positive norm, so
+    p_d(A) cannot vanish.  Both are not applicable if g is irregular.
     """
     if not g.is_regular():
         return (Certificate(name="hoffman", tol=tol),
@@ -206,9 +199,10 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
         dd = distance_data(g)
     H = -np.ones((g.n, g.n))  # H(A) - J
     worst, first_bad = 0.0, None
+    levels = distance_levels(dd.product)
     for i, PA in enumerate(predistance.matrix_values(system, dd.product)):
         H += PA
-        diff = PA - (dd.dist == i)
+        diff = PA - next(levels, 0)  # A_i, zero past the diameter
         residual = float(np.abs(diff, out=diff).max())
         worst = max(worst, residual)
         if first_bad is None and residual > tol:
@@ -241,7 +235,8 @@ def excess_comparison(g, system, dd=None):
         dd = distance_data(g)
     lam0 = float(system.spectrum.values[0])
     spectral_excess = float(predistance.poly_eval(system.polys[system.d], lam0))
-    average_excess = float((dd.dist == system.d).sum(axis=1).mean())
+    at_d = next(islice(distance_levels(dd.product), system.d, None), False)  # A_d, none past D
+    average_excess = np.count_nonzero(at_d) / g.n
     return spectral_excess, average_excess
 
 
@@ -620,7 +615,6 @@ def theorem_report(g, hypothesis, tolerances=None, input_label=None):
     certificates = {}
     conclusion = None
     if met:
-        _check_partition(dd)
         ia = intersection_array(g, dd)
         certificates = exact_certificates(g, dd, walks, recurrence, s, ia, tols.certificate)
         if isinstance(ia, IntersectionArray):

@@ -301,6 +301,20 @@ def mask_distance_oracle(n, masks):
     }
 
 
+def level_distances(dd):
+    """The distance matrix read off the levels of dd's expansion, -1 where no level reaches.
+
+    Entry (u, v) is the i of the level graphs.distance_levels(dd.product)
+    that holds the pair: the tests compare the levels with independent
+    oracles (floyd_warshall, loops over neighbours) through this matrix.
+    """
+    n = dd.product.n
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for i, level in enumerate(og.graphs.distance_levels(dd.product)):
+        dist[level] = i
+    return dist
+
+
 @pytest.fixture(scope="session")
 def mask_oracle():
     """For n <= 6, lists indexed by mask of what mask_distance_oracle gives for its graph.

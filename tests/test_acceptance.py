@@ -23,7 +23,8 @@ from oddgirth.verify import (
     NotDistanceRegular,
 )
 
-from conftest import ACCEPTANCE_LINES, KNOWN_ARRAYS, mask_distance_oracle, screen_regular_range
+from conftest import (ACCEPTANCE_LINES, KNOWN_ARRAYS, level_distances, mask_distance_oracle,
+                      screen_regular_range)
 
 
 def _record(num, ok, text):
@@ -272,8 +273,7 @@ def test_criterion_8_negative_controls(prism, p3, tmp_path, capsys):
         bad.append("prism not flagged")
     else:
         u, v = res.pair
-        dd = og.distance_data(prism)
-        if dd.dist[u, v] != res.i or res.found == res.expected:
+        if level_distances(og.distance_data(prism))[u, v] != res.i or res.found == res.expected:
             bad.append("prism witness inconsistent")
     system = og.predistance_polynomials(og.spectrum(prism))
     if check_distance_polynomial(prism, system).passed is not False:

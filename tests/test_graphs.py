@@ -21,6 +21,7 @@ from conftest import (
     folded_cube_oracle,
     graph6_oracle_encode,
     graph6_oracle_parse,
+    level_distances,
     mask_distance_oracle,
     odd_graph_oracle,
     orbit_oracle,
@@ -28,14 +29,14 @@ from conftest import (
 
 
 def floyd_warshall(g):
-    """Independent all-pairs oracle for small n."""
+    """Independent all-pairs oracle for small n, -1 for unreachable pairs."""
     n = g.n
     INF = 10**9
     d = np.where(g.adj > 0, 1, INF)
     np.fill_diagonal(d, 0)
     for k in range(n):
         d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-    return np.where(d >= INF, og.UNREACHABLE, d)
+    return np.where(d >= INF, -1, d)
 
 
 def mask_flags(n, start=0, stop=None):
@@ -374,6 +375,27 @@ def test_parse_edge_list_errors_carry_line_numbers():
         og.parse_edge_list("3\n0 1\n\n0 1 2\n")
 
 
+def test_graph_from_edges_rejects_negative_vertices():
+    # -1 once wrapped to the last vertex: (-1, 0) on 3 vertices was the edge {2, 0}
+    for pair in ((-1, 0), (0, -3), (-4, 1)):
+        with pytest.raises(og.GraphError, match=r"edge \(%d, %d\)" % pair):
+            og.graph_from_edges(3, [(0, 1), pair])
+
+
+def test_graph_from_edges_rejects_vertices_past_n():
+    for pair in ((0, 3), (3, 0), (1, 10**20)):
+        with pytest.raises(og.GraphError, match=r"edge \(%d, %d\).*0\.\.2" % pair):
+            og.graph_from_edges(3, [pair])
+
+
+def test_graph_from_edges_rejects_non_integer_vertices():
+    for pair in ((0, 1.0), (0.5, 1), ("0", 1), (None, 1)):
+        with pytest.raises(og.GraphError, match=r"edge \(%r, %r\)" % pair):
+            og.graph_from_edges(3, [pair])
+    # numpy integers are integers
+    assert og.graph_from_edges(3, [(np.int64(0), np.uint8(1))]) == og.graph_from_edges(3, [(0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -528,20 +550,20 @@ def test_product_contract(monkeypatch, sparse_irregular, floor, bound, dtype):
 
 def test_distance_data_k2():
     dd = og.distance_data(og.generate_family("complete", [2]))
-    assert dd.dist.tolist() == [[0, 1], [1, 0]]
+    assert level_distances(dd).tolist() == [[0, 1], [1, 0]]
     assert dd.diameter == 1 and dd.connected
 
 
 def test_distance_data_petersen(petersen):
     dd = og.distance_data(petersen)
-    off = dd.dist[~np.eye(10, dtype=bool)]
+    off = level_distances(dd)[~np.eye(10, dtype=bool)]
     assert set(off.tolist()) == {1, 2}
 
 
 def test_distance_data_disconnected():
     dd = og.distance_data(og.graph_from_edges(2, []))
     assert not dd.connected
-    assert dd.dist[0, 1] == og.UNREACHABLE
+    assert level_distances(dd)[0, 1] == -1
     assert dd.diameter == 0
 
 
@@ -554,7 +576,7 @@ def test_distance_data_level_zero_edge_cases():
     )
     for g, connected, diameter in cases:
         dd = og.distance_data(g)
-        assert np.array_equal(dd.dist, floyd_warshall(g)), g.n
+        assert np.array_equal(level_distances(dd), floyd_warshall(g)), g.n
         assert dd.connected == connected, g.n
         assert dd.diameter == diameter, g.n
         assert dd.odd_girth == og.odd_girth(g) == math.inf, g.n
@@ -563,10 +585,10 @@ def test_distance_data_level_zero_edge_cases():
 def test_distance_matches_floyd_warshall(family_suite):
     for seed in range(10):
         g = random_graph(8, seed)
-        assert np.array_equal(og.distance_data(g).dist, floyd_warshall(g))
+        assert np.array_equal(level_distances(og.distance_data(g)), floyd_warshall(g))
     for label, g in family_suite:
         if g.n <= 40:
-            assert np.array_equal(og.distance_data(g).dist, floyd_warshall(g)), label
+            assert np.array_equal(level_distances(og.distance_data(g)), floyd_warshall(g)), label
 
 
 def test_distance_data_large_relabeled():
@@ -575,26 +597,26 @@ def test_distance_data_large_relabeled():
     for family, param in (("odd", 5), ("folded_cube", 9)):
         g = relabeled(og.generate_family(family, [param]), param)
         dd = og.distance_data(g)
-        assert np.array_equal(dd.dist, floyd_warshall(g)), family
+        assert np.array_equal(level_distances(dd), floyd_warshall(g)), family
         assert dd.connected and dd.diameter == 4, family
         assert dd.odd_girth == og.odd_girth(g) == 9, family
 
 
 def test_distance_data_at_the_dtype_boundaries():
-    # dist is int8 up to n = 128 and int16 beyond, and is built by adding
-    # k F_k per level: P_128's last level, k = 127, is the largest int8 value
+    # P_128 and P_129 lie either side of the neighbour-sum floor, with the
+    # longest expansions of their sizes (127 and 128 levels), beside a
+    # disconnected graph and a relabeled O_6 on the gathers
     c101 = og.generate_family("cycle", [101])
     cases = (
-        # graph, dtype, neighbour gathers, diameter, connected, odd girth
-        (og.generate_family("path", [128]), np.int8, False, 127, True, math.inf),
-        (og.generate_family("path", [129]), np.int16, True, 128, True, math.inf),
-        (disjoint_union(c101, c101), np.int16, True, 50, False, 101),
-        (relabeled(og.generate_family("odd", [6]), 6), np.int16, True, 5, True, 11),
+        # graph, neighbour gathers, diameter, connected, odd girth
+        (og.generate_family("path", [128]), False, 127, True, math.inf),
+        (og.generate_family("path", [129]), True, 128, True, math.inf),
+        (disjoint_union(c101, c101), True, 50, False, 101),
+        (relabeled(og.generate_family("odd", [6]), 6), True, 5, True, 11),
     )
-    for g, dtype, table, diameter, connected, girth in cases:
+    for g, table, diameter, connected, girth in cases:
         dd = og.distance_data(g)
-        assert np.array_equal(dd.dist, floyd_warshall(g)), g.n
-        assert dd.dist.dtype == dtype, g.n
+        assert np.array_equal(level_distances(dd), floyd_warshall(g)), g.n
         assert dd.product.gathers == table, g.n
         assert dd.diameter == diameter, g.n
         assert dd.connected == connected, g.n
@@ -605,7 +627,7 @@ def test_distance_invariants():
     for seed in range(5):
         g = random_graph(7, seed)
         dd = og.distance_data(g)
-        d = dd.dist
+        d = level_distances(dd)
         assert np.array_equal(d, d.T)
         assert (np.diag(d) == 0).all()
         assert np.array_equal(d == 1, g.adj == 1)

@@ -25,6 +25,8 @@ from oddgirth.verify import (
     vandermonde_certificate,
 )
 
+from conftest import level_distances
+
 
 def _pipeline(g):
     s = og.spectrum(g)
@@ -52,22 +54,6 @@ def test_distance_matrices_reject_disconnected():
     g = og.graph_from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(og.GraphError):
         distance_matrices(g)
-
-
-def test_distance_matrices_self_check(c5, monkeypatch):
-    # an inconsistent DistanceData: the distance-2 pairs of C_5 moved to 3,
-    # past the stated diameter, so A_0 + A_1 + A_2 misses them
-    dd = og.distance_data(c5)
-    bad = og.DistanceData(
-        dist=np.where(dd.dist == 2, 3, dd.dist), diameter=2, connected=True, odd_girth=5,
-        intersection_counts=dd.intersection_counts, product=dd.product,
-    )
-    with pytest.raises(RuntimeError, match="all-ones"):
-        distance_matrices(c5, bad)
-    # verify_theorem runs the same partition check on its one DistanceData
-    monkeypatch.setattr(verify, "distance_data", lambda g: bad)
-    with pytest.raises(RuntimeError, match="all-ones"):
-        og.verify_theorem(c5)
 
 
 def test_intersection_array_c5(c5):
@@ -107,11 +93,11 @@ def test_intersection_array_prism_witness(prism):
     assert isinstance(res, NotDistanceRegular)
     # the witness must be checkable: recount the walls of the reported pair
     u, v = res.pair
-    dd = og.distance_data(prism)
-    assert dd.dist[u, v] == res.i
+    dist = level_distances(og.distance_data(prism))
+    assert dist[u, v] == res.i
     shift = {"c": -1, "a": 0, "b": 1}[res.kind]
     count = sum(
-        1 for w in range(prism.n) if prism.adj[v, w] and dd.dist[u, w] == res.i + shift
+        1 for w in range(prism.n) if prism.adj[v, w] and dist[u, w] == res.i + shift
     )
     assert count == res.found != res.expected
 
@@ -125,7 +111,7 @@ def test_intersection_array_path_witness():
 def intersection_array_by_loops(g):
     """Reference: count every wall of every pair one neighbour at a time."""
     dd = og.distance_data(g)
-    dist, n, D = dd.dist, g.n, dd.diameter
+    dist, n, D = level_distances(dd), g.n, dd.diameter
     walls = {"c": [0] * (D + 1), "a": [0] * (D + 1), "b": [0] * (D + 1)}
     for i in range(D + 1):
         pairs = [(u, v) for u in range(n) for v in range(n) if dist[u, v] == i]
@@ -162,7 +148,7 @@ def test_intersection_array_matches_loops():
 def intersection_array_by_products(g):
     """Reference: each level product (dist == j) @ A in float64 BLAS, in a rolling window."""
     dd = og.distance_data(g)
-    dist, A, D = dd.dist, g.adj.astype(np.float64), dd.diameter
+    dist, A, D = level_distances(dd), g.adj.astype(np.float64), dd.diameter
 
     def level_product(j):
         return (dist == j).astype(np.float64) @ A
@@ -220,7 +206,7 @@ def intersection_counts_by_products(g, dd):
     exist) the count at the first pair at distance i and the first pair
     whose count differs, up to and including the first that differs.
     """
-    dist, D = dd.dist, dd.diameter
+    dist, D = level_distances(dd), dd.diameter
     A = g.adj.astype(np.int64)
     products = [(dist == j).astype(np.int64) @ A for j in range(D + 1)]
     records = []
@@ -287,9 +273,10 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
             assert dd.intersection_counts == intersection_counts_by_products(g, dd), g.n
             ia = og.intersection_array(g, dd) if dd.connected else None
             assert dd.product.gathers == (floor != math.inf), g.n
-            results.append((dd, ia, list(og.predistance.matrix_values(system, dd.product))))
-        (sums, sums_ia, sums_values), (dense, dense_ia, dense_values) = results
-        assert np.array_equal(sums.dist, dense.dist), g.n
+            results.append((dd, level_distances(dd), ia,
+                            list(og.predistance.matrix_values(system, dd.product))))
+        (sums, sums_dist, sums_ia, sums_values), (dense, dense_dist, dense_ia, dense_values) = results
+        assert np.array_equal(sums_dist, dense_dist), g.n
         assert (sums.diameter, sums.connected, sums.odd_girth) == (
             dense.diameter, dense.connected, dense.odd_girth), g.n
         assert sums.intersection_counts == dense.intersection_counts, g.n
@@ -321,10 +308,11 @@ def _c5_with_a_hat():
 
 def test_verify_computes_each_quantity_once(monkeypatch, prism):
     # a met graph: no eigensolve of an n x n matrix (one eigh of the small
-    # Jacobi matrix), none of the float pipeline or its witnesses, and one
-    # graphs.Product, built by distance_data; a rejected graph, whether it
-    # fails the prefilter or only the exact count of its eigenvalues: one
-    # eigvalsh of A and no eigh
+    # Jacobi matrix), none of the float pipeline or its witnesses, one
+    # graphs.Product, built by distance_data, and one distance expansion
+    # (graphs._expand); a rejected graph, whether it fails the prefilter or
+    # only the exact count of its eigenvalues: one eigvalsh of A, no eigh
+    # and one expansion
     calls = {}
 
     def counting(name, fn):
@@ -339,6 +327,7 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(og.predistance, "matrix_values",
                         counting("matrix_values", og.predistance.matrix_values))
+    monkeypatch.setattr(og.graphs, "_expand", counting("_expand", og.graphs._expand))
 
     class Product(og.graphs.Product):
         def __init__(self, adj):
@@ -364,16 +353,18 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
         calls.clear()
         rep = og.verify_theorem(current)
         assert rep.hypothesis_met and not rep.alarm
-        assert calls == {("eigh", "small"): 1, ("Product", "distance_data"): 1}, current.n
+        assert calls == {("eigh", "small"): 1, ("Product", "distance_data"): 1,
+                         "_expand": 1}, current.n
     monkeypatch.undo()
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(og.graphs, "_expand", counting("_expand", og.graphs._expand))
     for current in (og.generate_family("cycle", [6]), og.generate_family("path", [5]), prism,
                     _c5_with_a_hat()):
         calls.clear()
         rep = og.verify_theorem(current)
         assert not rep.hypothesis_met
-        assert calls == {("eigvalsh", "n x n"): 1}, current.n
+        assert calls == {("eigvalsh", "n x n"): 1, "_expand": 1}, current.n
 
 
 def test_verify_refuses_merged_eigenvalues(petersen, prism):
@@ -661,3 +652,25 @@ def test_odd_7_walk_counts_add_no_peak_memory():
     before, after_distances, after_walks = map(int, out.split())
     assert after_distances > before
     assert after_walks - after_distances <= 2 * 1024, (before, after_distances, after_walks)
+
+
+def test_folded_13_cube_distance_layer_peak_memory():
+    # the distance layer of the folded 13-cube (n = 4,096, k = 13) keeps
+    # nothing n x n beyond the expansion's six byte buffers: ru_maxrss grows
+    # by at most 95 MB over its reading after generate_family (113 MB when
+    # DistanceData kept a 33.5 MB int16 distance matrix).  As in the tests
+    # above, the readings come from the child of a fresh interpreter
+    verify = ("import resource, oddgirth as og; "
+              "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+              "g = og.generate_family('folded_cube', [13]); before = peak(); "
+              "assert og.distance_data(g).diameter == 6; "
+              "print(before, peak())")
+    probe = ("import subprocess, sys; "
+             "print(subprocess.run([sys.executable, '-c', %r], check=True, capture_output=True, "
+             "text=True).stdout)" % verify)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(og.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    before, after = map(int, out.split())
+    assert after > before
+    assert after - before <= 95 * 1024, (before, after)
