@@ -437,22 +437,28 @@ def generate_family(family, params=()):
 # NEIGHBOUR_SUM_FLOOR vertices and more than NEIGHBOUR_SUM_DENSITY per unit of
 # its largest degree k: the sums cost about k n^2 plus a fixed cost per call,
 # a dense product n^3.  Sums against dense products, one BLAS thread, 2-core
-# Xeon VM: distance_data took 1.31 against 0.92 ms on C_61 and 6.7 against 20.3 ms on
-# C_161; distance_data and matrix_values together 8.3 against 10.0 ms on the
-# folded 9-cube (n/k = 28) and 29 against 54 ms on O_6 (n/k = 77).  A uint8
-# sum beats the float32 product of the expansion from n/k of about 10, a
-# float64 sum the product of matrix_values only from about 30 (n = 400:
-# 2.7 against 3.3 ms at n/k = 33, 3.6 against 2.8 ms at n/k = 25).  At
-# n/k = 2 (n = 400) a float64 sum took 43 ms against 3.0 ms.  A met verify
-# runs the expansion and the walk counts, whose sums are unsigned integers
-# too: on O_6 a uint16 sum took 0.44 ms against 1.7 ms in float64
+# Xeon VM: distance_data took 1.00 against 1.11 ms on C_61 and 3.7 against
+# 11.2 ms on C_161; distance_data and matrix_values together 3.8 against
+# 4.6 ms on the folded 9-cube (n/k = 28) and 9.8 against 37.7 ms on O_6
+# (n/k = 77).  At n = 400 a uint8 sum beats the float32 product of the
+# expansion at n/k = 10 (distance_data 5.8 against 10.2 ms), and a float64
+# sum the product of matrix_values from n/k of about 17 (0.9 against 2.0 ms
+# at n/k = 33, 1.6 against 2.7 ms at 25, 2.6 against 2.8 ms at 17, 3.1
+# against 2.0 ms at 10, 15.5 against 1.9 ms at 2).  The floors were set when
+# the sums were slower; they stay, since moving them moves which graphs of a
+# corpus take the sums.  A met verify runs the expansion and the walk
+# counts, whose sums are unsigned integers too: on O_6 a uint16 sum took
+# 0.44 ms against 1.7 ms in float64
 NEIGHBOUR_SUM_FLOOR = 128
 NEIGHBOUR_SUM_DENSITY = 24
 
 # bytes of the result summed at a time: a block and its gathered rows stay in
 # a core's 2 MB L2 cache while the k gathers add into it.  A float64 A X at
 # n = 1716 (O_7) took 221 ms as a dense product, 121 ms as k whole-matrix
-# gathers, 40, 38, 39 and 51 ms in blocks of 8, 16, 32 and 64 rows
+# gathers, 40, 38, 39 and 51 ms in blocks of 8, 16, 32 and 64 rows.  Blocks
+# of 2^14 to 2^22 bytes, uint8 and uint16 sums: fastest from 2^17 to 2^19 on
+# O_6, O_7 and the folded 13-cube (O_7 uint8 4.6 ms at 2^14, 1.5 at 2^18,
+# 3.2 at 2^22)
 NEIGHBOUR_SUM_BLOCK = 1 << 18
 
 # integers below 2^53 are exact in float64, those below 2^24 in float32
@@ -511,9 +517,12 @@ class Product:
         """A X in dtype, X of shape (n + 1, m) with row n zero; so is the result.
 
         X is left unchanged.  The result is written to out when it is given,
-        an array of X's shape in dtype that is not X.
+        an array of X's shape in dtype that is not X.  X with other than
+        n + 1 rows raises ValueError: the gathers read row n as the zero row.
         """
         n = self.n
+        if len(X) != n + 1:
+            raise ValueError("a product with A takes n + 1 = %d rows, got %d" % (n + 1, len(X)))
         if out is None:
             out = np.empty(X.shape, dtype=dtype)
         out[n] = 0
@@ -530,15 +539,27 @@ def neighbour_sum(table, X, out):
     """Write into out the sums, row u, of the rows of X that row u of table lists.
 
     k gathers for a table of width k, summed a block of about
-    NEIGHBOUR_SUM_BLOCK bytes of out at a time.
+    NEIGHBOUR_SUM_BLOCK bytes of out at a time.  Each gather is
+    take(mode="clip"), which numpy writes straight into its out, where the
+    default mode="raise" first gathers into a buffer.  Clipping never moves
+    an index: every entry of table lies in [0, n], n = len(table), and X
+    has the n + 1 rows that Product.times checks for.  When X is in out's
+    dtype, the first gather of a block is written into out itself, with no
+    zero fill and one add fewer; a widening product (uint8 into uint16, as
+    in closed_walks) sums from zero.  A table of width 0 sums to zero.
     """
     rows = max(1, NEIGHBOUR_SUM_BLOCK // out[0].nbytes)
     part = np.empty((min(rows, len(out)),) + X.shape[1:], dtype=X.dtype)
+    direct = X.dtype == out.dtype and table.shape[1] > 0
     for lo in range(0, len(out), rows):
         block, sums = table[lo:lo + rows], out[lo:lo + rows]
-        sums[...] = 0
-        for column in block.T:
-            sums += X.take(column, axis=0, out=part[:len(block)])
+        columns = iter(block.T)
+        if direct:
+            X.take(next(columns), axis=0, out=sums, mode="clip")
+        else:
+            sums[...] = 0
+        for column in columns:
+            sums += X.take(column, axis=0, out=part[:len(block)], mode="clip")
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ decided exactly (verify.check_hypothesis, one all-sources expansion and, on
 a prefilter graph, its walk counts), and only a line that meets it gets its
 report (verify.theorem_report, from the same record), so a rejected line is
 never eigensolved.  Only a corpus scan shares its lines among worker
-processes (jobs).
+processes (jobs), and only when they are large enough to pay for the pool
+(POOL_FLOOR).
 """
 
 import os
@@ -232,6 +233,16 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
     return examined, hits
 
 
+# the summed n^2 of a corpus's lines above which a worker pool pays for its
+# fork.  Fork and pool cost 20-30 ms, on 2 CPUs with two workers against one:
+# 8 x O_6 (n^2 about 1.7e6 in all) took 0.046 against 0.051 s, 2 x the folded
+# 11-cube (2.1e6) 0.062 against 0.080 s and 4 x O_7 (1.2e7) 0.24 against
+# 0.39 s, though 60 lines of n 20-120 took 0.032-0.044 against 0.010-0.015 s.
+# A line that quick_reject settles costs far less a vertex pair: 32 rejected
+# lines of n = 1000 (3.2e7) took 0.175 against 0.138 s
+POOL_FLOOR = 2_000_000
+
+
 def _cap_jobs(jobs):
     """Worker count: at most the CPUs this process may run on; below 1 raises ValueError."""
     if jobs < 1:
@@ -240,17 +251,17 @@ def _cap_jobs(jobs):
 
 
 def _map(fn, items, jobs):
-    """fn(item) for each item, in order, yielded as each is done.
+    """fn(item) for each (lineno, line) of a graph6 file, in order, yielded as each is done.
 
     In a fork pool of jobs workers when there is work to share, handing out
-    chunks of the size Pool.map would choose.  Only corpus lines use it.  On
-    2 CPUs, a file of 4 x O_7 took 0.53-1.23 s with two workers against
-    1.21-1.29 s with one, though 60 lines of n <= 120 took 0.04 s against
-    0.016 s.  The n <= 7 sweep took 0.12-0.19 s in 16 forked chunks, each
-    repeating the class step (226 check_hypothesis calls against 23),
-    against 0.03-0.04 s in one process.
+    chunks of the size Pool.map would choose: two lines or more whose
+    summed n^2 exceeds POOL_FLOOR, read off the lines' lengths (a line of n
+    vertices holds n(n - 1) / 2 bits, 6 a byte, so about n^2 / 12 bytes),
+    with no parse.  The n <= 7 sweep took 0.12-0.19 s in 16 forked chunks,
+    each repeating the class step (226 check_hypothesis calls against 23),
+    against 0.03-0.04 s in one process, so only corpus lines use it.
     """
-    if jobs > 1 and len(items) > 1:
+    if jobs > 1 and len(items) > 1 and 12 * sum(len(line) for _, line in items) > POOL_FLOOR:
         # imported here: it costs about 10 ms at every import of this module
         from multiprocessing import get_context
 

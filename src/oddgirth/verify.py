@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import predistance, spectral
+from . import graphs, predistance, spectral
 from .graphs import GraphError, distance_data, distance_levels
 
 
@@ -195,12 +195,13 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
     if not g.is_regular():
         return (Certificate(name="hoffman", tol=tol),
                 Certificate(name="distance_polynomial", tol=tol))
-    if dd is None:
-        dd = distance_data(g)
+    product = graphs.Product(g.adj) if dd is None else dd.product
     H = -np.ones((g.n, g.n))  # H(A) - J
     worst, first_bad = 0.0, None
-    levels = distance_levels(dd.product)
-    for i, PA in enumerate(predistance.matrix_values(system, dd.product)):
+    # the levels on a Product of their own: on BLAS each then casts A once,
+    # float32 for the levels and float64 for p_i(A), not once a product
+    levels = distance_levels(graphs.Product(g.adj))
+    for i, PA in enumerate(predistance.matrix_values(system, product)):
         H += PA
         diff = PA - next(levels, 0)  # A_i, zero past the diameter
         residual = float(np.abs(diff, out=diff).max())
@@ -231,11 +232,10 @@ def excess_comparison(g, system, dd=None):
     """
     if not g.is_regular():
         return None
-    if dd is None:
-        dd = distance_data(g)
+    product = graphs.Product(g.adj) if dd is None else dd.product
     lam0 = float(system.spectrum.values[0])
     spectral_excess = float(predistance.poly_eval(system.polys[system.d], lam0))
-    at_d = next(islice(distance_levels(dd.product), system.d, None), False)  # A_d, none past D
+    at_d = next(islice(distance_levels(product), system.d, None), False)  # A_d, none past D
     average_excess = np.count_nonzero(at_d) / g.n
     return spectral_excess, average_excess
 

@@ -11,6 +11,7 @@ timed.  The benchmark is read from its files here, not changed.
 
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,8 @@ from oddgirth import scan
 
 from conftest import graph6_oracle_encode
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -67,3 +69,20 @@ def test_corpus_mixed_input_is_the_oracle_encoding(tmp_path):
             files.append(workload.path.read_bytes())
         assert files[0] == files[1], seed
         assert files[0].count(b"\n") == 60, seed
+
+
+def test_bench_trajectories_name_the_benchmark():
+    # each BENCH_<workload>.json trajectory parses, names a workload of
+    # BENCHMARK.json, lists its end-to-end units, and names the commit of
+    # every row but the newest, whose commit is the one that adds it
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert doc["workload"] == path.stem[len("BENCH_"):] and doc["workload"] in workloads, path.name
+        assert doc["units"] == units, path.name
+        assert doc["rows"], path.name
+        assert all(row["commit"] for row in doc["rows"][:-1]), path.name

@@ -413,6 +413,13 @@ def test_scan_enumerated_rejects_bad_n():
         scan.scan_enumerated(0)
 
 
+@pytest.fixture
+def pooled(monkeypatch):
+    """A corpus scan with jobs > 1 forks its pool however small its lines are."""
+    monkeypatch.setattr(scan, "POOL_FLOOR", 0)
+
+
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus(tmp_path, petersen, prism):
     path = tmp_path / "corpus.g6"
     lines = [
@@ -433,6 +440,7 @@ def test_scan_corpus(tmp_path, petersen, prism):
     assert pooled.examined == 2 and pooled.hypothesis_met == 1
 
 
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_counts_verify_failures(tmp_path, petersen, break_verify):
     # C_9's verify breaks down; the run goes on and Petersen, on the line
     # before, is still certified
@@ -451,6 +459,7 @@ def test_scan_corpus_counts_verify_failures(tmp_path, petersen, break_verify):
         assert doc["verify_failures"] == 1 and doc["verify_errors"] == summary.verify_errors
 
 
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5, break_verify):
     # hits and errors keep file order whether the lines are verified in this
     # process or in a pool
@@ -470,6 +479,7 @@ def test_scan_corpus_same_summary_for_any_jobs(tmp_path, petersen, prism, c5, br
     assert docs[0]["verify_errors"][0].startswith("line 4: eigensolver failed")
 
 
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_reports_a_graph_too_large_for_memory(tmp_path, monkeypatch, petersen):
     # a MemoryError in one line's parse (line 2) or distance layer (line 4)
     # is that line's verify error, and Petersen on lines 1 and 3 is still
@@ -513,6 +523,31 @@ def test_jobs_capped_at_affinity(tmp_path, petersen):
         scan.scan_corpus(path, jobs=0)
 
 
+def test_scan_corpus_forks_only_large_corpora(tmp_path, monkeypatch, petersen):
+    # a pool pays for its fork only on large lines: a small file is verified
+    # in this process with --jobs 2, and 4 x O_7 (summed n^2 about 1.2e7)
+    # still asks for the pool, whose start is patched to raise
+    import multiprocessing
+
+    class Forked(Exception):
+        pass
+
+    def get_context(method):
+        raise Forked(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    small = tmp_path / "small.g6"
+    small.write_bytes(b"\n".join([og.encode_graph6(petersen)] * 60))
+    assert 12 * len(small.read_bytes()) < scan.POOL_FLOOR
+    summary = scan.scan_corpus(small, jobs=2)
+    assert summary.jobs == 2 and summary.certified == 60
+    large = tmp_path / "large.g6"
+    large.write_bytes(b"\n".join([og.encode_graph6(og.generate_family("odd", [7]))] * 4))
+    with pytest.raises(Forked, match="fork"):
+        scan.scan_corpus(large, jobs=2)
+
+
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_parses_each_line_once(tmp_path, monkeypatch, petersen, prism):
     # each line is parsed where it is verified, in a pool worker when jobs > 1,
     # so the calls are counted in a file that every process appends to
@@ -574,6 +609,7 @@ def test_scan_corpus_streams_lines(tmp_path, monkeypatch, petersen, prism):
                                    og.PredistanceError("recurrence broken on purpose"),
                                    og.NumericalError("screen broken on purpose")],
                          ids=lambda exc: type(exc).__name__)
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen, c5, fault):
     # a fault raised while C_9's hypothesis is decided is line 2's verify
     # error; C_5 and Petersen on the lines around it are still certified
@@ -589,6 +625,7 @@ def test_scan_corpus_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen
     _assert_line_2_fails_alone(tmp_path, petersen, c5, c9, fault)
 
 
+@pytest.mark.usefixtures("pooled")
 def test_scan_corpus_pre_screen_fault_fails_its_line(tmp_path, monkeypatch, petersen, c5):
     # a graph too large for memory in the pre-screen of C_9 (quick_reject)
     # is line 2's verify error alone, as in the screen after it

@@ -249,7 +249,13 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
     # (the level product oracle's on each path) and the intersection arrays
     # and witnesses must be identical, p_i(A) equal to rounding.  Graphs
     # without a predistance system of their own use C_11's: its recurrence
-    # is a polynomial identity, so any A will do
+    # is a polynomial identity, so any A will do.  Then the gathering
+    # Product alone, in every (operand, result) dtype pair the products
+    # meet, against the int64 dense product: entries up to the result
+    # type's edge, an out full of stale values, and blocks of 7 rows, so
+    # that a graph splits into several with a partial last one.  On either
+    # path an operand without exactly n + 1 rows raises, and an edgeless
+    # graph above the floors, a table of width 0, sums to zero
     assert not (og.distance_data(sparse_irregular).connected or sparse_irregular.is_regular())
     fallback = og.predistance_polynomials(og.spectrum(og.generate_family("cycle", [11])))
     cases = [(g, og.predistance_polynomials(og.spectrum(g))) for _, g in family_suite]
@@ -284,6 +290,37 @@ def test_neighbour_sums_match_dense_products(monkeypatch, family_suite, sparse_i
         assert len(sums_values) == len(dense_values) == system.d + 1, g.n
         for i, (a, b) in enumerate(zip(sums_values, dense_values)):
             assert np.abs(a - b).max() <= 1e-9, (g.n, i)
+        _assert_gathers_exact(monkeypatch, sums.product, g.adj)
+        for product in (sums.product, dense.product):
+            for rows in (g.n, g.n + 2):
+                with pytest.raises(ValueError, match="n \\+ 1"):
+                    product.times(np.zeros((rows, 3), dtype=np.uint8), np.uint8)
+    assert any(g.n % 7 for g, _ in cases)
+    monkeypatch.undo()
+    edgeless = og.graphs.Product(og.graph_from_edges(og.graphs.NEIGHBOUR_SUM_FLOOR + 2, []).adj)
+    assert edgeless.gathers and edgeless.table.shape[1] == 0
+    _assert_gathers_exact(monkeypatch, edgeless, edgeless.adj)
+
+
+def _assert_gathers_exact(monkeypatch, product, adj):
+    assert product.gathers
+    rng = np.random.default_rng(product.n)
+    A = adj.astype(np.int64)
+    k = max(product.k, 1)
+    for operand, result in ((np.uint8, np.uint8), (np.uint8, np.uint16), (np.uint16, np.uint16),
+                            (np.uint16, np.uint32), (object, object)):
+        monkeypatch.setattr(og.graphs, "NEIGHBOUR_SUM_BLOCK", 7 * 5 * np.dtype(result).itemsize)
+        top = (1 << 40) // k if result is object else min(
+            np.iinfo(operand).max, np.iinfo(result).max // k)
+        X = np.zeros((product.n + 1, 5), dtype=operand)
+        X[:product.n] = rng.integers(0, top + 1, size=(product.n, 5))
+        X[:product.n, 0] = top  # the largest degree's row reaches the result type's edge
+        before = X.copy()
+        want = A @ X[:product.n].astype(np.int64)
+        got = product.times(X, result, out=np.full(X.shape, 7, dtype=result))
+        assert got.dtype == np.dtype(result), (product.n, operand, result)
+        assert np.array_equal(got[:product.n].astype(np.int64), want), (product.n, operand, result)
+        assert not got[product.n].any() and np.array_equal(X, before), (product.n, operand)
 
 
 def test_distance_polynomial_names_first_broken_level():
@@ -365,6 +402,54 @@ def test_verify_computes_each_quantity_once(monkeypatch, prism):
         rep = og.verify_theorem(current)
         assert not rep.hypothesis_met
         assert calls == {("eigvalsh", "n x n"): 1, "_expand": 1}, current.n
+
+
+def test_polynomial_identities_build_products_not_distance_data(monkeypatch):
+    # called without dd, check_polynomial_identities and excess_comparison
+    # build the graph's Product directly: no distance_data, and one
+    # expansion (graphs._expand) a call.  On O_4, which takes the BLAS
+    # product, the levels of check_polynomial_identities run on a Product
+    # of their own, so A is cast once to float32 for them and once to
+    # float64 for p_i(A), not once a product; with dd, only its levels'
+    # Product is new
+    g = og.generate_family("odd", [4])
+    system = og.predistance_polynomials(og.spectrum(g))
+    dd = og.distance_data(g)
+    expansions, casts = [], []
+    real_expand = og.graphs._expand
+
+    def expand(product):
+        expansions.append(product.n)
+        return real_expand(product)
+
+    class Product(og.graphs.Product):
+        @property
+        def _dense(self):
+            return self.__dict__["_dense"]
+
+        @_dense.setter
+        def _dense(self, dense):
+            if dense is not self.adj:
+                casts.append(dense.dtype)
+            self.__dict__["_dense"] = dense
+
+    def forbidden(g):
+        raise AssertionError("distance_data ran for its Product alone")
+
+    monkeypatch.setattr(og.graphs, "_expand", expand)
+    monkeypatch.setattr(og.graphs, "Product", Product)
+    monkeypatch.setattr(verify, "distance_data", forbidden)
+    assert not Product(g.adj).gathers
+    for given in (None, dd):
+        expansions.clear()
+        casts.clear()
+        hoffman, polynomial = og.check_polynomial_identities(g, system, dd=given)
+        assert hoffman.passed and polynomial.passed and polynomial.witness is None
+        assert expansions == [g.n]
+        assert sorted(map(str, casts)) == (["float32", "float64"] if given is None else ["float32"])
+        expansions.clear()
+        spectral_excess, average_excess = og.excess_comparison(g, system, dd=given)
+        assert spectral_excess == pytest.approx(average_excess) and expansions == [g.n]
 
 
 def test_verify_refuses_merged_eigenvalues(petersen, prism):
