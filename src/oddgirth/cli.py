@@ -58,7 +58,7 @@ def build_parser():
     p_sc.add_argument("--jobs", type=int, default=1,
                       help="worker processes for --corpus lines (the --n sweep runs in one); "
                            "the pool pays off on large graphs only, so it starts only when "
-                           "the lines' summed n^2 passes 2e6")
+                           "the lines' summed n^2 passes 1e6")
     p_sc.add_argument("--json", action="store_true", help="emit the JSON summary")
     p_sc.set_defaults(func=cmd_scan)
     return parser

@@ -115,7 +115,7 @@ class ScanSummary:
     """What a scan examined and found; every count is read off its list."""
 
     source: str
-    jobs: int
+    jobs: int  # the workers asked for, capped at the CPUs; a corpus below POOL_FLOOR runs in one
     masks_total: int
     examined: int
     hits: list
@@ -233,14 +233,17 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
     return examined, hits
 
 
-# the summed n^2 of a corpus's lines above which a worker pool pays for its
-# fork.  Fork and pool cost 20-30 ms, on 2 CPUs with two workers against one:
-# 8 x O_6 (n^2 about 1.7e6 in all) took 0.046 against 0.051 s, 2 x the folded
-# 11-cube (2.1e6) 0.062 against 0.080 s and 4 x O_7 (1.2e7) 0.24 against
-# 0.39 s, though 60 lines of n 20-120 took 0.032-0.044 against 0.010-0.015 s.
-# A line that quick_reject settles costs far less a vertex pair: 32 rejected
-# lines of n = 1000 (3.2e7) took 0.175 against 0.138 s
-POOL_FLOOR = 2_000_000
+# the summed n^2 of a corpus's lines above which a worker pool may pay for its
+# fork.  Two workers against one on 2 CPUs, one BLAS thread, medians of 10
+# alternating runs: below 10^6 no corpus of two lines or more gained more
+# than 4% from the pool (60 x O_5, 9.5e5: 0.063 against 0.066 s), and most
+# lost 1.3 to 3 times (8 x the folded 9-cube, 5.2e5: 0.030 against 0.018 s;
+# 4 x O_6, 8.5e5: 0.040 against 0.020 s); above 10^6 it depends on the lines
+# (80 x O_5, 1.3e6: 0.074 against 0.091 s; 8 x O_6, 1.7e6: 0.042 against
+# 0.039 s; 4 x O_7, 1.2e7: 0.24 against 0.39 s).  quick_reject settles a
+# line for far less a vertex pair, so a file of rejected lines lost at every
+# size measured (8 of n = 1000, 8e6: 0.032 against 0.027 s)
+POOL_FLOOR = 1_000_000
 
 
 def _cap_jobs(jobs):
@@ -372,7 +375,9 @@ def scan_corpus(path, jobs=1):
     NumericalError) or ran out of memory (MemoryError) are counted and
     reported by line number, not fatal: the other lines are still verified.
     The screen has no tolerance, so a NumericalError can come only from the
-    report of a line that meets the hypothesis.
+    report of a line that meets the hypothesis.  The summary's jobs is the
+    request capped at the CPUs, also when the lines are too small for a
+    pool (_map) and run in this process.
     """
     jobs = _cap_jobs(jobs)
     started = time.perf_counter()

@@ -198,9 +198,10 @@ def check_polynomial_identities(g, system, tol=1e-6, dd=None):
     product = graphs.Product(g.adj) if dd is None else dd.product
     H = -np.ones((g.n, g.n))  # H(A) - J
     worst, first_bad = 0.0, None
-    # the levels on a Product of their own: on BLAS each then casts A once,
-    # float32 for the levels and float64 for p_i(A), not once a product
-    levels = distance_levels(graphs.Product(g.adj))
+    # on BLAS the levels take a Product of their own, so that each casts A
+    # once, float32 for the levels and float64 for p_i(A), not once a
+    # product; the gathers cast nothing and share the one neighbour table
+    levels = distance_levels(product if product.gathers else graphs.Product(g.adj))
     for i, PA in enumerate(predistance.matrix_values(system, product)):
         H += PA
         diff = PA - next(levels, 0)  # A_i, zero past the diameter

@@ -411,11 +411,15 @@ def test_polynomial_identities_build_products_not_distance_data(monkeypatch):
     # product, the levels of check_polynomial_identities run on a Product
     # of their own, so A is cast once to float32 for them and once to
     # float64 for p_i(A), not once a product; with dd, only its levels'
-    # Product is new
+    # Product is new.  On the folded 9-cube, which takes the gathers, the
+    # levels share the one Product: none is built when dd is given
     g = og.generate_family("odd", [4])
     system = og.predistance_polynomials(og.spectrum(g))
     dd = og.distance_data(g)
-    expansions, casts = [], []
+    folded = og.generate_family("folded_cube", [9])
+    folded_system = og.predistance_polynomials(og.spectrum(folded))
+    folded_dd = og.distance_data(folded)
+    expansions, casts, built = [], [], []
     real_expand = og.graphs._expand
 
     def expand(product):
@@ -423,6 +427,10 @@ def test_polynomial_identities_build_products_not_distance_data(monkeypatch):
         return real_expand(product)
 
     class Product(og.graphs.Product):
+        def __init__(self, adj):
+            built.append(len(adj))
+            super().__init__(adj)
+
         @property
         def _dense(self):
             return self.__dict__["_dense"]
@@ -450,6 +458,12 @@ def test_polynomial_identities_build_products_not_distance_data(monkeypatch):
         expansions.clear()
         spectral_excess, average_excess = og.excess_comparison(g, system, dd=given)
         assert spectral_excess == pytest.approx(average_excess) and expansions == [g.n]
+    assert Product(folded.adj).gathers
+    for given in (None, folded_dd):
+        built.clear()
+        hoffman, polynomial = og.check_polynomial_identities(folded, folded_system, dd=given)
+        assert hoffman.passed and polynomial.passed
+        assert built == ([folded.n] if given is None else [])
 
 
 def test_verify_refuses_merged_eigenvalues(petersen, prism):
