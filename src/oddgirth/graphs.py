@@ -40,22 +40,28 @@ vertices: the vertex-extension step of orderly generation (McKay,
 vertices is a graph on the first n - 1 (its low (n-1)(n-2)/2 bits) plus the
 neighbour set S of vertex n - 1 (its top n - 1 bits).  The table of every
 graph on m <= 6 vertices (_table, built once per m from the table of m - 1
-with the same step) holds each vertex's component and colour class as
-vertex bitmasks, and a triangle-free and a bipartite flag.  Adding vertex j
-joined to S (_extend), the graph is connected iff the components of S's
-vertices and j cover every vertex; triangle-free iff it was and no edge lies
-inside S; bipartite iff it was and S meets each component in one colour
-class.  mask_blocks walks a range of masks in blocks of one S, a slice of
-the table each, and gives every mask in the range its three flags.
+with the same step) holds each vertex's component, its colour class and the
+rest of its component as vertex bitmasks, one uint8 row per vertex (each
+196 KB at m = 6), and a triangle-free and a bipartite flag.
+Adding vertex j joined to S (_extensions), the graph is connected iff the
+components of S's vertices and j cover every vertex; triangle-free iff it
+was and no edge lies inside S; bipartite iff it was and S meets each
+component in one colour class.  The walk takes S in ascending order and
+forms each block's unions over S from those of the block of S & (S - 1), S
+without its lowest vertex, which it walked earlier and holds on a stack:
+one OR a union a block.  mask_blocks walks a range of masks in blocks of one
+S, a slice of the table each, and gives every mask in the range its three
+flags; _table's build is the same walk over all of them.
 
 A relabeling of the vertices by a permutation p moves the pair (u, v) to
 (p[u], p[v]), so it moves each bit of an edge bitmask to another bit.  The
 orbit table of n <= 8 vertices (_orbit_table, built on first use and
-cached) holds, for each of the n! permutations, the bit each of the
-n(n-1)/2 pairs moves to, in uint8.  The orbit of a mask under S_n
-(mask_orbit), the masks of every graph isomorphic to its graph, is then the
-OR of one table column shifted into place per set bit: n!/|Aut G| distinct
-masks once sorted, the labeled/unlabeled relation of the same paper.  The
+cached) holds, for each of the n(n-1)/2 pairs, one contiguous int32 row of
+1 << (the bit the pair moves to) under each of the n! permutations: 423 KB
+at n = 7 and 4.5 MB at n = 8.  The orbit of a mask under S_n (mask_orbit),
+the masks of every graph isomorphic to its graph, is then the OR of the rows
+of its set bits: n!/|Aut G| distinct masks once sorted, the
+labeled/unlabeled relation of the same paper.  The
 scan decides the hypothesis once per orbit of the masks it expands and
 verifies one hit per orbit.  The eigenvalue machinery lives in the sibling modules.
 """
@@ -810,9 +816,10 @@ def graph_mask(g):
 class _Table(NamedTuple):
     """Graphs on m vertices, entry i of each array for the graph of mask low[i].
 
-    comp[u] is the component of vertex u and same[u] the vertices of that
-    component coloured as u in a 2-colouring, both as vertex bitmasks (uint8,
-    one row per vertex; same means nothing where the graph is not
+    comp[u] is the component of vertex u, same[u] the vertices of that
+    component coloured as u in a 2-colouring and other[u] = comp[u] ^
+    same[u] those coloured unlike u, all as vertex bitmasks (uint8, one row
+    per vertex; same and other mean nothing where the graph is not
     bipartite).  pairs[S] is the edge bitmask of the pairs inside the vertex
     set S, for each of the 2^m sets: the edges a vertex joined to S closes
     into triangles.
@@ -820,44 +827,56 @@ class _Table(NamedTuple):
 
     comp: np.ndarray
     same: np.ndarray
+    other: np.ndarray
     triangle_free: np.ndarray
     bipartite: np.ndarray
     low: np.ndarray
     pairs: np.ndarray
 
-    def rows(self, index):
-        """The graphs at index, a slice: views of the arrays."""
-        return _Table(self.comp[:, index], self.same[:, index], self.triangle_free[index],
-                      self.bipartite[index], self.low[index], self.pairs)
 
+def _extensions(table, start, stop):
+    """Join a new vertex j = len(table.comp) to the graphs of table: the masks [start, stop) on j + 1.
 
-def _extend(rows, S):
-    """Join a new vertex j = len(rows.comp) to the vertex set S in each graph of rows.
+    Yields (lo, reach, side, triangle_free, bipartite) for each block of one
+    neighbour set S of j, entry i of each array for mask lo + i, in
+    ascending S.  reach is the component of j: bit j and the union of
+    comp[u] over the vertices u of S, so a graph is connected iff reach
+    holds all j + 1 vertices.  It is triangle-free iff it was before and no
+    edge lies inside S, low & pairs[S] == 0.  It is bipartite iff it was
+    before and S meets every component in one colour class: S misses the
+    union of other[u] over u in S.  side, the union of same[u], is then the
+    colour class of S, and reach ^ side that of j; the caller must not
+    write either.
 
-    Returns (reach, side, triangle_free, bipartite) of the graphs on j + 1
-    vertices.  reach is the component of j: bit j and the components of the
-    vertices of S, so a graph is connected iff reach holds all j + 1
-    vertices.  It is triangle-free iff it was before and no edge lies
-    inside S, low & pairs[S] == 0.  It is bipartite iff it was before and S
-    meets every component in one colour class, S & comp[u] & ~same[u] == 0
-    for each u in S; side, the union of same[u] over u in S, is then the
-    colour class of S, and reach ^ side that of j.
+    The unions over S are those of the nearest block E held on a stack of
+    nested sets, ORed with the rows of the vertices of S not in E.  The
+    stack holds whole blocks above the empty set's constants, stride-0
+    views; an ascending walk from 0 finds S's parent, S & (S - 1), on top,
+    so each union takes one OR.  A range that starts past 0 builds its
+    first block from the empty set.
     """
-    j = len(rows.comp)
-    reach = np.full(len(rows.low), 1 << j, dtype=np.uint8)
-    side = np.zeros_like(reach)
-    other = np.zeros_like(reach)  # the union of comp[u] & ~same[u] over u in S
-    for u in range(j):
-        if S >> u & 1:
-            reach |= rows.comp[u]
-            side |= rows.same[u]
-            other |= rows.comp[u] ^ rows.same[u]
-    triangle_free = (rows.low & rows.pairs[S]) == 0
-    triangle_free &= rows.triangle_free
-    other &= S
-    bipartite = other == 0
-    bipartite &= rows.bipartite
-    return reach, side, triangle_free, bipartite
+    j, size = len(table.comp), len(table.low)
+    root = [np.broadcast_to(np.uint8(value), (size,)) for value in (1 << j, 0, 0)]
+    stack = [(0, *root)]  # (E, reach, side, other), each E a subset of the next
+    for S in range(start // size, -(-stop // size)):
+        base = S * size
+        index = slice(max(start - base, 0), min(stop - base, size))
+        while stack[-1][0] & ~S:
+            stack.pop()
+        E, reach, side, other = stack[-1]
+        reach, side, other = reach[index], side[index], other[index]
+        for u in range(j):
+            if (S & ~E) >> u & 1:
+                reach = reach | table.comp[u, index]
+                side = side | table.same[u, index]
+                other = other | table.other[u, index]
+        if S != E and len(reach) == size:
+            stack.append((S, reach, side, other))
+        triangle_free = (table.low[index] & table.pairs[S]) == 0
+        triangle_free &= table.triangle_free[index]
+        bipartite = (other & S) == 0
+        bipartite &= table.bipartite[index]
+        yield base + index.start, reach, side, triangle_free, bipartite
 
 
 @functools.lru_cache(maxsize=None)
@@ -867,13 +886,13 @@ def _table(m):
     A mask on m vertices is a graph on the first m - 1 (its low
     e = (m-1)(m-2)/2 bits) plus the neighbour set S of vertex m - 1 (its top
     m - 1 bits).  So the rows with one S are the block [S 2^e, (S+1) 2^e),
-    the whole table of m - 1 vertices extended by S, and each block is
-    written in place into arrays of the final size.  m = 0 is the one empty
-    graph: connected to nothing, triangle-free and bipartite.
+    the whole table of m - 1 vertices extended by S (_extensions), and each
+    block is written in place into arrays of the final size.  m = 0 is the
+    one empty graph: connected to nothing, triangle-free and bipartite.
     """
     if m == 0:
         none = np.zeros((0, 1), dtype=np.uint8)
-        table = _Table(none, none, np.ones(1, dtype=bool), np.ones(1, dtype=bool),
+        table = _Table(none, none, none, np.ones(1, dtype=bool), np.ones(1, dtype=bool),
                        np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
     else:
         prev = _table(m - 1)
@@ -882,9 +901,9 @@ def _table(m):
         same = np.empty_like(comp)
         triangle_free = np.empty(size << j, dtype=bool)
         bipartite = np.empty_like(triangle_free)
-        for S in range(1 << j):
-            block = slice(S * size, (S + 1) * size)
-            reach, side, triangle_free[block], bipartite[block] = _extend(prev, S)
+        for lo, reach, side, free, bip in _extensions(prev, 0, size << j):
+            block = slice(lo, lo + size)
+            triangle_free[block], bipartite[block] = free, bip
             rest = reach ^ side  # the colour class of j
             comp[j, block], same[j, block] = reach, rest
             for v in range(j):
@@ -895,7 +914,7 @@ def _table(m):
         # the pair (u, j) is bit j(j-1)/2 + u, so S + 2^j adds S << j(j-1)/2
         inner = np.arange(1 << j, dtype=np.int32) << (j * (j - 1) // 2)
         pairs = np.concatenate([prev.pairs, prev.pairs | inner])
-        table = _Table(comp, same, triangle_free, bipartite,
+        table = _Table(comp, same, comp ^ same, triangle_free, bipartite,
                        np.arange(size << j, dtype=np.int32), pairs)
     for array in table:
         array.setflags(write=False)
@@ -907,8 +926,8 @@ def mask_blocks(n, start, stop):
 
     1 <= n <= 7.  Entry i of each bool array is the property of mask lo + i.
     A block holds the masks with one neighbour set S of vertex n - 1, a slice
-    of the table of n - 1 vertices extended by S (_extend), so a block is
-    2^((n-1)(n-2)/2) masks, less where it meets start or stop.
+    of the table of n - 1 vertices extended by S (_extensions), so a block
+    is 2^((n-1)(n-2)/2) masks, less where it meets start or stop.
     """
     if not 1 <= n <= 7:
         raise GraphError("mask tables support 1 <= n <= 7, got %d" % n)
@@ -917,13 +936,9 @@ def mask_blocks(n, start, stop):
                          % (start, stop, n * (n - 1) // 2, n))
     if start == stop:
         return
-    table = _table(n - 1)
-    size = len(table.low)
-    for S in range(start // size, -(-stop // size)):
-        base = S * size
-        index = slice(max(start - base, 0), min(stop - base, size))
-        reach, _, triangle_free, bipartite = _extend(table.rows(index), S)
-        yield base + index.start, reach == (1 << n) - 1, triangle_free, bipartite
+    full = (1 << n) - 1
+    for lo, reach, _, triangle_free, bipartite in _extensions(_table(n - 1), start, stop):
+        yield lo, reach == full, triangle_free, bipartite
 
 
 @functools.lru_cache(maxsize=None)
@@ -966,43 +981,54 @@ def mask_graph6(n, mask):
 
 @functools.lru_cache(maxsize=None)
 def _orbit_table(n):
-    """Read-only (n!, n(n-1)/2) uint8 table: entry (p, b) is the bit pair b moves to under p.
+    """Read-only (n(n-1)/2, n!) int32 table: entry (b, p) is 1 << the bit pair b moves to under p.
 
-    Row p is the p-th permutation of range(n) in lexicographic order, row 0
-    the identity; pair b = (u, v) of edge_pairs(n) moves to (p[u], p[v]),
-    whose bit _pair_bits(n) holds.  Built one pair at a time, so no (n!, k)
-    index temporary is made: the table is 1.1 MB at n = 8.
+    Column p is the p-th permutation of range(n) in lexicographic order,
+    column 0 the identity; pair b = (u, v) of edge_pairs(n) moves to
+    (p[u], p[v]), whose bit _pair_bits(n) holds.  n <= 8 has at most 28
+    pairs, so int32 holds every mask.  Built one pair at a time: 423 KB at
+    n = 7 and 4.5 MB at n = 8.
     """
     perms = np.fromiter(chain.from_iterable(permutations(range(n))),
                         dtype=np.uint8, count=math.factorial(n) * n).reshape(-1, n)
-    bits = _pair_bits(n).astype(np.uint8)
-    table = np.empty((len(perms), n * (n - 1) // 2), dtype=np.uint8)
+    bits = _pair_bits(n).astype(np.int32)
+    table = np.empty((n * (n - 1) // 2, len(perms)), dtype=np.int32)
     for b, (u, v) in enumerate(edge_pairs(n)):
-        table[:, b] = bits[perms[:, u], perms[:, v]]
+        np.left_shift(1, bits[perms[:, u], perms[:, v]], out=table[b])
     table.setflags(write=False)
     return table
+
+
+def _orbit(n, mask):
+    """Sorted int32 masks of mask's orbit under S_n, 1 <= n <= 8, unchecked.
+
+    The row of _orbit_table(n) of the lowest set bit, the rows of the others
+    ORed in, one mask per permutation; sorted, then each mask that equals
+    the one before it dropped (np.unique took six times as long at n = 7).
+    """
+    if not mask:
+        return np.zeros(1, dtype=np.int32)
+    table = _orbit_table(n)
+    low = (mask & -mask).bit_length() - 1
+    orbit = table[low].copy()
+    for b in range(low + 1, mask.bit_length()):
+        if mask >> b & 1:
+            orbit |= table[b]
+    orbit.sort()
+    return orbit[np.concatenate(([True], orbit[1:] != orbit[:-1]))]
 
 
 def mask_orbit(n, mask):
     """Sorted int64 array of the edge bitmasks of every relabeling of mask's graph, 1 <= n <= 8.
 
-    The orbit of the mask under S_n acting on the vertices: the OR, over the
-    mask's set bits b, of 1 << _orbit_table(n)[:, b], one mask per
-    permutation, without repeats: sorted, then each mask that equals the one
-    before it dropped (np.unique took six times as long on the 5,040 masks
-    of n = 7).  Its length is n!/|Aut G|.
+    The orbit of the mask under S_n acting on the vertices (_orbit), with
+    n!/|Aut G| masks.
     """
     if not 1 <= n <= 8:
         raise GraphError("mask orbits support 1 <= n <= 8, got %d" % n)
     if not 0 <= mask < 1 << (n * (n - 1) // 2):
         raise _mask_range_error(n, mask)
-    table = _orbit_table(n)
-    orbit = np.zeros(len(table), dtype=np.int64)
-    for b in range(table.shape[1]):
-        if mask >> b & 1:
-            orbit |= np.int64(1) << table[:, b]
-    orbit.sort()
-    return orbit[np.concatenate(([True], orbit[1:] != orbit[:-1]))]
+    return _orbit(n, mask).astype(np.int64)
 
 
 def enumerate_connected(n):

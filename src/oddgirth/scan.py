@@ -62,11 +62,11 @@ import numpy as np
 
 from .graphs import (
     GraphError,
+    _orbit,
     graph6_lines,
     graph_from_mask,
     mask_blocks,
     mask_graph6,
-    mask_orbit,
     parse_graph6,
     quick_reject,
 )
@@ -166,16 +166,16 @@ class ScanSummary:
 def _classes(n, masks):
     """(first mask, members) of each S_n orbit among ascending masks on n vertices.
 
-    members is the index array of the masks in that mask's orbit
-    (mask_orbit), found by binary search, so masks must be sorted; the
-    orbits come in the order of their first masks.
+    members is the index array of the masks in that mask's orbit (_orbit,
+    int32 as the screen's masks are, so searchsorted copies neither), found
+    by binary search, so masks must be sorted; the orbits come in the order
+    of their first masks.
     """
     left = np.ones(len(masks), dtype=bool)
     while left.any():
         first = int(masks[left.argmax()])
-        orbit = mask_orbit(n, first)
-        # the orbit takes masks' dtype, so that searchsorted copies no masks
-        at = np.searchsorted(masks, orbit.astype(masks.dtype, copy=False))
+        orbit = _orbit(n, first)
+        at = np.searchsorted(masks, orbit)
         members = at[masks.take(at, mode="clip") == orbit]
         left[members] = False
         yield first, members
@@ -212,8 +212,9 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
             keep[complete - lo] = True  # K_n: its triangles leave D = 1
         triangle_free += int(np.count_nonzero(keep))
         # int32 holds a mask on n <= 8 vertices; in int64 the n = 8 screen
-        # (mask_blocks' guard raised) peaked at 133 MB RSS, against 114 MB
-        kept.append((lo + np.flatnonzero(keep & ~bipartite)).astype(np.int32))
+        # (mask_blocks' guard raised) peaked at 133 MB RSS, against 114 MB.
+        # keep > bipartite is keep & ~bipartite in one pass
+        kept.append(np.flatnonzero(np.greater(keep, bipartite)).astype(np.int32) + lo)
     masks = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int32)
     hits = []
     for first, members in _classes(n, masks):
@@ -288,10 +289,11 @@ def scan_enumerated(n_max, jobs=1):
     built, in the screen and here.  Every quantity the report certifies is
     invariant under relabeling; a vertex named in a witness is the
     representative's.  Each hit's screen (d, odd girth) is compared with its
-    report, and a screen/pipeline disagreement raises, since it would mean
-    the scan's fast path diverged from the thing it is supposed to scan
-    for.  jobs must be 1, which the summary reports; --jobs serves corpus
-    scans (_map).
+    class's report, once per class and screen pair, so 7 times for the 377
+    hits of n <= 7, and a screen/pipeline disagreement raises, naming the
+    first hit that shows it, since it would mean the scan's fast path
+    diverged from the thing it is supposed to scan for.  jobs must be 1,
+    which the summary reports; --jobs serves corpus scans (_map).
     """
     if not 1 <= n_max <= 7:
         raise GraphError("scan supports 1 <= n <= 7, got %d" % n_max)
@@ -310,18 +312,22 @@ def scan_enumerated(n_max, jobs=1):
         for first, (record, members) in classes.items():
             report = verify_theorem(graph_from_mask(n, first), hypothesis=record)
             counts["classes"] += 1
-            reports.update(dict.fromkeys(members.tolist(), report))
+            reports.update(dict.fromkeys(members.tolist(), (first, report)))
+        agreed = set()  # (class, d, og) already compared with the class's report
         for mask, d, og in found:
+            first, report = reports[mask]
+            if (first, d, og) not in agreed:
+                if (not report.hypothesis_met or report.spectrum.d != d
+                        or report.odd_girth_value != og):
+                    raise RuntimeError(
+                        "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
+                        "pipeline (met=%s, d=%d, og=%s)"
+                        % (n, mask, d, og, report.hypothesis_met, report.spectrum.d,
+                           report.odd_girth_value)
+                    )
+                agreed.add((first, d, og))
             g6 = mask_graph6(n, mask).decode("ascii")
-            report = replace(reports[mask], input=g6)
-            if not report.hypothesis_met or report.spectrum.d != d or report.odd_girth_value != og:
-                raise RuntimeError(
-                    "screen/pipeline disagreement on n=%d mask=%d: screen (d=%d, og=%d), "
-                    "pipeline (met=%s, d=%d, og=%s)"
-                    % (n, mask, d, og, report.hypothesis_met, report.spectrum.d,
-                       report.odd_girth_value)
-                )
-            hits.append(ScanHit(n=n, mask=mask, graph6=g6, report=report))
+            hits.append(ScanHit(n=n, mask=mask, graph6=g6, report=replace(report, input=g6)))
 
     return ScanSummary(
         source="n<=%d" % n_max,

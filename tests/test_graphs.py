@@ -860,6 +860,27 @@ def test_mask_flags_match_cut_oracle():
         assert np.array_equal(got, want), n
 
 
+def test_mask_flags_on_ranges_cut_at_block_boundaries():
+    # a block's unions come from the nearest whole block the walk holds
+    # below it, its parent S & (S - 1) once the walk has passed it; a range
+    # that starts past that parent, or inside a block, builds its first
+    # block from the empty set.  Every non-empty range with both ends at a
+    # block boundary or one off it, n = 4 and 5
+    for n in (4, 5):
+        total = 1 << (n * (n - 1) // 2)
+        size = total >> (n - 1)
+        want = np.stack(cut_oracle(n, np.arange(total, dtype=np.int64)))
+        ends = sorted({b + d for b in range(0, total + 1, size) for d in (-1, 0, 1)}
+                      & set(range(total + 1)))
+        for i, start in enumerate(ends):
+            for stop in ends[i + 1:]:
+                assert np.array_equal(mask_flags(n, start, stop), want[:, start:stop]), \
+                    (n, start, stop)
+        # S = 6 and 7 start past their parents 4 and 6
+        for S in (6, 7):
+            assert np.array_equal(mask_flags(n, S * size, total), want[:, S * size:]), (n, S)
+
+
 def test_mask_tables():
     for m in range(7):
         table = _table(m)
@@ -942,15 +963,28 @@ def test_masks_out_of_range_rejected():
 
 
 def test_mask_orbit_matches_permutation_oracle():
-    # every mask for n <= 4; a seeded sample for n = 5..7, where the oracle
-    # permutes the adjacency up to 7! = 5040 times per mask
+    # every mask for n <= 4; a seeded sample for n = 5..8, where the oracle
+    # permutes the adjacency up to 8! = 40,320 times per mask (n = 8 has 28
+    # pairs, the most an int32 orbit row holds)
     for n in range(1, 5):
         for mask in range(1 << (n * (n - 1) // 2)):
             assert og.mask_orbit(n, mask).tolist() == orbit_oracle(n, mask), (n, mask)
     rng = np.random.default_rng(18)
-    for n, count in ((5, 24), (6, 8), (7, 3)):
+    for n, count in ((5, 24), (6, 8), (7, 3), (8, 3)):
         for mask in rng.integers(0, 1 << (n * (n - 1) // 2), size=count).tolist():
             assert og.mask_orbit(n, mask).tolist() == orbit_oracle(n, mask), (n, mask)
+
+
+def test_orbit_tables_are_one_hot_int32_rows():
+    # row b holds 1 << the bit pair b moves to, one column a permutation,
+    # column 0 the identity
+    for n in range(1, 9):
+        table = og.graphs._orbit_table(n)
+        k = n * (n - 1) // 2
+        assert table.dtype == np.int32 and table.shape == (k, math.factorial(n)), n
+        assert not table.flags.writeable and table.flags.c_contiguous, n
+        assert table[:, 0].tolist() == [1 << b for b in range(k)], n
+        assert (np.bitwise_count(table) == 1).all(), n
 
 
 def test_mask_orbits_partition_masks_into_isomorphism_classes():
