@@ -40,18 +40,19 @@ vertices: the vertex-extension step of orderly generation (McKay,
 vertices is a graph on the first n - 1 (its low (n-1)(n-2)/2 bits) plus the
 neighbour set S of vertex n - 1 (its top n - 1 bits).  The table of every
 graph on m <= 6 vertices (_table, built once per m from the table of m - 1
-with the same step) holds each vertex's component, its colour class and the
-rest of its component as vertex bitmasks, one uint8 row per vertex (each
-196 KB at m = 6), and a triangle-free and a bipartite flag.
-Adding vertex j joined to S (_extensions), the graph is connected iff the
-components of S's vertices and j cover every vertex; triangle-free iff it
-was and no edge lies inside S; bipartite iff it was and S meets each
-component in one colour class.  The walk takes S in ascending order and
-forms each block's unions over S from those of the block of S & (S - 1), S
-without its lowest vertex, which it walked earlier and holds on a stack:
-one OR a union a block.  mask_blocks walks a range of masks in blocks of one
-S, a slice of the table each, and gives every mask in the range its three
-flags; _table's build is the same walk over all of them.
+with the same step) holds each vertex's component and, in a 2-colouring,
+the vertices of that component coloured unlike it, as vertex bitmasks, one
+uint8 row per vertex (two arrays of 196 KB at m = 6), and a triangle-free
+and a bipartite flag.  Adding vertex j joined to S (_extensions), the graph
+is connected iff the components of S's vertices and j cover every vertex;
+triangle-free iff it was and no edge lies inside S; bipartite iff it was and
+S misses the union of its vertices' unlike vertices, which with j is then
+j's colour class.  The walk takes S in ascending order and forms each
+block's unions over S from those of the block of S & (S - 1), S without its
+lowest vertex, which it walked earlier and holds on a stack: one OR a union
+a block.  mask_blocks walks a range of masks in blocks of one S, a slice of
+the table each, and gives every mask in the range its three flags; _table's
+build is the same walk over all of them.
 
 A relabeling of the vertices by a permutation p moves the pair (u, v) to
 (p[u], p[v]), so it moves each bit of an edge bitmask to another bit.  The
@@ -816,17 +817,15 @@ def graph_mask(g):
 class _Table(NamedTuple):
     """Graphs on m vertices, entry i of each array for the graph of mask low[i].
 
-    comp[u] is the component of vertex u, same[u] the vertices of that
-    component coloured as u in a 2-colouring and other[u] = comp[u] ^
-    same[u] those coloured unlike u, all as vertex bitmasks (uint8, one row
-    per vertex; same and other mean nothing where the graph is not
+    comp[u] is the component of vertex u and other[u] the vertices of that
+    component coloured unlike u in a 2-colouring, as vertex bitmasks (uint8,
+    one row per vertex; other means nothing where the graph is not
     bipartite).  pairs[S] is the edge bitmask of the pairs inside the vertex
     set S, for each of the 2^m sets: the edges a vertex joined to S closes
     into triangles.
     """
 
     comp: np.ndarray
-    same: np.ndarray
     other: np.ndarray
     triangle_free: np.ndarray
     bipartite: np.ndarray
@@ -837,16 +836,16 @@ class _Table(NamedTuple):
 def _extensions(table, start, stop):
     """Join a new vertex j = len(table.comp) to the graphs of table: the masks [start, stop) on j + 1.
 
-    Yields (lo, reach, side, triangle_free, bipartite) for each block of one
+    Yields (lo, reach, other, triangle_free, bipartite) for each block of one
     neighbour set S of j, entry i of each array for mask lo + i, in
     ascending S.  reach is the component of j: bit j and the union of
     comp[u] over the vertices u of S, so a graph is connected iff reach
     holds all j + 1 vertices.  It is triangle-free iff it was before and no
     edge lies inside S, low & pairs[S] == 0.  It is bipartite iff it was
-    before and S meets every component in one colour class: S misses the
-    union of other[u] over u in S.  side, the union of same[u], is then the
-    colour class of S, and reach ^ side that of j; the caller must not
-    write either.
+    before and S meets every component in one colour class: S misses other,
+    the union of other[u] over u in S.  other with bit j is then the colour
+    class of j, and reach ^ that the class of S; the caller must not write
+    reach or other.
 
     The unions over S are those of the nearest block E held on a stack of
     nested sets, ORed with the rows of the vertices of S not in E.  The
@@ -856,27 +855,26 @@ def _extensions(table, start, stop):
     first block from the empty set.
     """
     j, size = len(table.comp), len(table.low)
-    root = [np.broadcast_to(np.uint8(value), (size,)) for value in (1 << j, 0, 0)]
-    stack = [(0, *root)]  # (E, reach, side, other), each E a subset of the next
+    root = [np.broadcast_to(np.uint8(value), (size,)) for value in (1 << j, 0)]
+    stack = [(0, *root)]  # (E, reach, other), each E a subset of the next
     for S in range(start // size, -(-stop // size)):
         base = S * size
         index = slice(max(start - base, 0), min(stop - base, size))
         while stack[-1][0] & ~S:
             stack.pop()
-        E, reach, side, other = stack[-1]
-        reach, side, other = reach[index], side[index], other[index]
+        E, reach, other = stack[-1]
+        reach, other = reach[index], other[index]
         for u in range(j):
             if (S & ~E) >> u & 1:
                 reach = reach | table.comp[u, index]
-                side = side | table.same[u, index]
                 other = other | table.other[u, index]
         if S != E and len(reach) == size:
-            stack.append((S, reach, side, other))
+            stack.append((S, reach, other))
         triangle_free = (table.low[index] & table.pairs[S]) == 0
         triangle_free &= table.triangle_free[index]
         bipartite = (other & S) == 0
         bipartite &= table.bipartite[index]
-        yield base + index.start, reach, side, triangle_free, bipartite
+        yield base + index.start, reach, other, triangle_free, bipartite
 
 
 @functools.lru_cache(maxsize=None)
@@ -887,34 +885,37 @@ def _table(m):
     e = (m-1)(m-2)/2 bits) plus the neighbour set S of vertex m - 1 (its top
     m - 1 bits).  So the rows with one S are the block [S 2^e, (S+1) 2^e),
     the whole table of m - 1 vertices extended by S (_extensions), and each
-    block is written in place into arrays of the final size.  m = 0 is the
-    one empty graph: connected to nothing, triangle-free and bipartite.
+    block is written in place into arrays of the final size.  On a bipartite
+    row, j = m - 1 is coloured unlike side, the colour class of S, and a
+    vertex joined to j unlike its own class, side or j's.  m = 0 is the one
+    empty graph: connected to nothing, triangle-free and bipartite.
     """
     if m == 0:
         none = np.zeros((0, 1), dtype=np.uint8)
-        table = _Table(none, none, none, np.ones(1, dtype=bool), np.ones(1, dtype=bool),
+        table = _Table(none, none, np.ones(1, dtype=bool), np.ones(1, dtype=bool),
                        np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32))
     else:
         prev = _table(m - 1)
         j, size = m - 1, len(prev.low)
         comp = np.empty((m, size << j), dtype=np.uint8)
-        same = np.empty_like(comp)
+        other = np.empty_like(comp)
         triangle_free = np.empty(size << j, dtype=bool)
         bipartite = np.empty_like(triangle_free)
-        for lo, reach, side, free, bip in _extensions(prev, 0, size << j):
+        for lo, reach, unlike, free, bip in _extensions(prev, 0, size << j):
             block = slice(lo, lo + size)
             triangle_free[block], bipartite[block] = free, bip
-            rest = reach ^ side  # the colour class of j
-            comp[j, block], same[j, block] = reach, rest
+            rest = unlike | (1 << j)  # the colour class of j
+            side = reach ^ rest  # the colour class of S
+            comp[j, block], other[j, block] = reach, side
             for v in range(j):
                 joined = (reach >> v) & 1 == 1
                 comp[v, block] = np.where(joined, reach, prev.comp[v])
-                colour = np.where((side >> v) & 1 == 1, side, rest)
-                same[v, block] = np.where(joined, colour, prev.same[v])
+                colour = np.where((side >> v) & 1 == 1, rest, side)
+                other[v, block] = np.where(joined, colour, prev.other[v])
         # the pair (u, j) is bit j(j-1)/2 + u, so S + 2^j adds S << j(j-1)/2
         inner = np.arange(1 << j, dtype=np.int32) << (j * (j - 1) // 2)
         pairs = np.concatenate([prev.pairs, prev.pairs | inner])
-        table = _Table(comp, same, comp ^ same, triangle_free, bipartite,
+        table = _Table(comp, other, triangle_free, bipartite,
                        np.arange(size << j, dtype=np.int32), pairs)
     for array in table:
         array.setflags(write=False)

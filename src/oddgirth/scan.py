@@ -72,7 +72,7 @@ from .graphs import (
 )
 from .predistance import PredistanceError
 from .spectral import NumericalError, meets_prefilter
-from .verify import check_hypothesis, theorem_report, verify_theorem
+from .verify import check_hypothesis, theorem_report
 
 # one screen; perfbench/run.py records this constant in its environment line
 BACKEND = "python"
@@ -212,7 +212,7 @@ def screen_range(n, start, stop, funnel=None, hypotheses=None):
             keep[complete - lo] = True  # K_n: its triangles leave D = 1
         triangle_free += int(np.count_nonzero(keep))
         # int32 holds a mask on n <= 8 vertices; in int64 the n = 8 screen
-        # (mask_blocks' guard raised) peaked at 133 MB RSS, against 114 MB.
+        # (mask_blocks' guard raised) peaked at 133 MB RSS, against 129 MB.
         # keep > bipartite is keep & ~bipartite in one pass
         kept.append(np.flatnonzero(np.greater(keep, bipartite)).astype(np.int32) + lo)
     masks = np.concatenate(kept) if kept else np.zeros(0, dtype=np.int32)
@@ -281,13 +281,13 @@ def scan_enumerated(n_max, jobs=1):
     Each n is screened by one screen_range call over all its masks, and its
     hits are re-verified with the full pipeline once per isomorphism class,
     as the screen hands the classes back (screen_range's hypotheses): the
-    class's first mask is verified from the check_hypothesis record the
-    screen decided it with, so no class is decided twice, and counted in its
-    funnel row's classes stage; every hit in the class shares its report,
-    with its own graph6 as the input label.  Each label is read off the
-    mask's bits (mask_graph6); only a class representative has a Graph
-    built, in the screen and here.  Every quantity the report certifies is
-    invariant under relabeling; a vertex named in a witness is the
+    class's first mask is reported (theorem_report) from the check_hypothesis
+    record the screen decided it with, so no class is decided twice, and
+    counted in its funnel row's classes stage; every hit in the class shares
+    its report, with its own graph6 as the input label.  Each label is read
+    off the mask's bits (mask_graph6); only a class representative has a
+    Graph built, in the screen and here.  Every quantity the report certifies
+    is invariant under relabeling; a vertex named in a witness is the
     representative's.  Each hit's screen (d, odd girth) is compared with its
     class's report, once per class and screen pair, so 7 times for the 377
     hits of n <= 7, and a screen/pipeline disagreement raises, naming the
@@ -310,7 +310,7 @@ def scan_enumerated(n_max, jobs=1):
         _, found = screen_range(n, 0, 1 << (n * (n - 1) // 2), counts, classes)
         reports = {}
         for first, (record, members) in classes.items():
-            report = verify_theorem(graph_from_mask(n, first), hypothesis=record)
+            report = theorem_report(graph_from_mask(n, first), record)
             counts["classes"] += 1
             reports.update(dict.fromkeys(members.tolist(), (first, report)))
         agreed = set()  # (class, d, og) already compared with the class's report

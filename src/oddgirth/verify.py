@@ -640,15 +640,11 @@ def theorem_report(g, hypothesis, tolerances=None, input_label=None):
     )
 
 
-def verify_theorem(g, tolerances=None, input_label=None, hypothesis=None):
+def verify_theorem(g, tolerances=None, input_label=None):
     """Run the whole pipeline on one graph and assemble the report.
 
     Hypotheses: connected, d+1 distinct eigenvalues, finite odd girth >= 2d+1.
     check_hypothesis decides them exactly, and theorem_report builds the
-    report from its record; see both.  A caller that already holds g's
-    check_hypothesis record passes it as hypothesis, and it is not decided
-    again.
+    report from its record; see both.
     """
-    if hypothesis is None:
-        hypothesis = check_hypothesis(g)
-    return theorem_report(g, hypothesis, tolerances, input_label)
+    return theorem_report(g, check_hypothesis(g), tolerances, input_label)

@@ -885,7 +885,7 @@ def test_mask_tables():
     for m in range(7):
         table = _table(m)
         rows = 1 << (m * (m - 1) // 2)
-        assert table.comp.shape == table.same.shape == (m, rows), m
+        assert table.comp.shape == table.other.shape == (m, rows), m
         assert len(table.triangle_free) == len(table.bipartite) == len(table.low) == rows, m
         assert table.low.tolist() == list(range(rows)), m
         assert all(not a.flags.writeable for a in table), m
@@ -895,12 +895,26 @@ def test_mask_tables():
         assert table.pairs.tolist() == inside, m
         if not m:
             continue
-        # every vertex lies in its component and in its own colour class,
-        # which lies in the component; vertices of one component agree on it
+        # every vertex lies in its component comp[u] and not in other[u],
+        # which on a bipartite row lies in the component
         vertex = (1 << np.arange(m, dtype=np.uint8))[:, None]
-        assert ((table.comp & vertex) != 0).all() and ((table.same & vertex) != 0).all(), m
+        assert ((table.comp & vertex) != 0).all() and ((table.other & vertex) == 0).all(), m
         bip = table.bipartite
-        assert ((table.same[:, bip] & ~table.comp[:, bip]) == 0).all(), m
+        assert ((table.other[:, bip] & ~table.comp[:, bip]) == 0).all(), m
+        if m <= 5:
+            # on a bipartite row, other[u] is u's component at odd distance from u
+            for L in np.flatnonzero(bip):
+                adj = og.graph_from_mask(m, int(L)).adj
+                for u in range(m):
+                    dist, queue = {u: 0}, [u]
+                    for v in queue:
+                        for w in np.flatnonzero(adj[v]).tolist():
+                            if w not in dist:
+                                dist[w] = dist[v] + 1
+                                queue.append(w)
+                    odd = sum(1 << v for v, k in dist.items() if k % 2)
+                    assert table.other[u, L] == odd, (m, L, u)
+        # vertices of one component agree on it
         for u in range(m):
             for v in range(m):
                 joined = (table.comp[u] >> v) & 1 == 1

@@ -284,14 +284,14 @@ def test_scan_enumerated_five():
 
 def test_scan_verifies_one_hit_per_class(monkeypatch):
     # the 377 labeled hits of n <= 7 are 7 graphs, K_3..K_7, C_5 and C_7:
-    # verify_theorem runs once per class, and each hit's report, shared with
+    # theorem_report runs once per class, and each hit's report, shared with
     # its class representative, is what the pipeline gives that labeling
     calls = []
-    real_verify = scan.verify_theorem
+    real_report = scan.theorem_report
 
-    def verify(g, *args, **kwargs):
+    def report(g, *args, **kwargs):
         calls.append(g.n)
-        return real_verify(g, *args, **kwargs)
+        return real_report(g, *args, **kwargs)
 
     built = []
     real_graph = scan.graph_from_mask
@@ -300,7 +300,7 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
         built.append((n, mask))
         return real_graph(n, mask)
 
-    monkeypatch.setattr(scan, "verify_theorem", verify)
+    monkeypatch.setattr(scan, "theorem_report", report)
     monkeypatch.setattr(scan, "graph_from_mask", graph)
     summary = scan.scan_enumerated(7)
     assert calls == [3, 4, 5, 5, 6, 7, 7]
@@ -316,15 +316,15 @@ def test_scan_verifies_one_hit_per_class(monkeypatch):
     assert summary.funnel[5]["hits"] == 13 and summary.funnel[7]["hits"] == 361
     assert summary.hypothesis_met == summary.certified == 377
     for hit in summary.hits:
-        report = real_verify(og.graph_from_mask(hit.n, hit.mask), input_label=hit.graph6)
-        assert report.to_dict() == hit.report.to_dict(), (hit.n, hit.mask)
+        want = og.verify_theorem(og.graph_from_mask(hit.n, hit.mask), input_label=hit.graph6)
+        assert want.to_dict() == hit.report.to_dict(), (hit.n, hit.mask)
         assert hit.report.input == hit.graph6
 
 
 def test_scan_decides_each_hit_class_once(monkeypatch):
     # the n <= 7 sweep decides the hypothesis once per class of the
     # expanded masks (1, 1, 2, 3, 16 for n = 3..7), and its 7 hit classes
-    # are reported from those records: verify_theorem decides nothing again
+    # are reported from those records: nothing is decided again
     screened, repeated = [], []
     real_check = scan.check_hypothesis
 
